@@ -133,8 +133,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cell", type=int, default=0, help="cell index for the cell policy")
     p.add_argument("--cell-units", action="store_true",
                    help="report scatter errors in units of 2*pi/N")
-    p.add_argument("--threads", type=int,
-                   default=int(os.environ.get(THREADS_ENV, "1")))
+    # A string default goes through type=int, so a bad environment value is
+    # a usage error like a bad --threads.
+    p.add_argument("--threads", type=int, default=os.environ.get(THREADS_ENV, "1"))
     p.add_argument("--plot-data", action="store_true",
                    help="emit the standard figure bundle instead of one run")
     p.add_argument("--out-dir", default=".")
@@ -196,6 +197,22 @@ def _check_length(n: int, allow_any: bool) -> int:
     if n & (n - 1) != 0 and not allow_any:
         raise CliError(f"record length {n} is not a power of two (use --allow-any-n)")
     return n
+
+
+def _resolve_shots(args) -> tuple[int, ...]:
+    try:
+        shots = tuple(int(s) for s in args.shots_list.split(","))
+    except ValueError:
+        raise CliError("--shots-list must be comma-separated integers") from None
+    if min(shots) < 1:
+        raise CliError("--shots-list entries must be >= 1")
+    return shots
+
+
+def _check_threads(args):
+    limit = os.cpu_count() or 1
+    if not 1 <= args.threads <= limit:
+        raise CliError(f"--threads must be in [1, {limit}] (the number of CPUs)")
 
 
 def _resolve_phase(args) -> float:
@@ -264,11 +281,10 @@ def _cmd_sample(args) -> int:
 
 def _cmd_crb(args) -> int:
     n_list = _resolve_n_list(args)
-    shots = [int(s) for s in args.shots_list.split(",")]
     spec = ExperimentSpec(
         kind="crb-curve",
         n_points=tuple(n_list),
-        n_shots=tuple(shots),
+        n_shots=_resolve_shots(args),
         windows=tuple(args.windows.split(",")),
         trials=1,
         allow_any_n=args.allow_any_n,
@@ -320,6 +336,7 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    _check_threads(args)
     if args.plot_data:
         return _emit_plot_bundle(args)
     if args.kind is None:
@@ -336,7 +353,7 @@ def _experiment_spec(args, kind: str, **overrides) -> ExperimentSpec:
     base = dict(
         kind=kind,
         n_points=tuple(_resolve_n_list(args)),
-        n_shots=tuple(int(s) for s in args.shots_list.split(",")),
+        n_shots=_resolve_shots(args),
         estimators=tuple(args.estimators.split(",")),
         windows=tuple(args.windows.split(",")),
         trials=args.trials,
@@ -344,7 +361,7 @@ def _experiment_spec(args, kind: str, **overrides) -> ExperimentSpec:
         phase_policy=args.phase_policy,
         cell_index=args.cell,
         allow_any_n=args.allow_any_n,
-        n_jobs=max(1, args.threads),
+        n_jobs=args.threads,
     )
     base.update(overrides)
     return ExperimentSpec(**base)
@@ -384,7 +401,7 @@ def _emit_plot_bundle(args) -> int:
             kind=kind, n_points=(128,), n_shots=shots_sweep,
             estimators=("df", "mean-cosine"), windows=("rect", "cosine", "bartlett"),
             trials=args.trials, master_seed=args.seed, phase_policy="uniform",
-            cell_index=args.cell, allow_any_n=True, n_jobs=max(1, args.threads),
+            cell_index=args.cell, allow_any_n=True, n_jobs=args.threads,
         )
         merged.update(kw)
         return ExperimentSpec(**merged)

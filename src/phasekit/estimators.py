@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .angles import TWO_PI, circ_distance, circ_midpoint, wrap_two_pi
-from .model import Histogram, SampleSet, histogram
+from .model import Histogram, SampleSet, histogram_rows
 
 # Offsets within this of 0 resp. pi/N identify the two sample sets of the
 # dual-frequency estimator.
@@ -122,17 +123,28 @@ def circular_sample_mean(samples: SampleSet) -> float:
     """Circular mean of the naive per-sample phases 2*pi*y_i/N."""
     if len(samples) == 0:
         raise ValueError("sample set is empty")
-    resultant = np.exp(2j * np.pi * samples.outcomes / samples.n_points).sum()
-    if abs(resultant) < 1e-12 * len(samples):
+    means, defined = circular_mean_rows(samples.outcomes[None, :], samples.n_points)
+    if not defined[0]:
         raise ValueError("circular mean undefined: zero resultant vector")
-    return wrap_two_pi(float(np.angle(resultant)))
+    return float(means[0])
+
+
+def circular_mean_rows(outcomes: np.ndarray, n_points: int):
+    """Circular means of the (T, S) outcome rows, and which of them are defined.
+
+    A row whose resultant vector vanishes (|R| < 1e-12 * S) has no mean;
+    its entry in the first array is then meaningless.
+    """
+    resultant = np.exp(2j * np.pi * outcomes / n_points).sum(axis=1)
+    defined = np.abs(resultant) >= 1e-12 * outcomes.shape[1]
+    return wrap_two_pi(np.angle(resultant)), defined
 
 
 def rough_estimate(hist: Histogram) -> float:
     """Phase of the highest-count bin, 2*pi*argmax(z)/N (ties: smallest index)."""
     if hist.total < 1:
         raise ValueError("histogram is empty")
-    return TWO_PI * int(np.argmax(hist.counts)) / hist.n_points
+    return float(_rough_rows(hist.counts[None, :])[0])
 
 
 def aml_objective(
@@ -146,10 +158,10 @@ def aml_objective(
     Only the config.bins_kept highest-count bins contribute.  The bin
     displacement N*(phase + offset)/(2*pi) - k is wrapped to [-N/2, N/2).
     """
-    bins, counts = _top_bins(hist.counts, config.bins_kept)
+    bins, counts, width = _top_bins(hist.counts[None, :], config.bins_kept)
     position = hist.n_points * (phase + offset) / TWO_PI
-    return float(_objective_at_positions(np.array([position]), bins, counts,
-                                         hist.n_points, config.sinc_floor)[0])
+    return float(_objective(np.array([[position]]), bins, counts, width,
+                            hist.n_points, config.sinc_floor)[0, 0])
 
 
 def aml_estimate(
@@ -165,20 +177,37 @@ def aml_estimate(
     the rough estimate, so the rough value itself is always a grid point
     and the search never leaves [rough - 2*pi/N, rough + 2*pi/N].
     """
-    rough = rough_estimate(hist)
-    n = hist.n_points
-    n_grid = config.resolve_grid_points(hist.total)
+    rough, correction = aml_rows(hist.counts[None, :], hist.total, config)
+    return _aml_result(rough[0], correction[0])
+
+
+def _aml_result(rough, correction) -> AmlResult:
+    rough, correction = float(rough), float(correction)
+    return AmlResult(rough=rough, refined=wrap_two_pi(rough + correction),
+                     correction=correction)
+
+
+def aml_rows(counts: np.ndarray, total: int, config: EstimatorConfig = DEFAULT_CONFIG):
+    """Rough estimates and grid corrections of (T, N) histograms of `total` counts each.
+
+    The objective is evaluated as (T, G, K) tensors, one per group of rows
+    with the same number K of nonzero kept bins, so that each contraction
+    with the counts is a (G, K) @ (K,) product as for a single histogram;
+    padding K with zero counts would change the BLAS summation and could
+    flip near-tie argmaxes.
+    """
+    if total < 1:
+        raise ValueError("histogram is empty")
+    n = counts.shape[1]
+    rough = _rough_rows(counts)
+    n_grid = config.resolve_grid_points(total)
     half = (n_grid - 1) // 2
     offsets = (2.0 * TWO_PI / (n * n_grid)) * np.arange(-half, half + 1)
 
-    bins, counts = _top_bins(hist.counts, config.bins_kept)
-    positions = n * (rough + offsets) / TWO_PI
-    scores = _objective_at_positions(positions, bins, counts, n, config.sinc_floor)
-    best = int(np.argmax(scores))
-
-    correction = float(offsets[best])
-    refined = wrap_two_pi(rough + correction)
-    return AmlResult(rough=rough, refined=refined, correction=correction)
+    bins, kept, width = _top_bins(counts, config.bins_kept)
+    positions = n * (rough[:, None] + offsets) / TWO_PI
+    scores = _objective(positions, bins, kept, width, n, config.sinc_floor)
+    return rough, offsets[np.argmax(scores, axis=1)]
 
 
 def dual_frequency_estimate(
@@ -216,28 +245,53 @@ def dual_frequency_details(
     if plain.n_points != shifted.n_points:
         raise ValueError("sample sets must share the record length")
     n = plain.n_points
-    half_cell = np.pi / n
-
-    aml1 = aml_estimate(histogram(plain), 0.0, config)
-    aml2 = aml_estimate(histogram(shifted), half_cell, config)
-
-    rough2_plain = wrap_two_pi(aml2.rough - half_cell)
-    candidates = CandidateSet(np.array([
-        aml1.rough + aml1.correction,
-        aml1.rough - aml1.correction,
-        rough2_plain + aml2.correction,
-        rough2_plain - aml2.correction,
-    ]))
-
-    pair = _closest_cross_pair(candidates.u)
-    estimate = circ_midpoint(candidates.u[pair[0]], candidates.u[pair[1]])
+    match = dual_frequency_rows(histogram_rows(plain.outcomes[None, :], n), len(plain),
+                                histogram_rows(shifted.outcomes[None, :], n), len(shifted),
+                                config)
     return DualFrequencyResult(
-        estimate=float(estimate),
-        candidates=candidates,
-        matched_pair=pair,
-        aml_set1=aml1,
-        aml_set2=aml2,
+        estimate=float(match.estimate[0]),
+        candidates=CandidateSet(match.candidates[0]),
+        matched_pair=_pair_indices(int(match.pair[0])),
+        aml_set1=_aml_result(match.rough1[0], match.correction1[0]),
+        aml_set2=_aml_result(match.rough2[0], match.correction2[0]),
     )
+
+
+class DualFrequencyRows(NamedTuple):
+    """Per-row arrays of the dual-frequency match; pair indexes _CROSS_PAIRS."""
+
+    rough1: np.ndarray
+    correction1: np.ndarray
+    rough2: np.ndarray
+    correction2: np.ndarray
+    candidates: np.ndarray
+    pair: np.ndarray
+    estimate: np.ndarray
+
+
+def dual_frequency_rows(
+    counts1: np.ndarray,
+    total1: int,
+    counts2: np.ndarray,
+    total2: int,
+    config: EstimatorConfig = DEFAULT_CONFIG,
+) -> DualFrequencyRows:
+    """Dual-frequency match of T plain (counts1) and T offset (counts2) histograms."""
+    half_cell = np.pi / counts1.shape[1]
+    rough1, correction1 = aml_rows(counts1, total1, config)
+    rough2, correction2 = aml_rows(counts2, total2, config)
+    rough2_plain = wrap_two_pi(rough2 - half_cell)
+    u = wrap_two_pi(np.stack([
+        rough1 + correction1,
+        rough1 - correction1,
+        rough2_plain + correction2,
+        rough2_plain - correction2,
+    ], axis=1))
+    pair = _closest_cross_pairs(u)
+    rows = np.arange(u.shape[0])
+    first, second = _CROSS_PAIRS[pair].T
+    estimate = circ_midpoint(u[rows, first], u[rows, second])
+    return DualFrequencyRows(rough1, correction1, rough2, correction2, u, pair, estimate)
 
 
 def _identify_sets(set1: SampleSet, set2: SampleSet) -> tuple[SampleSet, SampleSet]:
@@ -255,31 +309,46 @@ def _identify_sets(set1: SampleSet, set2: SampleSet) -> tuple[SampleSet, SampleS
     raise ValueError("need one sample set at offset 0 and one at offset pi/N")
 
 
+# Cross-run candidate pairs (i in {0,1}, j in {2,3}) in tie-break order.
+_CROSS_PAIRS = np.array([(0, 2), (0, 3), (1, 2), (1, 3)])
+
+
 def _closest_cross_pair(u: np.ndarray) -> tuple[int, int]:
     """Index pair (i in {0,1}, j in {2,3}) minimizing circular distance."""
-    best = None
-    best_dist = np.inf
-    for i in (0, 1):
-        for j in (2, 3):
-            d = circ_distance(u[i], u[j])
-            if d < best_dist:
-                best = (i, j)
-                best_dist = d
-    return best
+    return _pair_indices(int(_closest_cross_pairs(np.asarray(u)[None, :])[0]))
+
+
+def _closest_cross_pairs(u: np.ndarray) -> np.ndarray:
+    """Row-wise index into _CROSS_PAIRS of the closest pair; ties go to the first."""
+    return np.argmin(circ_distance(u[:, _CROSS_PAIRS[:, 0]], u[:, _CROSS_PAIRS[:, 1]]), axis=1)
+
+
+def _pair_indices(pair: int) -> tuple[int, int]:
+    i, j = _CROSS_PAIRS[pair]
+    return int(i), int(j)
+
+
+def _rough_rows(counts: np.ndarray) -> np.ndarray:
+    return TWO_PI * np.argmax(counts, axis=1) / counts.shape[1]
 
 
 def _top_bins(counts: np.ndarray, bins_kept: int):
-    """Indices and counts of the bins_kept highest-count nonzero bins."""
-    n = counts.shape[0]
-    order = np.lexsort((np.arange(n), -counts))
-    chosen = order[:bins_kept]
-    nonzero = counts[chosen] > 0
-    return chosen[nonzero], counts[chosen[nonzero]].astype(np.float64)
+    """Per row: the bins_kept highest-count bins (ties: smaller index), their
+    counts as floats, and how many of them are nonzero (a prefix of each row)."""
+    order = np.argsort(-counts, axis=1, kind="stable")[:, :bins_kept]
+    kept = np.take_along_axis(counts, order, axis=1)
+    return order, kept.astype(np.float64), np.count_nonzero(kept, axis=1)
 
 
-def _objective_at_positions(positions, bins, counts, n_points, sinc_floor):
-    """Vectorized objective: rows are candidate bin positions N*phi/(2*pi)."""
-    delta = positions[:, None] - bins[None, :]
-    delta = np.mod(delta + n_points / 2.0, n_points) - n_points / 2.0
-    mag = np.abs(np.sinc(delta))
-    return np.log(np.maximum(mag, sinc_floor)) @ counts
+def _objective(positions, bins, counts, width, n_points, sinc_floor):
+    """Objective at (T, G) bin positions N*phi/(2*pi), from each row's first
+    width[t] kept bins and counts (as returned by _top_bins)."""
+    scores = np.empty(positions.shape)
+    for k in np.unique(width).tolist():
+        rows = np.flatnonzero(width == k)
+        delta = positions[rows, :, None] - bins[rows, None, :k]
+        delta = np.mod(delta + n_points / 2.0, n_points) - n_points / 2.0
+        mag = np.abs(np.sinc(delta))
+        scores[rows] = np.matmul(np.log(np.maximum(mag, sinc_floor)),
+                                 counts[rows, :k, None])[:, :, 0]
+    return scores

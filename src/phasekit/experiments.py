@@ -5,6 +5,28 @@ derive_seed(master_seed, kind, estimator, N, N_s, trial_index), so tables
 are bit-identical no matter how trials are scheduled across workers.
 Per-trial squared errors are aggregated with numpy's pairwise summation
 over the trial-indexed array, which fixes the reduction order.
+
+Trials run in blocks of T as array operations, and a block computes the
+same bytes as running its trials one at a time, because:
+
+* each trial consumes exactly 1 + N_s doubles of its own PCG64 stream (N_s
+  under the fixed phase policy): the phase first, then the shots, which df
+  splits into a ceil(N_s/2) plain and a floor(N_s/2) offset set.  So the
+  block draws one (T, 1 + N_s) matrix with every stream unchanged;
+* distributions, CDFs and histograms are row-wise numpy operations whose
+  rows equal the single-trial results (row-wise cumsum and FFT, and one
+  searchsorted per row);
+* the AML objective is contracted with the counts once per group of rows
+  with the same number K of nonzero kept bins, so every product is the
+  same (G, K) @ (K,) BLAS call as for one histogram (estimators.aml_rows);
+* ties resolve as before: stable argsort for the kept bins, first-index
+  argmax and argmin for the grid point and the DF pair.
+
+A block holds at most BLOCK_BYTES of arrays, sized from N and N_s, so
+memory does not grow with the trial count.  A sample-mean trial whose
+resultant vector vanishes (two opposite outcomes, say) has no mean; it
+then guesses a uniform phase from the next double of its own stream,
+which leaves every other trial's bytes alone.
 """
 
 from __future__ import annotations
@@ -15,17 +37,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .angles import TWO_PI, circ_signed_error
+from .angles import TWO_PI, circ_signed_error, wrap_two_pi
 from .estimators import (
     DEFAULT_CONFIG,
-    aml_estimate,
-    circular_sample_mean,
-    dual_frequency_estimate,
+    aml_rows,
+    circular_mean_rows,
+    dual_frequency_rows,
     split_shot_counts,
 )
 from .fisher import avg_sqrt_crb
-from .model import distribution, histogram, sample_with_rng
-from .rng import derive_seed, make_generator
+from .model import cdf_rows, distribution_rows, histogram_rows, sample_rows
+from .rng import derive_seed, uniform_rows
 from .windows import make_window
 
 EXPERIMENT_KINDS = ("rmse-vs-shots", "rmse-vs-n", "scatter", "crb-curve")
@@ -40,6 +62,9 @@ ESTIMATOR_WINDOWS = {
 }
 
 PHASE_POLICIES = ("uniform", "cell", "fixed")
+
+# Memory budget of one block of trials; see _block_rows.
+BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -65,6 +90,8 @@ class ExperimentSpec:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         if not self.n_points or not self.n_shots:
             raise ValueError("n_points and n_shots lists must be nonempty")
+        if min(self.n_shots) < 1:
+            raise ValueError("every shot count must be >= 1")
         if self.trials < 0:
             raise ValueError("trials must be nonnegative")
         if self.phase_policy not in PHASE_POLICIES:
@@ -252,37 +279,63 @@ def _trial_chunk_star(args):
 
 def _trial_chunk(spec: ExperimentSpec, estimator: str, n: int, n_shots: int,
                  lo: int, hi: int):
+    """Trials lo..hi-1, in blocks of at most _block_rows(n, n_shots) trials."""
     window = make_window(ESTIMATOR_WINDOWS[estimator], n)
     phases = np.empty(hi - lo)
     errors = np.empty(hi - lo)
-    for i in range(lo, hi):
-        rng = make_generator(derive_seed(spec.master_seed, spec.kind, estimator, n, n_shots, i))
-        phase = _draw_phase(spec, n, i, rng)
-        estimate = _single_trial(estimator, window, n, n_shots, phase, rng)
-        phases[i - lo] = phase
-        errors[i - lo] = circ_signed_error(estimate, phase)
+    step = _block_rows(n, n_shots)
+    for start in range(lo, hi, step):
+        stop = min(start + step, hi)
+        block = slice(start - lo, stop - lo)
+        phases[block], errors[block] = _trial_block(spec, estimator, window, n, n_shots,
+                                                    start, stop)
     return phases, errors
 
 
-def _draw_phase(spec: ExperimentSpec, n: int, trial_index: int, rng) -> float:
-    if spec.phase_policy == "uniform":
-        return float(rng.random() * TWO_PI)
-    if spec.phase_policy == "cell":
-        frac = (trial_index + rng.random()) / spec.trials
-        return float(TWO_PI * (spec.cell_index + frac) / n)
-    return float(spec.fixed_phases[trial_index % len(spec.fixed_phases)])
+def _block_rows(n: int, n_shots: int) -> int:
+    """Trials per block such that the block's arrays stay near BLOCK_BYTES."""
+    n_grid = DEFAULT_CONFIG.resolve_grid_points(n_shots)
+    row_bytes = 8 * (2 * (n_shots + 1) + 6 * n + 4 * n_grid * DEFAULT_CONFIG.bins_kept)
+    return max(1, BLOCK_BYTES // row_bytes)
 
 
-def _single_trial(estimator: str, window, n: int, n_shots: int, phase: float, rng) -> float:
-    if estimator.startswith("mean-"):
-        draws = sample_with_rng(distribution(window, phase), n_shots, rng)
-        return circular_sample_mean(draws)
-    if estimator == "aml":
-        draws = sample_with_rng(distribution(window, phase), n_shots, rng)
-        return aml_estimate(histogram(draws), 0.0, DEFAULT_CONFIG).refined
+def _trial_block(spec: ExperimentSpec, estimator: str, window, n: int, n_shots: int,
+                 lo: int, hi: int):
+    """(true_phases, signed_errors) of trials lo..hi-1 as array operations."""
+    index = np.arange(lo, hi)
+    seeds = derive_seed(spec.master_seed, spec.kind, estimator, n, n_shots, index)
+    draws_phase = spec.phase_policy != "fixed"
+    u = uniform_rows(seeds, draws_phase + n_shots)
+    phases = _draw_phases(spec, n, index, u[:, 0])
+    shots = u[:, draws_phase:]
     if estimator == "df":
         first, second = split_shot_counts(n_shots)
-        set1 = sample_with_rng(distribution(window, phase, 0.0), first, rng)
-        set2 = sample_with_rng(distribution(window, phase, np.pi / n), second, rng)
-        return dual_frequency_estimate(set1, set2, DEFAULT_CONFIG)
-    raise ValueError(f"unknown estimator {estimator!r}")
+        plain = histogram_rows(_sample(window, phases, shots[:, :first]), n)
+        shifted = histogram_rows(_sample(window, phases + np.pi / n, shots[:, first:]), n)
+        estimates = dual_frequency_rows(plain, first, shifted, second, DEFAULT_CONFIG).estimate
+    elif estimator == "aml":
+        counts = histogram_rows(_sample(window, phases, shots), n)
+        rough, correction = aml_rows(counts, n_shots, DEFAULT_CONFIG)
+        estimates = wrap_two_pi(rough + correction)
+    else:
+        estimates, defined = circular_mean_rows(_sample(window, phases, shots), n)
+        for row in np.flatnonzero(~defined).tolist():
+            # No mean exists; the trial guesses a uniform phase, drawn from its
+            # own stream right after its samples.
+            extra = uniform_rows(seeds[row:row + 1], u.shape[1] + 1)[0, -1]
+            estimates[row] = extra * TWO_PI
+    return phases, circ_signed_error(estimates, phases)
+
+
+def _sample(window, effective: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """(T, S) outcomes of the uniforms u at the given effective phases."""
+    return sample_rows(cdf_rows(distribution_rows(window, effective)), u)
+
+
+def _draw_phases(spec: ExperimentSpec, n: int, index: np.ndarray, u: np.ndarray) -> np.ndarray:
+    if spec.phase_policy == "uniform":
+        return u * TWO_PI
+    if spec.phase_policy == "cell":
+        frac = (index + u) / spec.trials
+        return TWO_PI * (spec.cell_index + frac) / n
+    return np.array(spec.fixed_phases, dtype=np.float64)[index % len(spec.fixed_phases)]

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io as _io
 import json
+import math
 from dataclasses import asdict, fields, is_dataclass
 
 import numpy as np
@@ -106,16 +107,25 @@ def histogram_to_csv(hist: Histogram, path=None) -> str:
 
 
 def read_histogram_csv(path) -> Histogram:
+    """Histogram from a y,value CSV; each y in [0, rows) appears exactly once."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
         if header[:2] != ["y", "value"]:
             raise ValueError("expected histogram CSV with columns y,value")
-        pairs = [(int(y), int(float(v))) for y, v in reader]
+        pairs = [(int(y), float(v)) for y, v in reader]
     n = len(pairs)
     counts = np.zeros(n, dtype=np.int64)
+    seen = np.zeros(n, dtype=bool)
     for y, v in pairs:
-        counts[y] = v
+        if not 0 <= y < n:
+            raise ValueError(f"histogram CSV: y={y} outside [0, {n})")
+        if seen[y]:
+            raise ValueError(f"histogram CSV: repeated y={y}")
+        if not v.is_integer():
+            raise ValueError(f"histogram CSV: count {v!r} at y={y} is not an integer")
+        seen[y] = True
+        counts[y] = int(v)
     return Histogram(n, counts, int(counts.sum()))
 
 
@@ -133,10 +143,19 @@ def sample_set_to_json(samples: SampleSet, path=None) -> str:
 
 
 def read_sample_set_json(path) -> SampleSet:
+    """Sample set from JSON; outcomes must be integers and the offset finite."""
     with open(path) as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict) or not {"n_points", "outcomes"} <= payload.keys():
+        raise ValueError("sample-set JSON: expected an object with n_points and outcomes")
+    outcomes = payload["outcomes"]
+    if not isinstance(outcomes, list) or not all(isinstance(y, int) and not isinstance(y, bool) for y in outcomes):
+        raise ValueError("sample-set JSON: outcomes must be integers")
+    offset = float(payload.get("offset", 0.0))
+    if not math.isfinite(offset):
+        raise ValueError(f"sample-set JSON: offset {offset!r} is not finite")
     return SampleSet(
         n_points=int(payload["n_points"]),
-        outcomes=np.asarray(payload["outcomes"], dtype=np.int64),
-        offset=float(payload.get("offset", 0.0)),
+        outcomes=np.asarray(outcomes, dtype=np.int64),
+        offset=offset,
     )

@@ -94,18 +94,22 @@ def distribution(window: WindowVector, phase: float, offset: float = 0.0) -> Pha
     """Exact outcome distribution for a window at effective phase phase + offset."""
     if not np.isfinite(phase) or not np.isfinite(offset):
         raise ValueError("phase and offset must be finite")
+    probs = distribution_rows(window, np.array([phase + offset]))[0]
+    return PhaseDistribution(window.n_points, phase, offset, probs)
+
+
+def distribution_rows(window: WindowVector, effective: np.ndarray) -> np.ndarray:
+    """(T, N) outcome probabilities, one row per effective phase, clipped at 0."""
     n = window.n_points
-    effective = phase + offset
     if window.kind == "rect":
         probs = _rect_probs(n, effective)
     else:
         probs = _window_probs(window.weights, effective)
-    probs = np.maximum(probs, 0.0)
-    return PhaseDistribution(n, phase, offset, probs)
+    return np.maximum(probs, 0.0, out=probs)
 
 
-def _rect_probs(n: int, effective: float) -> np.ndarray:
-    theta = effective - TWO_PI * np.arange(n) / n
+def _rect_probs(n: int, effective: np.ndarray) -> np.ndarray:
+    theta = effective[:, None] - TWO_PI * np.arange(n) / n
     half = 0.5 * theta
     s = np.sin(half)
     on_grid = np.abs(s) < _SINGULARITY_EPS
@@ -115,11 +119,11 @@ def _rect_probs(n: int, effective: float) -> np.ndarray:
     return probs
 
 
-def _window_probs(weights: np.ndarray, effective: float) -> np.ndarray:
+def _window_probs(weights: np.ndarray, effective: np.ndarray) -> np.ndarray:
     n = weights.shape[0]
-    ramp = weights * np.exp(1j * effective * np.arange(n))
+    ramp = weights * np.exp(1j * effective[:, None] * np.arange(n))
     # fft[y] = sum_n ramp_n * exp(-2j*pi*n*y/N), exactly the amplitude sum
-    return np.abs(np.fft.fft(ramp)) ** 2 / n
+    return np.abs(np.fft.fft(ramp, axis=1)) ** 2 / n
 
 
 def sample(dist: PhaseDistribution, n_shots: int, seed: int) -> SampleSet:
@@ -131,19 +135,38 @@ def sample(dist: PhaseDistribution, n_shots: int, seed: int) -> SampleSet:
 
 def sample_with_rng(dist: PhaseDistribution, n_shots: int, rng: np.random.Generator) -> SampleSet:
     """Inverse-CDF sampling from an explicit generator (shared stream use)."""
-    probs = np.maximum(dist.probs, 0.0)
-    total = probs.sum()
-    if total <= 0.0:
-        raise ValueError("degenerate distribution: no positive probability mass")
-    cdf = np.cumsum(probs)
-    cdf /= cdf[-1]
-    u = rng.random(n_shots)
-    outcomes = np.searchsorted(cdf, u, side="right")
-    np.minimum(outcomes, dist.n_points - 1, out=outcomes)
+    cdf = cdf_rows(np.maximum(dist.probs, 0.0)[None, :])
+    outcomes = sample_rows(cdf, rng.random(n_shots)[None, :])[0]
     return SampleSet(dist.n_points, outcomes, offset=dist.offset)
+
+
+def cdf_rows(probs: np.ndarray) -> np.ndarray:
+    """Row-normalized cumulative sums of (T, N) nonnegative probabilities."""
+    cdf = np.cumsum(probs, axis=1)
+    last = cdf[:, -1:].copy()
+    if np.any(last <= 0.0):
+        raise ValueError("degenerate distribution: no positive probability mass")
+    cdf /= last
+    return cdf
+
+
+def sample_rows(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """(T, S) outcomes: row t inverts cdf[t] at the uniforms u[t]."""
+    outcomes = np.empty(u.shape, dtype=np.int64)
+    for row_cdf, row_u, row_out in zip(cdf, u, outcomes):
+        row_out[:] = np.searchsorted(row_cdf, row_u, side="right")
+    np.minimum(outcomes, cdf.shape[1] - 1, out=outcomes)
+    return outcomes
 
 
 def histogram(samples: SampleSet) -> Histogram:
     """Count occurrences of each outcome."""
-    counts = np.bincount(samples.outcomes, minlength=samples.n_points)
+    counts = histogram_rows(samples.outcomes[None, :], samples.n_points)[0]
     return Histogram(samples.n_points, counts, int(counts.sum()))
+
+
+def histogram_rows(outcomes: np.ndarray, n_points: int) -> np.ndarray:
+    """(T, N) counts of the (T, S) outcomes, from one bincount over row * N + y."""
+    rows = outcomes.shape[0]
+    flat = (outcomes + n_points * np.arange(rows)[:, None]).ravel()
+    return np.bincount(flat, minlength=rows * n_points).reshape(rows, n_points)

@@ -191,3 +191,68 @@ def test_plot_data_bundle(tmp_path):
     for name in ("fig3.csv", "fig4.csv", "fig5.csv", "fig6.csv", "fig7.csv"):
         rows = read_csv_rows(tmp_path / name)
         assert rows, name
+
+
+def test_plot_data_cell_with_opposite_two_shot_outcomes(tmp_path, capsys):
+    # At seed 5 one of these 2-shot trials reads two opposite outcomes, whose
+    # circular mean is undefined; the trial then guesses a uniform phase.
+    out = tmp_path / "m.csv"
+    assert dispatch(["experiment", "rmse-vs-shots", "--qubits", "4", "--shots-list", "2",
+                     "--estimators", "mean-rect", "--trials", "20", "--seed", "5",
+                     "--output", str(out)]) == 0
+    (row,) = read_csv_rows(out)
+    assert 0 < float(row["rmse"]) <= np.pi
+
+
+@pytest.mark.parametrize("threads", ["-3", "0", "100000"])
+def test_threads_outside_cpu_range_is_usage_error(threads, capsys):
+    # Rejected before any experiment runs, so no worker process starts.
+    assert dispatch(["experiment", "rmse-vs-shots", "--qubits", "4", "--trials", "5",
+                     "--threads", threads]) == 2
+    assert "--threads must be in [1, " in capsys.readouterr().err
+
+
+def test_threads_env_must_be_an_integer(monkeypatch, capsys):
+    monkeypatch.setenv("PHASEKIT_THREADS", "abc")
+    assert dispatch(["experiment", "rmse-vs-shots", "--qubits", "4", "--trials", "5"]) == 2
+    assert "--threads: invalid int value: 'abc'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["experiment", "rmse-vs-shots", "--qubits", "4", "--trials", "5"],
+    ["crb", "--qubits", "4"],
+])
+@pytest.mark.parametrize("shots", ["-5", "0", "4,0", "x"])
+def test_bad_shots_list_is_usage_error(command, shots, capsys):
+    assert dispatch([*command, "--shots-list", shots]) == 2
+    assert "usage error: --shots-list" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("-1,3\n1,5\n", "y=-1 outside [0, 2)"),
+    ("0,3\n2,5\n", "y=2 outside [0, 2)"),
+    ("0,3\n1,5\n1,2\n", "repeated y=1"),
+    ("0,3\n1,2.5\n", "count 2.5 at y=1 is not an integer"),
+])
+def test_malformed_histogram_csv_is_rejected(tmp_path, capsys, rows, message):
+    path = tmp_path / "h.csv"
+    path.write_text("y,value\n" + rows)
+    assert dispatch(["estimate", "--estimator", "aml", "--input", str(path)]) == 1
+    assert f"error: histogram CSV: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("payload, message", [
+    ('{"n_points": 8, "offset": NaN, "outcomes": [1, 2, 3]}', "offset nan is not finite"),
+    ('{"n_points": 8, "offset": Infinity, "outcomes": [1]}', "offset inf is not finite"),
+    ('{"n_points": 8, "offset": 0.0, "outcomes": [1.7, 2.2, 3.9]}',
+     "outcomes must be integers"),
+    ('{"n_points": 8, "offset": 0.0, "outcomes": [1, true]}', "outcomes must be integers"),
+    ('{"n_points": 8, "offset": 0.0, "outcomes": 3}', "outcomes must be integers"),
+    ('{"n_points": 8, "offset": 0.0}', "expected an object with n_points and outcomes"),
+    ('[1, 2]', "expected an object with n_points and outcomes"),
+])
+def test_malformed_sample_set_json_is_rejected(tmp_path, capsys, payload, message):
+    path = tmp_path / "s.json"
+    path.write_text(payload)
+    assert dispatch(["estimate", "--estimator", "aml", "--input", str(path)]) == 1
+    assert f"error: sample-set JSON: {message}" in capsys.readouterr().err

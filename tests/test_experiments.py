@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
+from phasekit.angles import TWO_PI, circ_signed_error
+from phasekit.estimators import (
+    aml_estimate,
+    circular_sample_mean,
+    dual_frequency_estimate,
+    split_shot_counts,
+)
 from phasekit.experiments import (
+    ESTIMATOR_WINDOWS,
     ExperimentRow,
     ExperimentSpec,
     fit_loglog_slope,
@@ -12,7 +20,9 @@ from phasekit.experiments import (
     run_scatter,
 )
 from phasekit.io import table_to_csv, table_to_json
-from phasekit.rng import derive_seed, splitmix64
+from phasekit.model import distribution, histogram, sample_with_rng
+from phasekit.rng import derive_seed, make_generator, splitmix64
+from phasekit.windows import make_window
 
 
 def small_spec(**kw):
@@ -140,3 +150,53 @@ def test_json_emission_shape():
     assert payload["spec"]["kind"] == "rmse-vs-shots"
     assert len(payload["rows"]) == 4
     assert "wall_time" not in payload["rows"][0]
+
+
+def test_spec_rejects_nonpositive_shot_counts():
+    for shots in ((0,), (8, -5)):
+        with pytest.raises(ValueError, match="shot count"):
+            small_spec(n_shots=shots)
+
+
+def _reference_trial(spec, window, i):
+    """One trial run alone: its own generator and the public scalar functions.
+
+    Returns (phase, estimate, guessed); guessed marks a sample mean with a
+    zero resultant, for which the trial takes its next draw as the guess.
+    """
+    (n,), (n_shots,), (estimator,) = spec.n_points, spec.n_shots, spec.estimators
+    rng = make_generator(derive_seed(spec.master_seed, spec.kind, estimator, n, n_shots, i))
+    phase = float(rng.random() * TWO_PI)
+    if estimator == "df":
+        first, second = split_shot_counts(n_shots)
+        set1 = sample_with_rng(distribution(window, phase, 0.0), first, rng)
+        set2 = sample_with_rng(distribution(window, phase, np.pi / n), second, rng)
+        return phase, dual_frequency_estimate(set1, set2), False
+    draws = sample_with_rng(distribution(window, phase), n_shots, rng)
+    if estimator == "aml":
+        return phase, aml_estimate(histogram(draws)).refined, False
+    try:
+        return phase, circular_sample_mean(draws), False
+    except ValueError:
+        return phase, rng.random() * TWO_PI, True
+
+
+@pytest.mark.parametrize("estimator, n, n_shots, seed, guesses", [
+    ("df", 64, 30, 3, 0),
+    ("aml", 100, 31, 4, 0),
+    ("mean-cosine", 64, 9, 5, 0),
+    # At seed 12 one 2-shot trial reads two opposite outcomes: no mean exists.
+    ("mean-rect", 16, 2, 12, 1),
+])
+def test_blocks_equal_trials_run_one_by_one(estimator, n, n_shots, seed, guesses):
+    spec = ExperimentSpec(kind="scatter", n_points=(n,), n_shots=(n_shots,),
+                          estimators=(estimator,), trials=150, master_seed=seed,
+                          allow_any_n=True)
+    window = make_window(ESTIMATOR_WINDOWS[estimator], n)
+    guessed = 0
+    for i, row in enumerate(run_scatter(spec).rows):
+        phase, estimate, guess = _reference_trial(spec, window, i)
+        assert row.true_phase == phase
+        assert row.signed_error == circ_signed_error(estimate, phase)
+        guessed += guess
+    assert guessed == guesses
