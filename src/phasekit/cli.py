@@ -3,8 +3,11 @@
 Subcommands: window, dist, sample, crb, estimate, experiment.  Record
 length is given either as --qubits M (N = 2^M) or directly as
 --record-length N; non-power-of-two lengths need --allow-any-n.  Phases
-are entered as --phase-frac x (phi = 2*pi*x) or --phase-rad r.  Exit
-codes: 0 success, 1 runtime error, 2 argument error.
+are entered as --phase-frac x (phi = 2*pi*x) or --phase-rad r.  Each
+command renders only the format it emits.  Exit codes: 0 success, 1
+runtime error (including a malformed input file), 2 argument error
+(including a value that ExperimentSpec or EstimatorConfig rejects, and a
+size beyond MAX_QUBITS, io.MAX_RECORD_LENGTH or io.MAX_SHOTS).
 """
 
 from __future__ import annotations
@@ -27,21 +30,29 @@ from .estimators import (
 from .experiments import (
     EXPERIMENT_KINDS,
     ExperimentSpec,
+    ExperimentTable,
+    ScatterRow,
     run_experiment,
 )
 from .io import (
-    distribution_to_csv,
+    MAX_RECORD_LENGTH,
+    MAX_SHOTS,
+    histogram_to_csv,
+    read_histogram_csv,
     read_sample_set_json,
     sample_set_to_json,
+    save_text,
     table_to_csv,
     table_to_json,
     write_csv,
     write_json,
 )
-from .model import distribution, histogram, sample
+from .model import SampleSet, distribution, histogram, sample
 from .windows import WINDOW_KINDS, load_weights_csv, make_window
 
 THREADS_ENV = "PHASEKIT_THREADS"
+
+MAX_QUBITS = MAX_RECORD_LENGTH.bit_length() - 1
 
 
 class CliError(Exception):
@@ -118,7 +129,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="declare a pi/N offset for CSV inputs, which carry none")
     p.add_argument("--bins-kept", type=int, default=DEFAULT_CONFIG.bins_kept)
     p.add_argument("--grid-points", type=int, default=None)
-    _add_output_args(p, default_format="json")
+    _add_output_args(p, default_format=None)
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("experiment", help="run a Monte-Carlo experiment")
@@ -168,32 +179,35 @@ def _add_phase_args(p, required: bool):
     group.add_argument("--phase-rad", type=float, help="phase in radians")
 
 
-def _add_output_args(p, default_format: str = "csv"):
-    p.add_argument("--format", choices=("csv", "json"), default=default_format)
+def _add_output_args(p, default_format: str | None = "csv"):
+    if default_format is not None:
+        p.add_argument("--format", choices=("csv", "json"), default=default_format)
     p.add_argument("--output", help="output path (default: stdout)")
 
 
 def _resolve_n(args) -> int:
     if args.qubits is not None:
-        if args.qubits < 1:
-            raise CliError("--qubits must be >= 1")
-        return 2 ** args.qubits
+        return 2 ** _check_qubits(args.qubits)
     return _check_length(args.record_length, args.allow_any_n)
 
 
 def _resolve_n_list(args) -> list[int]:
     if args.qubits is not None:
-        qubits = [int(q) for q in str(args.qubits).split(",")]
-        if any(q < 1 for q in qubits):
-            raise CliError("--qubits must be >= 1")
-        return [2 ** q for q in qubits]
+        return [2 ** _check_qubits(int(q)) for q in str(args.qubits).split(",")]
     return [_check_length(int(n), args.allow_any_n)
             for n in str(args.record_length).split(",")]
 
 
+def _check_qubits(q: int) -> int:
+    # Checked before 2 ** q is computed: that power alone can be a huge integer.
+    if not 1 <= q <= MAX_QUBITS:
+        raise CliError(f"--qubits must be in [1, {MAX_QUBITS}]")
+    return q
+
+
 def _check_length(n: int, allow_any: bool) -> int:
-    if n < 2:
-        raise CliError("record length must be >= 2")
+    if not 2 <= n <= MAX_RECORD_LENGTH:
+        raise CliError(f"record length must be in [2, {MAX_RECORD_LENGTH}]")
     if n & (n - 1) != 0 and not allow_any:
         raise CliError(f"record length {n} is not a power of two (use --allow-any-n)")
     return n
@@ -204,9 +218,17 @@ def _resolve_shots(args) -> tuple[int, ...]:
         shots = tuple(int(s) for s in args.shots_list.split(","))
     except ValueError:
         raise CliError("--shots-list must be comma-separated integers") from None
-    if min(shots) < 1:
-        raise CliError("--shots-list entries must be >= 1")
+    if not all(1 <= s <= MAX_SHOTS for s in shots):
+        raise CliError(f"--shots-list entries must be in [1, {MAX_SHOTS}]")
     return shots
+
+
+def _validated(factory, **kwargs):
+    """factory(**kwargs), where a ValueError it raises is an argument error."""
+    try:
+        return factory(**kwargs)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
 
 
 def _check_threads(args):
@@ -229,26 +251,32 @@ def _resolve_window(args, n: int):
     return make_window(args.window, n)
 
 
-def _emit(args, csv_text: str | None = None, json_text: str | None = None) -> int:
-    text = csv_text if args.format == "csv" else json_text
+def _emit(args, text: str) -> int:
+    """Write text to --output, or to stdout without one."""
     if args.output:
-        with open(args.output, "w", newline="") as fh:
-            fh.write(text)
+        save_text(text, args.output)
     else:
         sys.stdout.write(text)
     return 0
 
 
+def _emit_table(args, table) -> int:
+    render = table_to_csv if args.format == "csv" else table_to_json
+    return _emit(args, render(table))
+
+
+def _emit_values(args, spec: dict, values) -> int:
+    """A y,value listing: CSV rows, or JSON rows under spec."""
+    rows = list(enumerate(values))
+    if args.format == "csv":
+        return _emit(args, write_csv(["y", "value"], rows))
+    return _emit(args, write_json(spec, [{"y": y, "value": float(v)} for y, v in rows]))
+
+
 def _cmd_window(args) -> int:
-    n = _resolve_n(args)
-    window = _resolve_window(args, n)
-    rows = list(enumerate(window.weights))
-    return _emit(
-        args,
-        csv_text=write_csv(["y", "value"], rows),
-        json_text=write_json({"kind": window.kind, "n_points": window.n_points},
-                             [{"y": y, "value": float(w)} for y, w in rows]),
-    )
+    window = _resolve_window(args, _resolve_n(args))
+    return _emit_values(args, {"kind": window.kind, "n_points": window.n_points},
+                        window.weights)
 
 
 def _cmd_dist(args) -> int:
@@ -257,45 +285,40 @@ def _cmd_dist(args) -> int:
     offset = np.pi / n if args.offset_half_cell else 0.0
     dist = distribution(window, _resolve_phase(args), offset)
     spec = {"n_points": n, "window": window.kind, "phase": dist.phase, "offset": dist.offset}
-    rows = [{"y": y, "value": float(p)} for y, p in enumerate(dist.probs)]
-    return _emit(args, csv_text=distribution_to_csv(dist),
-                 json_text=write_json(spec, rows))
+    return _emit_values(args, spec, dist.probs)
 
 
 def _cmd_sample(args) -> int:
     n = _resolve_n(args)
     window = _resolve_window(args, n)
     offset = np.pi / n if args.offset_half_cell else 0.0
-    if args.shots < 1:
-        raise CliError("--shots must be >= 1")
+    if not 1 <= args.shots <= MAX_SHOTS:
+        raise CliError(f"--shots must be in [1, {MAX_SHOTS}]")
     print(f"seed: {args.seed}", file=sys.stderr)
     dist = distribution(window, _resolve_phase(args), offset)
     draws = sample(dist, args.shots, args.seed)
-    hist = histogram(draws)
-    return _emit(
-        args,
-        csv_text=write_csv(["y", "value"], list(enumerate(hist.counts))),
-        json_text=sample_set_to_json(draws),
-    )
+    if args.format == "csv":
+        return _emit(args, histogram_to_csv(histogram(draws)))
+    return _emit(args, sample_set_to_json(draws))
 
 
 def _cmd_crb(args) -> int:
-    n_list = _resolve_n_list(args)
-    spec = ExperimentSpec(
+    spec = _validated(
+        ExperimentSpec,
         kind="crb-curve",
-        n_points=tuple(n_list),
+        n_points=tuple(_resolve_n_list(args)),
         n_shots=_resolve_shots(args),
         windows=tuple(args.windows.split(",")),
         trials=1,
         allow_any_n=args.allow_any_n,
         crb_grid_size=args.grid_size,
     )
-    table = run_experiment(spec)
-    return _emit(args, csv_text=table_to_csv(table), json_text=table_to_json(table))
+    return _emit_table(args, run_experiment(spec))
 
 
 def _cmd_estimate(args) -> int:
-    config = EstimatorConfig(bins_kept=args.bins_kept, grid_points=args.grid_points)
+    config = _validated(EstimatorConfig, bins_kept=args.bins_kept,
+                        grid_points=args.grid_points)
     sets = [_load_sample_set(path, args.offset_half_cell) for path in args.input]
     if args.estimator == "df":
         if len(sets) != 2:
@@ -326,13 +349,7 @@ def _cmd_estimate(args) -> int:
         if len(sets) != 1:
             raise CliError("mean estimation takes exactly one --input file")
         payload = {"estimator": "mean", "estimate": circular_sample_mean(sets[0])}
-    text = write_json(payload, [])
-    if args.output:
-        with open(args.output, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _emit(args, write_json(payload, []))
 
 
 def _cmd_experiment(args) -> int:
@@ -342,16 +359,16 @@ def _cmd_experiment(args) -> int:
     if args.kind is None:
         raise CliError("provide an experiment kind or --plot-data")
     print(f"seed: {args.seed}", file=sys.stderr)
-    spec = _experiment_spec(args, args.kind)
-    table = run_experiment(spec)
+    table = run_experiment(_experiment_spec(args))
     if args.kind == "scatter" and args.cell_units:
         table = _rescale_scatter(table)
-    return _emit(args, csv_text=table_to_csv(table), json_text=table_to_json(table))
+    return _emit_table(args, table)
 
 
-def _experiment_spec(args, kind: str, **overrides) -> ExperimentSpec:
-    base = dict(
-        kind=kind,
+def _experiment_spec(args) -> ExperimentSpec:
+    return _validated(
+        ExperimentSpec,
+        kind=args.kind,
         n_points=tuple(_resolve_n_list(args)),
         n_shots=_resolve_shots(args),
         estimators=tuple(args.estimators.split(",")),
@@ -363,16 +380,11 @@ def _experiment_spec(args, kind: str, **overrides) -> ExperimentSpec:
         allow_any_n=args.allow_any_n,
         n_jobs=args.threads,
     )
-    base.update(overrides)
-    return ExperimentSpec(**base)
 
 
 def _load_sample_set(path, offset_half_cell: bool):
     """Sample set from JSON, or expanded from a histogram CSV."""
     if str(path).endswith(".csv"):
-        from .io import read_histogram_csv
-        from .model import SampleSet
-
         hist = read_histogram_csv(path)
         outcomes = np.repeat(np.arange(hist.n_points), hist.counts)
         offset = np.pi / hist.n_points if offset_half_cell else 0.0
@@ -381,12 +393,9 @@ def _load_sample_set(path, offset_half_cell: bool):
 
 
 def _rescale_scatter(table):
-    from .experiments import ScatterRow, ScatterTable
-
-    n = table.spec.n_points[0]
-    scale = n / TWO_PI
+    scale = table.spec.n_points[0] / TWO_PI
     rows = [ScatterRow(r.true_phase, r.signed_error * scale) for r in table.rows]
-    return ScatterTable(table.spec, rows)
+    return ExperimentTable(table.spec, rows)
 
 
 def _emit_plot_bundle(args) -> int:
@@ -404,7 +413,7 @@ def _emit_plot_bundle(args) -> int:
             cell_index=args.cell, allow_any_n=True, n_jobs=args.threads,
         )
         merged.update(kw)
-        return ExperimentSpec(**merged)
+        return _validated(ExperimentSpec, **merged)
 
     # fig3: sqrt-CRB vs shots for each window, with sample-mean RMSE overlay
     crb_table = run_experiment(spec("crb-curve", n_shots=(1,) + shots_sweep))

@@ -1,5 +1,14 @@
 """Seeded Monte-Carlo harness: RMSE sweeps, scatter runs, CRB curves.
 
+Every kind runs through one path: run_experiment and the run_* wrappers
+check spec.kind once and hand the spec to the kind's row builder.  The
+result is always an ExperimentTable, whose columns name the serialized
+fields of the kind's row type; an ExperimentRow's wall_time stays in
+memory and is never serialized, because it varies run to run.
+ExperimentSpec rejects a run that cannot start (an unknown window for a
+CRB curve, a CRB grid below 16 phases, a scatter run over more than one
+N, N_s or estimator, df with fewer than 2 shots) before any work is done.
+
 Every trial draws its own generator from a seed derived as
 derive_seed(master_seed, kind, estimator, N, N_s, trial_index), so tables
 are bit-identical no matter how trials are scheduled across workers.
@@ -33,7 +42,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -63,6 +72,9 @@ ESTIMATOR_WINDOWS = {
 
 PHASE_POLICIES = ("uniform", "cell", "fixed")
 
+# Windows a crb-curve run can price.
+BUILTIN_WINDOWS = ("rect", "cosine", "bartlett")
+
 # Memory budget of one block of trials; see _block_rows.
 BLOCK_BYTES = 1 << 20
 
@@ -75,7 +87,7 @@ class ExperimentSpec:
     n_points: tuple[int, ...]
     n_shots: tuple[int, ...]
     estimators: tuple[str, ...] = ("df",)
-    windows: tuple[str, ...] = ("rect", "cosine", "bartlett")  # crb-curve only
+    windows: tuple[str, ...] = BUILTIN_WINDOWS  # crb-curve only
     trials: int = 10_000
     master_seed: int = 0
     phase_policy: str = "uniform"
@@ -110,6 +122,19 @@ class ExperimentSpec:
                 )
         if self.n_jobs < 1:
             raise ValueError("n_jobs must be >= 1")
+        if self.crb_grid_size < 16:
+            raise ValueError("crb_grid_size must be >= 16")
+        # Only a crb-curve run prices windows; every other kind runs estimators.
+        if self.kind == "crb-curve":
+            for window_id in self.windows:
+                if window_id not in BUILTIN_WINDOWS:
+                    raise ValueError(f"unknown window {window_id!r}; expected one of "
+                                     f"{BUILTIN_WINDOWS}")
+        elif "df" in self.estimators and min(self.n_shots) < 2:
+            raise ValueError("dual-frequency estimation needs at least 2 shots")
+        if self.kind == "scatter" and not (
+                len(self.n_points) == len(self.n_shots) == len(self.estimators) == 1):
+            raise ValueError("scatter runs take exactly one N, one N_s and one estimator")
 
 
 @dataclass(frozen=True)
@@ -121,7 +146,7 @@ class ExperimentRow:
     rmse: float
     sqrt_crb: float
     trials: int
-    wall_time: float
+    wall_time: float  # varies run to run, so ExperimentTable.columns leaves it out
 
 
 @dataclass(frozen=True)
@@ -139,74 +164,51 @@ class CrbRow:
 
 @dataclass(frozen=True)
 class ExperimentTable:
+    """The rows of one run; their type follows spec.kind."""
+
     spec: ExperimentSpec
-    rows: list[ExperimentRow] = field(default_factory=list)
+    rows: list = field(default_factory=list)
+
+    @property
+    def columns(self) -> list[str]:
+        """Serialized field names of the row type, in declaration order."""
+        row_type = _KINDS[self.spec.kind][0]
+        return [f.name for f in fields(row_type) if f.name != "wall_time"]
 
 
-@dataclass(frozen=True)
-class ScatterTable:
-    spec: ExperimentSpec
-    rows: list[ScatterRow] = field(default_factory=list)
-
-
-@dataclass(frozen=True)
-class CrbTable:
-    spec: ExperimentSpec
-    rows: list[CrbRow] = field(default_factory=list)
+# Exported from the package since scatter runs had a table type of their own.
+ScatterTable = ExperimentTable
 
 
 def run_rmse_vs_shots(spec: ExperimentSpec) -> ExperimentTable:
     """RMSE per (N_s, estimator) at fixed record length(s)."""
-    if spec.kind != "rmse-vs-shots":
-        raise ValueError("spec.kind must be 'rmse-vs-shots'")
-    return _run_rmse(spec)
+    return _run(spec, "rmse-vs-shots")
 
 
 def run_rmse_vs_n(spec: ExperimentSpec) -> ExperimentTable:
     """RMSE per (N, estimator) at fixed shot count(s)."""
-    if spec.kind != "rmse-vs-n":
-        raise ValueError("spec.kind must be 'rmse-vs-n'")
-    return _run_rmse(spec)
+    return _run(spec, "rmse-vs-n")
 
 
-def run_scatter(spec: ExperimentSpec) -> ScatterTable:
+def run_scatter(spec: ExperimentSpec) -> ExperimentTable:
     """One (true_phase, signed_error) row per trial, single (N, N_s, estimator)."""
-    if spec.kind != "scatter":
-        raise ValueError("spec.kind must be 'scatter'")
-    if len(spec.n_points) != 1 or len(spec.n_shots) != 1 or len(spec.estimators) != 1:
-        raise ValueError("scatter runs take exactly one N, one N_s and one estimator")
-    if spec.trials == 0:
-        return ScatterTable(spec, [])
-    n, n_shots, estimator = spec.n_points[0], spec.n_shots[0], spec.estimators[0]
-    phases, errors = _collect_trials(spec, estimator, n, n_shots)
-    rows = [ScatterRow(float(p), float(e)) for p, e in zip(phases, errors)]
-    return ScatterTable(spec, rows)
+    return _run(spec, "scatter")
 
 
-def run_crb_curve(spec: ExperimentSpec) -> CrbTable:
+def run_crb_curve(spec: ExperimentSpec) -> ExperimentTable:
     """Average square-root CRB per (window, N or N_s)."""
-    if spec.kind != "crb-curve":
-        raise ValueError("spec.kind must be 'crb-curve'")
-    vary_n = len(spec.n_points) > 1 and len(spec.n_shots) == 1
-    rows = []
-    for n in spec.n_points:
-        for window_id in spec.windows:
-            one_shot = avg_sqrt_crb(make_window(window_id, n), 1, spec.crb_grid_size)
-            for n_shots in spec.n_shots:
-                x = float(n) if vary_n else float(n_shots)
-                rows.append(CrbRow(x, window_id, one_shot / np.sqrt(n_shots)))
-    return CrbTable(spec, rows)
+    return _run(spec, "crb-curve")
 
 
-def run_experiment(spec: ExperimentSpec):
+def run_experiment(spec: ExperimentSpec) -> ExperimentTable:
     """Dispatch on spec.kind."""
-    runner = {
-        "rmse-vs-shots": run_rmse_vs_shots,
-        "rmse-vs-n": run_rmse_vs_n,
-        "scatter": run_scatter,
-        "crb-curve": run_crb_curve,
-    }[spec.kind]
-    return runner(spec)
+    return _run(spec, spec.kind)
+
+
+def _run(spec: ExperimentSpec, kind: str) -> ExperimentTable:
+    if spec.kind != kind:
+        raise ValueError(f"spec.kind must be {kind!r}")
+    return ExperimentTable(spec, _KINDS[kind][1](spec))
 
 
 def fit_loglog_slope(table, x_field: str, where: dict | None = None) -> float:
@@ -223,7 +225,7 @@ def fit_loglog_slope(table, x_field: str, where: dict | None = None) -> float:
     return float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
 
 
-def _run_rmse(spec: ExperimentSpec) -> ExperimentTable:
+def _rmse_rows(spec: ExperimentSpec) -> list[ExperimentRow]:
     if spec.trials < 1:
         raise ValueError("RMSE experiments need at least one trial")
     rows = []
@@ -249,7 +251,34 @@ def _run_rmse(spec: ExperimentSpec) -> ExperimentTable:
                     trials=spec.trials,
                     wall_time=time.perf_counter() - start,
                 ))
-    return ExperimentTable(spec, rows)
+    return rows
+
+
+def _scatter_rows(spec: ExperimentSpec) -> list[ScatterRow]:
+    (n,), (n_shots,), (estimator,) = spec.n_points, spec.n_shots, spec.estimators
+    phases, errors = _collect_trials(spec, estimator, n, n_shots)
+    return [ScatterRow(float(p), float(e)) for p, e in zip(phases, errors)]
+
+
+def _crb_rows(spec: ExperimentSpec) -> list[CrbRow]:
+    vary_n = len(spec.n_points) > 1 and len(spec.n_shots) == 1
+    rows = []
+    for n in spec.n_points:
+        for window_id in spec.windows:
+            one_shot = avg_sqrt_crb(make_window(window_id, n), 1, spec.crb_grid_size)
+            for n_shots in spec.n_shots:
+                x = float(n) if vary_n else float(n_shots)
+                rows.append(CrbRow(x, window_id, one_shot / np.sqrt(n_shots)))
+    return rows
+
+
+# Row type and row builder of each experiment kind.
+_KINDS = {
+    "rmse-vs-shots": (ExperimentRow, _rmse_rows),
+    "rmse-vs-n": (ExperimentRow, _rmse_rows),
+    "scatter": (ScatterRow, _scatter_rows),
+    "crb-curve": (CrbRow, _crb_rows),
+}
 
 
 def _collect_trials(spec: ExperimentSpec, estimator: str, n: int, n_shots: int):

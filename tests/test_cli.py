@@ -233,6 +233,15 @@ def test_bad_shots_list_is_usage_error(command, shots, capsys):
     ("0,3\n2,5\n", "y=2 outside [0, 2)"),
     ("0,3\n1,5\n1,2\n", "repeated y=1"),
     ("0,3\n1,2.5\n", "count 2.5 at y=1 is not an integer"),
+    ("", "0 rows, expected 2 to 1048576"),
+    ("0,3\n", "1 rows, expected 2 to 1048576"),
+    ("0,3\n1\n", "every row must be an integer y and a count"),
+    ("0,3\nx,1\n", "every row must be an integer y and a count"),
+    ("0,3\n1,-2\n", "count -2.0 at y=1 is not an integer in [0, 10000000]"),
+    ("0,3\n1,1e300\n", "count 1e+300 at y=1 is not an integer in [0, 10000000]"),
+    ("0,6000000\n1,6000000\n", "counts total more than 10000000"),
+    pytest.param("0,3\n1," + "1" * 200_000 + "\n", "field larger than field limit",
+                 id="field-beyond-the-csv-limit"),
 ])
 def test_malformed_histogram_csv_is_rejected(tmp_path, capsys, rows, message):
     path = tmp_path / "h.csv"
@@ -250,9 +259,90 @@ def test_malformed_histogram_csv_is_rejected(tmp_path, capsys, rows, message):
     ('{"n_points": 8, "offset": 0.0, "outcomes": 3}', "outcomes must be integers"),
     ('{"n_points": 8, "offset": 0.0}', "expected an object with n_points and outcomes"),
     ('[1, 2]', "expected an object with n_points and outcomes"),
+    ('{"n_points": [4], "offset": 0.0, "outcomes": [1]}',
+     "n_points must be an integer in [2, 1048576]"),
+    ('{"n_points": 1, "offset": 0.0, "outcomes": [0]}',
+     "n_points must be an integer in [2, 1048576]"),
+    ('{"n_points": true, "offset": 0.0, "outcomes": [0]}',
+     "n_points must be an integer in [2, 1048576]"),
+    ('{"n_points": 2097152, "offset": 0.0, "outcomes": [0]}',
+     "n_points must be an integer in [2, 1048576]"),
+    ('{"n_points": 8, "offset": null, "outcomes": [1]}', "offset must be a number"),
+    ('{"n_points": 8, "offset": "0.5", "outcomes": [1]}', "offset must be a number"),
+    pytest.param('{"n_points": 8, "offset": 1' + "0" * 400 + ', "outcomes": [1]}',
+                 "offset inf is not finite", id="offset-beyond-the-float-range"),
+    ('{"n_points": 8, "offset": 0.0, "outcomes": [1, 100000000000000000000000000000]}',
+     "outcomes outside [0, 8)"),
+    ('{"n_points": 8, "offset": 0.0, "outcomes": [-1]}', "outcomes outside [0, 8)"),
+    pytest.param("[" * 100_000 + "]" * 100_000, "nested too deeply", id="deep-nesting"),
 ])
 def test_malformed_sample_set_json_is_rejected(tmp_path, capsys, payload, message):
     path = tmp_path / "s.json"
     path.write_text(payload)
     assert dispatch(["estimate", "--estimator", "aml", "--input", str(path)]) == 1
     assert f"error: sample-set JSON: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["experiment", "rmse-vs-shots", "--qubits", "4", "--trials", "-1"],
+     "trials must be nonnegative"),
+    (["experiment", "--plot-data", "--qubits", "7", "--trials", "-1"],
+     "trials must be nonnegative"),
+    (["estimate", "--estimator", "aml", "--input", "unread.json", "--bins-kept", "1"],
+     "bins_kept must be >= 2"),
+    (["estimate", "--estimator", "aml", "--input", "unread.json", "--grid-points", "4"],
+     "grid_points must be odd and >= 3"),
+    (["crb", "--qubits", "4", "--grid-size", "4"], "crb_grid_size must be >= 16"),
+    (["experiment", "scatter", "--qubits", "4", "--shots-list", "30,40", "--trials", "5"],
+     "scatter runs take exactly one N, one N_s and one estimator"),
+    (["experiment", "rmse-vs-shots", "--qubits", "4", "--estimators", "foo", "--trials", "5"],
+     "unknown estimator 'foo'"),
+    (["crb", "--qubits", "4", "--windows", "foo"], "unknown window 'foo'"),
+    (["experiment", "crb-curve", "--qubits", "4", "--windows", "rect,custom"],
+     "unknown window 'custom'"),
+    (["experiment", "rmse-vs-shots", "--qubits", "4", "--estimators", "df",
+      "--shots-list", "1", "--trials", "5"],
+     "dual-frequency estimation needs at least 2 shots"),
+    # Each size is checked before anything is sized from it, so these
+    # allocate nothing (2 ** 1000000000 alone would be a 125 MB integer).
+    (["window", "--qubits", "21"], "--qubits must be in [1, 20]"),
+    (["window", "--qubits", "0"], "--qubits must be in [1, 20]"),
+    (["dist", "--qubits", "1000000000", "--phase-frac", "0.1"], "--qubits must be in [1, 20]"),
+    (["crb", "--qubits", "4,1000000000"], "--qubits must be in [1, 20]"),
+    (["experiment", "rmse-vs-n", "--qubits", "21", "--trials", "5"],
+     "--qubits must be in [1, 20]"),
+    (["window", "--record-length", "1048577", "--allow-any-n"],
+     "record length must be in [2, 1048576]"),
+    (["experiment", "rmse-vs-n", "--record-length", "64,2097152", "--trials", "5"],
+     "record length must be in [2, 1048576]"),
+    (["sample", "--qubits", "4", "--phase-frac", "0.1", "--shots", "10000001"],
+     "--shots must be in [1, 10000000]"),
+    (["sample", "--qubits", "4", "--phase-frac", "0.1", "--shots", "0"],
+     "--shots must be in [1, 10000000]"),
+    (["experiment", "rmse-vs-shots", "--qubits", "4", "--shots-list", "30,10000001",
+      "--trials", "5"], "--shots-list entries must be in [1, 10000000]"),
+    (["crb", "--qubits", "4", "--shots-list", "10000001"],
+     "--shots-list entries must be in [1, 10000000]"),
+])
+def test_invalid_argument_values_are_usage_errors(argv, message, capsys):
+    assert dispatch(argv) == 2
+    assert f"usage error: {message}" in capsys.readouterr().err
+
+
+def test_crb_accepts_one_shot_with_the_default_estimators(capsys):
+    # The spec's df shot check covers runs that estimate, not bound curves.
+    assert dispatch(["crb", "--qubits", "4", "--shots-list", "1", "--windows", "rect"]) == 0
+    assert capsys.readouterr().out.startswith("x,window,sqrt_crb\n1,rect,")
+
+
+def test_estimate_has_no_format_option(capsys):
+    assert dispatch(["estimate", "--estimator", "mean", "--input", "unread.json",
+                     "--format", "csv"]) == 2
+    assert "unrecognized arguments: --format csv" in capsys.readouterr().err
+
+
+def test_empty_histogram_csv_is_rejected(tmp_path, capsys):
+    path = tmp_path / "h.csv"
+    path.write_text("")
+    assert dispatch(["estimate", "--estimator", "aml", "--input", str(path)]) == 1
+    assert "error: expected histogram CSV with columns y,value" in capsys.readouterr().err

@@ -12,6 +12,8 @@ from phasekit.experiments import (
     ESTIMATOR_WINDOWS,
     ExperimentRow,
     ExperimentSpec,
+    ExperimentTable,
+    ScatterTable,
     fit_loglog_slope,
     run_crb_curve,
     run_experiment,
@@ -200,3 +202,51 @@ def test_blocks_equal_trials_run_one_by_one(estimator, n, n_shots, seed, guesses
         assert row.signed_error == circ_signed_error(estimate, phase)
         guessed += guess
     assert guessed == guesses
+
+
+@pytest.mark.parametrize("overrides, message", [
+    (dict(kind="crb-curve", windows=("rect", "hann")), "unknown window 'hann'"),
+    (dict(kind="crb-curve", windows=("custom",)), "unknown window 'custom'"),
+    (dict(crb_grid_size=15), "crb_grid_size must be >= 16"),
+    (dict(kind="scatter", n_shots=(8,), estimators=("df", "aml")), "exactly one N"),
+    (dict(kind="scatter", n_points=(64, 128), n_shots=(8,), estimators=("aml",)),
+     "exactly one N"),
+    (dict(n_shots=(1, 8)), "needs at least 2 shots"),
+    (dict(kind="scatter", n_shots=(1,), estimators=("df",)), "needs at least 2 shots"),
+])
+def test_spec_rejects_runs_that_cannot_start(overrides, message):
+    with pytest.raises(ValueError, match=message):
+        small_spec(**overrides)
+
+
+def test_spec_shape_checks_follow_the_kind():
+    # Windows matter only to crb-curve, estimators only to the runs that estimate.
+    small_spec(windows=("hann",))
+    ExperimentSpec(kind="crb-curve", n_points=(64,), n_shots=(1,), estimators=("df",))
+    small_spec(n_shots=(1, 8), estimators=("aml", "mean-rect"))
+
+
+def test_one_table_type_carries_its_columns():
+    assert ScatterTable is ExperimentTable
+    columns = {kind: ExperimentTable(small_spec(kind=kind, n_shots=(8,), estimators=("df",)))
+               .columns for kind in ("rmse-vs-shots", "rmse-vs-n", "scatter", "crb-curve")}
+    assert columns == {
+        "rmse-vs-shots": ["n_points", "n_shots", "window", "estimator", "rmse",
+                          "sqrt_crb", "trials"],
+        "rmse-vs-n": ["n_points", "n_shots", "window", "estimator", "rmse",
+                      "sqrt_crb", "trials"],
+        "scatter": ["true_phase", "signed_error"],
+        "crb-curve": ["x", "window", "sqrt_crb"],
+    }
+
+
+@pytest.mark.parametrize("runner, kind", [
+    (run_rmse_vs_shots, "rmse-vs-n"),
+    (run_rmse_vs_n, "rmse-vs-shots"),
+    (run_scatter, "crb-curve"),
+    (run_crb_curve, "scatter"),
+])
+def test_each_runner_rejects_another_kind(runner, kind):
+    spec = small_spec(kind=kind, n_shots=(8,), estimators=("df",), trials=2)
+    with pytest.raises(ValueError, match="spec.kind must be"):
+        runner(spec)

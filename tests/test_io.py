@@ -1,6 +1,9 @@
 import json
 
 import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from phasekit.io import (
     distribution_to_csv,
@@ -54,3 +57,71 @@ def test_sample_set_json_roundtrip(tmp_path):
     assert np.array_equal(back.outcomes, s.outcomes)
     payload = json.loads(path.read_text())
     assert set(payload) == {"n_points", "offset", "outcomes"}
+
+
+# Readers either parse a file or raise ValueError: never another exception.
+FUZZ = settings(max_examples=300, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+CSV_CELL = st.one_of(st.integers(-3, 10).map(str), st.floats().map(repr),
+                     st.integers().map(str), st.text(max_size=3))
+CSV_TEXT = st.one_of(
+    st.text(),
+    st.lists(st.lists(CSV_CELL, max_size=3).map(",".join), max_size=8).map(
+        lambda rows: "\n".join(["y,value", *rows])),
+)
+JSON_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=4),
+    max_leaves=12,
+)
+SAMPLE_SET = st.fixed_dictionaries(
+    {"n_points": st.integers(-2, 40) | JSON_VALUE,
+     "outcomes": st.lists(st.integers(-2, 40) | JSON_VALUE, max_size=6) | JSON_VALUE},
+    optional={"offset": st.floats() | st.integers() | JSON_VALUE},
+)
+JSON_TEXT = st.one_of(st.text(), JSON_VALUE.map(json.dumps), SAMPLE_SET.map(json.dumps))
+
+
+def _parses_or_raises_value_error(reader, path, text):
+    path.write_bytes(text.encode("utf-8", "surrogatepass"))
+    try:
+        reader(path)
+    except ValueError:
+        pass
+
+
+@FUZZ
+@given(text=CSV_TEXT)
+def test_histogram_reader_parses_or_raises_value_error(tmp_path, text):
+    _parses_or_raises_value_error(read_histogram_csv, tmp_path / "h.csv", text)
+
+
+@FUZZ
+@given(text=JSON_TEXT)
+def test_sample_set_reader_parses_or_raises_value_error(tmp_path, text):
+    _parses_or_raises_value_error(read_sample_set_json, tmp_path / "s.json", text)
+
+
+@FUZZ
+@given(n=st.integers(2, 64), data=st.data(),
+       offset=st.floats(allow_nan=False, allow_infinity=False))
+def test_sample_set_json_roundtrip_property(tmp_path, n, data, offset):
+    outcomes = data.draw(st.lists(st.integers(0, n - 1), max_size=20))
+    path = tmp_path / "s.json"
+    sample_set_to_json(SampleSet(n, np.array(outcomes, dtype=np.int64), offset=offset), path)
+    back = read_sample_set_json(path)
+    assert (back.n_points, back.outcomes.tolist(), back.offset) == (n, outcomes, offset)
+
+
+@pytest.mark.parametrize("payload", [
+    {"n_points": 8, "offset": 0, "outcomes": [0, 7]},
+    {"n_points": 2, "outcomes": []},
+])
+def test_sample_set_json_accepts_integer_and_missing_offsets(tmp_path, payload):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(payload))
+    back = read_sample_set_json(path)
+    assert back.offset == payload.get("offset", 0.0)
+    assert back.outcomes.tolist() == payload["outcomes"]
