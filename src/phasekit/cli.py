@@ -146,7 +146,10 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="report scatter errors in units of 2*pi/N")
     # A string default goes through type=int, so a bad environment value is
     # a usage error like a bad --threads.
-    p.add_argument("--threads", type=int, default=os.environ.get(THREADS_ENV, "1"))
+    p.add_argument("--threads", type=int, default=os.environ.get(THREADS_ENV, "1"),
+                   help="accepted and checked against [1, CPUs] for compatibility; "
+                        "every run uses one process and no output byte depends on "
+                        f"it (default: ${THREADS_ENV}, else 1)")
     p.add_argument("--plot-data", action="store_true",
                    help="emit the standard figure bundle instead of one run")
     p.add_argument("--out-dir", default=".")
@@ -193,9 +196,17 @@ def _resolve_n(args) -> int:
 
 def _resolve_n_list(args) -> list[int]:
     if args.qubits is not None:
-        return [2 ** _check_qubits(int(q)) for q in str(args.qubits).split(",")]
-    return [_check_length(int(n), args.allow_any_n)
-            for n in str(args.record_length).split(",")]
+        return [2 ** _check_qubits(q) for q in _int_list(args.qubits, "--qubits")]
+    return [_check_length(n, args.allow_any_n)
+            for n in _int_list(args.record_length, "--record-length")]
+
+
+def _int_list(text: str, flag: str) -> list[int]:
+    """The integers of a comma-separated list; any other entry is a usage error."""
+    try:
+        return [int(s) for s in text.split(",")]
+    except ValueError:
+        raise CliError(f"{flag} must be comma-separated integers") from None
 
 
 def _check_qubits(q: int) -> int:
@@ -214,10 +225,7 @@ def _check_length(n: int, allow_any: bool) -> int:
 
 
 def _resolve_shots(args) -> tuple[int, ...]:
-    try:
-        shots = tuple(int(s) for s in args.shots_list.split(","))
-    except ValueError:
-        raise CliError("--shots-list must be comma-separated integers") from None
+    shots = tuple(_int_list(args.shots_list, "--shots-list"))
     if not all(1 <= s <= MAX_SHOTS for s in shots):
         raise CliError(f"--shots-list entries must be in [1, {MAX_SHOTS}]")
     return shots
@@ -415,11 +423,16 @@ def _emit_plot_bundle(args) -> int:
         merged.update(kw)
         return _validated(ExperimentSpec, **merged)
 
+    # One RMSE sweep feeds fig3's sample-mean overlay and fig5: a cell's
+    # trial seeds depend on the kind, estimator, N and N_s, not on the
+    # other estimators of the run.
+    rmse_table = run_experiment(spec(
+        "rmse-vs-shots", estimators=("df", "mean-rect", "mean-cosine", "mean-bartlett")))
+
     # fig3: sqrt-CRB vs shots for each window, with sample-mean RMSE overlay
     crb_table = run_experiment(spec("crb-curve", n_shots=(1,) + shots_sweep))
-    mean_table = run_experiment(spec(
-        "rmse-vs-shots", estimators=("mean-rect", "mean-cosine", "mean-bartlett")))
-    rmse_by_key = {(r.window, r.n_shots): r.rmse for r in mean_table.rows}
+    rmse_by_key = {(r.window, r.n_shots): r.rmse for r in rmse_table.rows
+                   if r.estimator.startswith("mean-")}
     fig3_rows = [
         (int(r.x), r.window, r.sqrt_crb, rmse_by_key.get((r.window, int(r.x)), ""))
         for r in crb_table.rows
@@ -437,7 +450,8 @@ def _emit_plot_bundle(args) -> int:
         table_to_csv(table, out_dir / name)
 
     # fig5: RMSE vs shots, dual-frequency against the cosine sample mean
-    table_to_csv(run_experiment(spec("rmse-vs-shots")), out_dir / "fig5.csv")
+    fig5_rows = [r for r in rmse_table.rows if r.estimator in ("df", "mean-cosine")]
+    table_to_csv(ExperimentTable(rmse_table.spec, fig5_rows), out_dir / "fig5.csv")
 
     # fig6: RMSE vs record length at a fixed shot count
     table_to_csv(run_experiment(spec(

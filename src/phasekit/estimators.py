@@ -37,6 +37,10 @@ _OFFSET_TOL = 1e-9
 # refinement never becomes the accuracy floor.
 GRID_RULE_CONSTANT = 8.0
 
+# Largest explicit refinement grid.  It stays above the default rule's
+# grid at io.MAX_SHOTS shots, ceil(8*sqrt(10**7)) = 25299.
+MAX_GRID_POINTS = 2 ** 15 + 1
+
 
 @dataclass(frozen=True)
 class EstimatorConfig:
@@ -44,8 +48,9 @@ class EstimatorConfig:
 
     bins_kept:    number of highest-count histogram bins entering the
                   objective (ties broken toward the smaller index).
-    grid_points:  explicit odd grid size for the refinement search, or None
-                  for the default rule max(9, ceil(8*sqrt(N_s))) forced odd.
+    grid_points:  explicit odd grid size in [3, MAX_GRID_POINTS] for the
+                  refinement search, or None for the default rule
+                  max(9, ceil(8*sqrt(N_s))) forced odd.
                   The search spans two resolution cells, so the step is
                   4*pi/(N*N_g); the constant 8 keeps that step below the
                   per-set statistical error, whose cell-units size falls
@@ -64,6 +69,8 @@ class EstimatorConfig:
         if self.grid_points is not None:
             if self.grid_points < 3 or self.grid_points % 2 == 0:
                 raise ValueError("grid_points must be odd and >= 3")
+            if self.grid_points > MAX_GRID_POINTS:
+                raise ValueError(f"grid_points must be <= {MAX_GRID_POINTS}")
         if not 0.0 < self.sinc_floor < 1.0:
             raise ValueError("sinc_floor must be in (0, 1)")
 

@@ -6,12 +6,15 @@ result is always an ExperimentTable, whose columns name the serialized
 fields of the kind's row type; an ExperimentRow's wall_time stays in
 memory and is never serialized, because it varies run to run.
 ExperimentSpec rejects a run that cannot start (an unknown window for a
-CRB curve, a CRB grid below 16 phases, a scatter run over more than one
-N, N_s or estimator, df with fewer than 2 shots) before any work is done.
+CRB curve, a CRB grid below 16 or above MAX_CRB_GRID_SIZE phases, more
+than MAX_TRIALS trials, a scatter run over more than one N, N_s or
+estimator, df with fewer than 2 shots) before any work is done.
 
 Every trial draws its own generator from a seed derived as
 derive_seed(master_seed, kind, estimator, N, N_s, trial_index), so tables
-are bit-identical no matter how trials are scheduled across workers.
+are bit-identical no matter how trials are split into blocks.  Every trial
+runs in the calling process: n_jobs starts no worker, and is accepted and
+validated (>= 1) for compatibility only, changing no byte.
 Per-trial squared errors are aggregated with numpy's pairwise summation
 over the trial-indexed array, which fixes the reduction order.
 
@@ -41,7 +44,6 @@ which leaves every other trial's bytes alone.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -78,6 +80,11 @@ BUILTIN_WINDOWS = ("rect", "cosine", "bartlett")
 # Memory budget of one block of trials; see _block_rows.
 BLOCK_BYTES = 1 << 20
 
+# Upper bounds on what a spec can size: per-trial result arrays, and the
+# phase grid of each CRB price (256 by default).
+MAX_TRIALS = 10 ** 6
+MAX_CRB_GRID_SIZE = 2 ** 16
+
 
 @dataclass(frozen=True)
 class ExperimentSpec:
@@ -95,7 +102,7 @@ class ExperimentSpec:
     fixed_phases: tuple[float, ...] = ()
     allow_any_n: bool = False
     crb_grid_size: int = 256
-    n_jobs: int = 1
+    n_jobs: int = 1  # accepted for compatibility; starts no worker, changes no byte
 
     def __post_init__(self):
         if self.kind not in EXPERIMENT_KINDS:
@@ -106,6 +113,8 @@ class ExperimentSpec:
             raise ValueError("every shot count must be >= 1")
         if self.trials < 0:
             raise ValueError("trials must be nonnegative")
+        if self.trials > MAX_TRIALS:
+            raise ValueError(f"trials must be <= {MAX_TRIALS}")
         if self.phase_policy not in PHASE_POLICIES:
             raise ValueError(f"unknown phase policy {self.phase_policy!r}")
         if self.phase_policy == "fixed" and not self.fixed_phases:
@@ -124,6 +133,8 @@ class ExperimentSpec:
             raise ValueError("n_jobs must be >= 1")
         if self.crb_grid_size < 16:
             raise ValueError("crb_grid_size must be >= 16")
+        if self.crb_grid_size > MAX_CRB_GRID_SIZE:
+            raise ValueError(f"crb_grid_size must be <= {MAX_CRB_GRID_SIZE}")
         # Only a crb-curve run prices windows; every other kind runs estimators.
         if self.kind == "crb-curve":
             for window_id in self.windows:
@@ -282,42 +293,16 @@ _KINDS = {
 
 
 def _collect_trials(spec: ExperimentSpec, estimator: str, n: int, n_shots: int):
-    """(true_phases, signed_errors) arrays indexed by trial, scheduling-independent."""
+    """(true_phases, signed_errors) arrays indexed by trial, in blocks of at most
+    _block_rows(n, n_shots) trials."""
+    window = make_window(ESTIMATOR_WINDOWS[estimator], n)
     phases = np.empty(spec.trials)
     errors = np.empty(spec.trials)
-    if spec.n_jobs == 1 or spec.trials < 2 * spec.n_jobs:
-        chunks = [(0, spec.trials)]
-        results = [_trial_chunk(spec, estimator, n, n_shots, 0, spec.trials)]
-    else:
-        bounds = np.linspace(0, spec.trials, 4 * spec.n_jobs + 1, dtype=int)
-        chunks = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-        with ProcessPoolExecutor(max_workers=spec.n_jobs) as pool:
-            results = list(pool.map(
-                _trial_chunk_star,
-                [(spec, estimator, n, n_shots, lo, hi) for lo, hi in chunks],
-            ))
-    for (lo, hi), (chunk_phases, chunk_errors) in zip(chunks, results):
-        phases[lo:hi] = chunk_phases
-        errors[lo:hi] = chunk_errors
-    return phases, errors
-
-
-def _trial_chunk_star(args):
-    return _trial_chunk(*args)
-
-
-def _trial_chunk(spec: ExperimentSpec, estimator: str, n: int, n_shots: int,
-                 lo: int, hi: int):
-    """Trials lo..hi-1, in blocks of at most _block_rows(n, n_shots) trials."""
-    window = make_window(ESTIMATOR_WINDOWS[estimator], n)
-    phases = np.empty(hi - lo)
-    errors = np.empty(hi - lo)
     step = _block_rows(n, n_shots)
-    for start in range(lo, hi, step):
-        stop = min(start + step, hi)
-        block = slice(start - lo, stop - lo)
-        phases[block], errors[block] = _trial_block(spec, estimator, window, n, n_shots,
-                                                    start, stop)
+    for lo in range(0, spec.trials, step):
+        hi = min(lo + step, spec.trials)
+        phases[lo:hi], errors[lo:hi] = _trial_block(spec, estimator, window, n, n_shots,
+                                                    lo, hi)
     return phases, errors
 
 

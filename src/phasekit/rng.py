@@ -2,7 +2,7 @@
 
 Every randomized trial gets its own 64-bit seed derived from the master
 seed and the trial's identity, so results do not depend on execution
-order or worker count.  The derivation rule is fixed:
+order or on how trials are grouped.  The derivation rule is fixed:
 
     state = master_seed
     for each part:                      # strings hashed with FNV-1a 64

@@ -323,6 +323,19 @@ def test_malformed_sample_set_json_is_rejected(tmp_path, capsys, payload, messag
       "--trials", "5"], "--shots-list entries must be in [1, 10000000]"),
     (["crb", "--qubits", "4", "--shots-list", "10000001"],
      "--shots-list entries must be in [1, 10000000]"),
+    (["experiment", "rmse-vs-n", "--qubits", "4,x", "--trials", "5"],
+     "--qubits must be comma-separated integers"),
+    (["crb", "--record-length", "16,y"], "--record-length must be comma-separated integers"),
+    (["experiment", "rmse-vs-shots", "--qubits", "4", "--shots-list", "30,z"],
+     "--shots-list must be comma-separated integers"),
+    (["experiment", "scatter", "--qubits", "4", "--trials", "1000000000000"],
+     "trials must be <= 1000000"),
+    (["experiment", "--plot-data", "--qubits", "7", "--trials", "1000001"],
+     "trials must be <= 1000000"),
+    (["crb", "--qubits", "4", "--grid-size", "1000000000000"],
+     "crb_grid_size must be <= 65536"),
+    (["estimate", "--estimator", "aml", "--input", "unread.json",
+      "--grid-points", "1000000000001"], "grid_points must be <= 32769"),
 ])
 def test_invalid_argument_values_are_usage_errors(argv, message, capsys):
     assert dispatch(argv) == 2

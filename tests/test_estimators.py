@@ -4,6 +4,7 @@ import pytest
 from phasekit.angles import TWO_PI, circ_distance, wrap_two_pi
 from phasekit.estimators import (
     DEFAULT_CONFIG,
+    MAX_GRID_POINTS,
     EstimatorConfig,
     aml_estimate,
     aml_objective,
@@ -13,6 +14,7 @@ from phasekit.estimators import (
     rough_estimate,
     split_shot_counts,
 )
+from phasekit.io import MAX_SHOTS
 from phasekit.model import Histogram, SampleSet, distribution, histogram, sample
 from phasekit.rng import make_generator
 from phasekit.windows import make_rectangular
@@ -39,6 +41,13 @@ def test_config_validation():
         EstimatorConfig(grid_points=1)
     with pytest.raises(ValueError):
         EstimatorConfig(sinc_floor=0.0)
+    with pytest.raises(ValueError, match=f"grid_points must be <= {MAX_GRID_POINTS}"):
+        EstimatorConfig(grid_points=MAX_GRID_POINTS + 2)
+    EstimatorConfig(grid_points=MAX_GRID_POINTS)
+
+
+def test_grid_bound_admits_the_default_rule_at_the_shot_bound():
+    assert DEFAULT_CONFIG.resolve_grid_points(MAX_SHOTS) <= MAX_GRID_POINTS
 
 
 def test_grid_rule_is_odd_and_grows():

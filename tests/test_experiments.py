@@ -1,3 +1,5 @@
+import multiprocessing.process
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,16 @@ def test_worker_count_does_not_change_bytes():
     for jobs in (1, 3):
         spec = small_spec(trials=120, n_jobs=jobs)
         texts.append(table_to_csv(run_rmse_vs_shots(spec)))
+    assert texts[0] == texts[1]
+
+
+def test_no_worker_process_starts(monkeypatch):
+    def refuse(self):
+        raise AssertionError("a worker process was started")
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+    texts = [table_to_csv(run_rmse_vs_shots(small_spec(trials=40, n_jobs=jobs)))
+             for jobs in (1, 2)]
     assert texts[0] == texts[1]
 
 
@@ -213,6 +225,9 @@ def test_blocks_equal_trials_run_one_by_one(estimator, n, n_shots, seed, guesses
      "exactly one N"),
     (dict(n_shots=(1, 8)), "needs at least 2 shots"),
     (dict(kind="scatter", n_shots=(1,), estimators=("df",)), "needs at least 2 shots"),
+    # Bounds on what a spec sizes, checked before anything is allocated.
+    (dict(trials=10**12), "trials must be <= 1000000"),
+    (dict(crb_grid_size=10**12), "crb_grid_size must be <= 65536"),
 ])
 def test_spec_rejects_runs_that_cannot_start(overrides, message):
     with pytest.raises(ValueError, match=message):
