@@ -6,8 +6,9 @@ length is given either as --qubits M (N = 2^M) or directly as
 are entered as --phase-frac x (phi = 2*pi*x) or --phase-rad r.  Each
 command renders only the format it emits.  Exit codes: 0 success, 1
 runtime error (including a malformed input file), 2 argument error
-(including a value that ExperimentSpec or EstimatorConfig rejects, and a
-size beyond MAX_QUBITS, io.MAX_RECORD_LENGTH or io.MAX_SHOTS).
+(including a value that ExperimentSpec or EstimatorConfig rejects, a size
+beyond MAX_QUBITS, io.MAX_RECORD_LENGTH or io.MAX_SHOTS, and a custom
+window whose --weights-csv length differs from the record length).
 """
 
 from __future__ import annotations
@@ -173,7 +174,8 @@ def _add_length_args(p, many: bool = False):
 
 def _add_window_args(p):
     p.add_argument("--window", choices=WINDOW_KINDS, default="rect")
-    p.add_argument("--weights-csv", help="one-column CSV for --window custom")
+    p.add_argument("--weights-csv", help="one-column CSV for --window custom, "
+                                         "one weight per outcome of the record length")
 
 
 def _add_phase_args(p, required: bool):
@@ -255,7 +257,11 @@ def _resolve_window(args, n: int):
     if args.window == "custom":
         if not args.weights_csv:
             raise CliError("--window custom requires --weights-csv")
-        return make_window("custom", weights=load_weights_csv(args.weights_csv))
+        window = make_window("custom", weights=load_weights_csv(args.weights_csv))
+        if window.n_points != n:
+            raise CliError(f"--weights-csv holds {window.n_points} weights, but the record "
+                           f"length is {n}")
+        return window
     return make_window(args.window, n)
 
 

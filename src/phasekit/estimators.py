@@ -140,9 +140,12 @@ def circular_mean_rows(outcomes: np.ndarray, n_points: int):
     """Circular means of the (T, S) outcome rows, and which of them are defined.
 
     A row whose resultant vector vanishes (|R| < 1e-12 * S) has no mean;
-    its entry in the first array is then meaningless.
+    its entry in the first array is then meaningless.  Each shot's unit
+    vector is looked up in a table of the N values exp(2j*pi*y/N), computed
+    by the same expression as for a single outcome.
     """
-    resultant = np.exp(2j * np.pi * outcomes / n_points).sum(axis=1)
+    unit_vectors = np.exp(2j * np.pi * np.arange(n_points) / n_points)
+    resultant = unit_vectors[outcomes].sum(axis=1)
     defined = np.abs(resultant) >= 1e-12 * outcomes.shape[1]
     return wrap_two_pi(np.angle(resultant)), defined
 

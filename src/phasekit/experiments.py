@@ -21,10 +21,11 @@ over the trial-indexed array, which fixes the reduction order.
 Trials run in blocks of T as array operations, and a block computes the
 same bytes as running its trials one at a time, because:
 
-* each trial consumes exactly 1 + N_s doubles of its own PCG64 stream (N_s
-  under the fixed phase policy): the phase first, then the shots, which df
+* each trial reads 1 + N_s doubles of its own PCG64 stream (N_s under
+  the fixed phase policy): the phase first, then the shots, which df
   splits into a ceil(N_s/2) plain and a floor(N_s/2) offset set.  So the
-  block draws one (T, 1 + N_s) matrix with every stream unchanged;
+  block draws one (T, 1 + N_s) matrix with every stream unchanged (one
+  column more for a sample mean, below);
 * distributions, CDFs and histograms are row-wise numpy operations whose
   rows equal the single-trial results (row-wise cumsum and FFT, and one
   searchsorted per row);
@@ -37,8 +38,10 @@ same bytes as running its trials one at a time, because:
 A block holds at most BLOCK_BYTES of arrays, sized from N and N_s, so
 memory does not grow with the trial count.  A sample-mean trial whose
 resultant vector vanishes (two opposite outcomes, say) has no mean; it
-then guesses a uniform phase from the next double of its own stream,
-which leaves every other trial's bytes alone.
+then guesses a uniform phase from the next double of its own stream.  A
+sample-mean block draws that double for every trial along with the
+others, and a trial with a mean leaves it unused, so every trial's bytes
+stay those of the trial run alone.
 """
 
 from __future__ import annotations
@@ -319,9 +322,12 @@ def _trial_block(spec: ExperimentSpec, estimator: str, window, n: int, n_shots: 
     index = np.arange(lo, hi)
     seeds = derive_seed(spec.master_seed, spec.kind, estimator, n, n_shots, index)
     draws_phase = spec.phase_policy != "fixed"
-    u = uniform_rows(seeds, draws_phase + n_shots)
+    # A sample-mean trial also draws the double after its shots: its guess
+    # should its resultant vector vanish.
+    guesses = estimator.startswith("mean-")
+    u = uniform_rows(seeds, draws_phase + n_shots + guesses)
     phases = _draw_phases(spec, n, index, u[:, 0])
-    shots = u[:, draws_phase:]
+    shots = u[:, draws_phase:draws_phase + n_shots]
     if estimator == "df":
         first, second = split_shot_counts(n_shots)
         plain = histogram_rows(_sample(window, phases, shots[:, :first]), n)
@@ -333,11 +339,7 @@ def _trial_block(spec: ExperimentSpec, estimator: str, window, n: int, n_shots: 
         estimates = wrap_two_pi(rough + correction)
     else:
         estimates, defined = circular_mean_rows(_sample(window, phases, shots), n)
-        for row in np.flatnonzero(~defined).tolist():
-            # No mean exists; the trial guesses a uniform phase, drawn from its
-            # own stream right after its samples.
-            extra = uniform_rows(seeds[row:row + 1], u.shape[1] + 1)[0, -1]
-            estimates[row] = extra * TWO_PI
+        estimates[~defined] = u[~defined, -1] * TWO_PI
     return phases, circ_signed_error(estimates, phases)
 
 

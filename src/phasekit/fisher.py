@@ -10,6 +10,15 @@ Summing (df/dphi)^2 / f over outcomes gives
 which is the rank-1 reduction of the commutator form; no N x N matrices
 are materialized.  Independent shots add, so the bound for N_s shots is
 1 / (N_s * FI(phi)).
+
+FI is computed for a block of phases at a time: row-wise length-N inverse
+FFTs of a (B, N) block, with B = max(1, FI_BLOCK_ELEMENTS // N), so the
+block's complex temporaries stay near 64 KiB each whatever the grid size
+(larger blocks cost resident memory and buy no speed).  Each row's
+masked sum stays a separate np.sum over that row's kept outcomes, which
+keeps numpy's pairwise summation order: the grid and the scalar
+fisher_information, its one-row case, give the bytes of a per-phase
+computation.
 """
 
 from __future__ import annotations
@@ -28,19 +37,15 @@ FI_FLOOR = 1e-12
 
 DEFAULT_PHASE_GRID = 256
 
+# Elements of one (B, N) block of phases; see the module docstring.
+FI_BLOCK_ELEMENTS = 1 << 12
+
 
 def fisher_information(window: WindowVector, phase: float) -> float:
     """Single-shot Fisher information of the phase under the given window."""
     if not np.isfinite(phase):
         raise ValueError("phase must be finite")
-    n = window.n_points
-    s, v = _phase_kernels(window.weights, phase)
-    f_scaled = np.abs(s) ** 2  # = N * f(y)
-    keep = f_scaled / n >= NEGLIGIBLE_PROB
-    if not np.any(keep):
-        return 0.0
-    imag = np.imag(np.conj(s[keep]) * v[keep])
-    return float(4.0 / n * np.sum(imag * imag / f_scaled[keep]))
+    return float(_fisher_rows(window.weights, np.array([phase]))[0])
 
 
 def crb(window: WindowVector, phase: float, n_shots: int) -> float:
@@ -86,16 +91,25 @@ def fisher_information_grid(window: WindowVector, grid_size: int = DEFAULT_PHASE
     """
     cell = TWO_PI / window.n_points
     phases = cell * (np.arange(grid_size) + 0.5) / grid_size
-    return np.array([fisher_information(window, p) for p in phases])
+    step = max(1, FI_BLOCK_ELEMENTS // window.n_points)
+    return np.concatenate([_fisher_rows(window.weights, phases[lo:lo + step])
+                           for lo in range(0, grid_size, step)])
 
 
-def _phase_kernels(weights: np.ndarray, phase: float):
-    """Return s_y and v_y for all outcomes via length-N inverse FFTs."""
+def _fisher_rows(weights: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """FI at each phase, from s_y and v_y of every outcome as (B, N) rows."""
     n = weights.shape[0]
     idx = np.arange(n)
-    ramp = weights * np.exp(-1j * phase * idx)
+    ramp = weights * np.exp((-1j * phases)[:, None] * idx)
     # N * ifft(c)[y] = sum_n c_n * exp(+2j*pi*n*y/N), so with c_n = alpha_n * e^{-j*n*phi}
     # this is exactly sum_n alpha_n * exp(-j*n*(phi - 2*pi*y/N)).
-    s = n * np.fft.ifft(ramp)
-    v = n * np.fft.ifft(idx * ramp)
-    return s, v
+    s = n * np.fft.ifft(ramp, axis=1)
+    v = n * np.fft.ifft(idx * ramp, axis=1)
+    f_scaled = np.abs(s) ** 2  # = N * f(y)
+    keep = f_scaled / n >= NEGLIGIBLE_PROB
+    imag = np.imag(np.conj(s) * v)
+    terms = imag * imag / np.where(keep, f_scaled, 1.0)
+    # One sum per row over its kept outcomes: pairwise summation over the
+    # same elements in the same order as for a single phase.
+    return np.array([4.0 / n * np.sum(row[mask]) if mask.any() else 0.0
+                     for row, mask in zip(terms, keep)])

@@ -24,10 +24,10 @@ from dataclasses import asdict, is_dataclass
 import numpy as np
 
 from .model import Histogram, PhaseDistribution, SampleSet
+from .windows import MAX_RECORD_LENGTH
 
-# The largest record length and shot total that a file or a command-line
-# argument may ask for, so that no input sizes an allocation beyond them.
-MAX_RECORD_LENGTH = 2 ** 20
+# The largest shot total that a file or a command-line argument may ask
+# for; MAX_RECORD_LENGTH bounds record lengths the same way.
 MAX_SHOTS = 10 ** 7
 
 

@@ -11,11 +11,32 @@ order or on how trials are grouped.  The derivation rule is fixed:
 splitmix64 is the finalizer from Steele/Lea/Flood (2014); it is a
 bijection on 64-bit integers, so distinct inputs never collide for a
 single absorption step.  Generators are numpy PCG64 instances, whose
-bit stream is fixed by numpy's stream-compatibility guarantee.
+bit stream is fixed by numpy's stream-compatibility guarantee (NEP 19).
 
 The mixing runs on uint64 arrays, so a whole block of trial indices is
 absorbed in one pass; scalar seeds are the one-element case.
+
+uniform_rows computes the streams of a whole block as numpy computes
+them, without building one PCG64 per seed.  It relies on NEP 19 keeping
+the seeding and the stream of np.random.PCG64(seed) fixed:
+
+* SeedSequence(seed) is replayed on uint32 arrays: the hashmix/mix of its
+  4-word pool, then generate_state(4, uint64) and PCG64's srandom.  A seed
+  below 2**32 is one entropy word, and its missing high word hashes
+  exactly as the pool's zero pad, so one formula serves every seed;
+* for k <= CLOSED_FORM_MAX_WORDS, the j-th state of each stream is
+  A_j * s + C_j * inc mod 2**128 (per-k constants, built once with Python
+  ints), multiplied through 32-bit limbs on uint64 and turned into output
+  words by PCG64's XSL-RR step;
+* for longer streams, one PCG64 is set to each (state, inc) in turn and
+  asked for random_raw(k).
+
+The first call checks one stream of each kind against np.random.PCG64;
+should a numpy release break that, every call falls back to one PCG64 per
+seed, the plain loop that also serves as the test oracle.
 """
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -28,6 +49,27 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 # numpy's Generator.random(): the top 53 bits of one 64-bit draw, times 2**-53.
 _DOUBLE_SHIFT = np.uint64(11)
 _DOUBLE_SCALE = 2.0 ** -53
+
+# Longest stream computed in closed form; longer ones are read from a PCG64
+# set to each stream's state.  Measured crossover, in 64-bit words.
+CLOSED_FORM_MAX_WORDS = 64
+# Elements per (rows, k) temporary of the closed form.
+CHUNK_WORDS = 1 << 12
+
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx).
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_L = np.uint32(0xCA01F9DD)
+_MIX_R = np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+
+# PCG64's 128-bit LCG multiplier.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+_LO32 = np.uint64(0xFFFFFFFF)
+_PCG_MULT_PAIR = (np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & _MASK64))
 
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:
@@ -82,10 +124,158 @@ def make_generator(seed: int) -> np.random.Generator:
 def uniform_rows(seeds: np.ndarray, k: int) -> np.ndarray:
     """(T, k) matrix whose row t is make_generator(seeds[t]).random(k).
 
-    The raw PCG64 words are converted as numpy converts them, which skips
-    building a Generator per stream.
+    The raw PCG64 words are computed for the whole block (see the module
+    docstring) and converted as numpy converts them, which skips building
+    a Generator per stream.
     """
+    if _streams_match_numpy():
+        return _uniform_rows_vectorized(seeds, k)
+    return _to_double(_raw_rows_loop(seeds, k))
+
+
+def _to_double(raw: np.ndarray) -> np.ndarray:
+    return (raw >> _DOUBLE_SHIFT) * _DOUBLE_SCALE
+
+
+def _raw_rows_loop(seeds: np.ndarray, k: int) -> np.ndarray:
+    """(T, k) raw PCG64 words, one generator per seed."""
     raw = np.empty((len(seeds), k), dtype=np.uint64)
     for row, seed in zip(raw, seeds.tolist()):
         row[:] = np.random.PCG64(seed).random_raw(k)
-    return (raw >> _DOUBLE_SHIFT) * _DOUBLE_SCALE
+    return raw
+
+
+_streams_checked: bool | None = None
+
+
+def _streams_match_numpy() -> bool:
+    """Whether both vectorized paths reproduce np.random.PCG64 (checked once)."""
+    global _streams_checked
+    if _streams_checked is None:
+        seed = np.array([_MASK64], dtype=np.uint64)
+        _streams_checked = all(
+            np.array_equal(_uniform_rows_vectorized(seed, k), _to_double(_raw_rows_loop(seed, k)))
+            for k in (CLOSED_FORM_MAX_WORDS, CLOSED_FORM_MAX_WORDS + 1))
+    return _streams_checked
+
+
+def _uniform_rows_vectorized(seeds: np.ndarray, k: int) -> np.ndarray:
+    out = np.empty((len(seeds), k))
+    state, inc = _seeded(np.asarray(seeds, dtype=np.uint64))
+    if k <= CLOSED_FORM_MAX_WORDS:
+        step = max(1, CHUNK_WORDS // max(k, 1))
+        for lo in range(0, len(out), step):
+            rows = slice(lo, lo + step)
+            out[rows] = _to_double(_closed_form_raw(state[:, rows], inc[:, rows], k))
+    else:
+        bitgen = np.random.PCG64(0)
+        for row, s, i in zip(out, _as_ints(state), _as_ints(inc)):
+            bitgen.state = {"bit_generator": "PCG64", "state": {"state": s, "inc": i},
+                            "has_uint32": 0, "uinteger": 0}
+            row[:] = _to_double(bitgen.random_raw(k))
+    return out
+
+
+def _seeded(seeds: np.ndarray):
+    """PCG64(seed)'s (state, inc) for each seed, each a (2, T) uint64 (hi, lo) pair.
+
+    Replays SeedSequence(seed) with a 4-word pool: hashmix the entropy
+    words (low and high half of the seed, then zero pad), mix every pool
+    word into every other, and hash the pool out as four uint64 words,
+    which PCG64's srandom takes as initstate and initseq.  Steps that
+    numpy runs one word at a time but that read no word written in
+    between run stacked, with their hash constants in numpy's order.
+    """
+    pool = np.zeros((4, len(seeds)), dtype=np.uint32)
+    pool[0] = seeds & _LO32
+    pool[1] = seeds >> np.uint64(32)
+    pool = _hashmix(pool, _POOL_HASH[:, 0:4])
+    for src, dst in enumerate(_OTHER_WORDS):
+        hashed = _hashmix(pool[src:src + 1], _POOL_HASH[:, 4 + 3 * src:7 + 3 * src])
+        mixed = _MIX_L * pool[dst] - _MIX_R * hashed
+        pool[dst] = mixed ^ (mixed >> _XSHIFT)
+    # generate_state(4, uint64): 8 words hashed from the cycled pool, paired
+    # little-endian into the (hi, lo) halves of initstate and initseq.
+    words = _hashmix(np.concatenate([pool, pool]), _STATE_HASH).astype(np.uint64)
+    init_hi, init_lo, seq_hi, seq_lo = words[0::2] | (words[1::2] << np.uint64(32))
+    # srandom: inc = 2*initseq + 1, state = (inc + initstate) * MULT + inc.
+    one = np.uint64(1)
+    inc = np.stack([(seq_hi << one) | (seq_lo >> np.uint64(63)), (seq_lo << one) | one])
+    hi, lo = _mul128(*_add128(*inc, init_hi, init_lo), *_PCG_MULT_PAIR)
+    return np.stack(_add128(hi, lo, *inc)), inc
+
+
+def _hashmix(words: np.ndarray, constants: np.ndarray) -> np.ndarray:
+    """SeedSequence's hash of (count, T) words, or of one (1, T) row count
+    times, with the (2, count, 1) (xor, multiply) constants of each row."""
+    words = (words ^ constants[0]) * constants[1]
+    return words ^ (words >> _XSHIFT)
+
+
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """(2, count, 1) (xor, multiply) constants of successive SeedSequence hashes."""
+    consts = [init]
+    for _ in range(count):
+        consts.append((consts[-1] * mult) & 0xFFFFFFFF)
+    consts = np.array(consts, dtype=np.uint32)[:, None]
+    return np.stack([consts[:-1], consts[1:]])
+
+
+# The pool fill and mix hash 4 + 4 * 3 words; generate_state hashes 8.
+_POOL_HASH = _hash_constants(_INIT_A, _MULT_A, 16)
+_STATE_HASH = _hash_constants(_INIT_B, _MULT_B, 8)
+_OTHER_WORDS = [np.array([i for i in range(4) if i != src]) for src in range(4)]
+
+
+def _closed_form_raw(state: np.ndarray, inc: np.ndarray, k: int) -> np.ndarray:
+    """(T, k) raw words: XSL-RR of state_j = A_j * state + C_j * inc, j = 1..k."""
+    a_hi, a_lo, c_hi, c_lo = _jump_constants(k)
+    s_hi, s_lo = state[:, :, None]
+    i_hi, i_lo = inc[:, :, None]
+    hi, lo = _add128(*_mul128(s_hi, s_lo, a_hi, a_lo), *_mul128(i_hi, i_lo, c_hi, c_lo))
+    x = hi ^ lo
+    rot = hi >> np.uint64(58)
+    return (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
+
+
+@lru_cache(maxsize=CLOSED_FORM_MAX_WORDS + 1)
+def _jump_constants(k: int):
+    """(hi, lo) of A_j = MULT**j and of C_j = sum_{i<j} MULT**i mod 2**128, j = 1..k."""
+    a, c = 1, 0
+    jumps, offsets = [], []
+    for _ in range(k):
+        a, c = (a * _PCG_MULT) & _MASK128, (c * _PCG_MULT + 1) & _MASK128
+        jumps.append(a)
+        offsets.append(c)
+    return (*_split128(np.array(jumps, dtype=object)), *_split128(np.array(offsets, dtype=object)))
+
+
+def _split128(values: np.ndarray):
+    """(hi, lo) uint64 arrays of an object array of 128-bit Python ints."""
+    return ((values >> 64).astype(np.uint64),
+            (values & _MASK64).astype(np.uint64))
+
+
+def _as_ints(pair: np.ndarray) -> list[int]:
+    """128-bit Python ints of a (2, T) uint64 (hi, lo) pair."""
+    return [(hi << 64) | lo for hi, lo in zip(pair[0].tolist(), pair[1].tolist())]
+
+
+def _mul128(x_hi, x_lo, a_hi, a_lo):
+    """(x * a) mod 2**128 of (hi, lo) uint64 pairs; numpy uint64 products wrap."""
+    return _mulhi64(x_lo, a_lo) + x_hi * a_lo + x_lo * a_hi, x_lo * a_lo
+
+
+def _mulhi64(x, a):
+    """High 64 bits of the 128-bit product x * a, through 32-bit limbs."""
+    shift = np.uint64(32)
+    x0, x1 = x & _LO32, x >> shift
+    a0, a1 = a & _LO32, a >> shift
+    cross1, cross2 = x0 * a1, x1 * a0
+    mid = ((x0 * a0) >> shift) + (cross1 & _LO32) + (cross2 & _LO32)
+    return x1 * a1 + (cross1 >> shift) + (cross2 >> shift) + (mid >> shift)
+
+
+def _add128(x_hi, x_lo, y_hi, y_lo):
+    lo = x_lo + y_lo
+    return x_hi + y_hi + (lo < x_lo), lo

@@ -6,6 +6,7 @@ import pytest
 
 from phasekit.angles import TWO_PI, circ_distance
 from phasekit.cli import dispatch
+from phasekit.io import MAX_RECORD_LENGTH
 
 
 def read_csv_rows(path):
@@ -60,6 +61,28 @@ def test_custom_window_from_csv(tmp_path):
     rows = read_csv_rows(out)
     assert [float(r["value"]) for r in rows] == [0.6, 0.8]
     assert dispatch(["window", "--record-length", "4", "--window", "custom"]) == 2
+
+
+@pytest.mark.parametrize("command", [
+    ["dist", "--phase-frac", "0.1"],
+    ["sample", "--phase-frac", "0.1", "--shots", "5"],
+])
+def test_custom_window_length_must_match_record_length(tmp_path, command, capsys):
+    weights = tmp_path / "w.csv"
+    weights.write_text("1\n2\n3\n")
+    custom = ["--window", "custom", "--weights-csv", str(weights)]
+    assert dispatch([*command, "--qubits", "2", *custom]) == 2
+    assert ("usage error: --weights-csv holds 3 weights, but the record length is 4"
+            in capsys.readouterr().err)
+    assert dispatch([*command, "--record-length", "3", "--allow-any-n", *custom]) == 0
+
+
+def test_weights_csv_beyond_the_length_bound_is_rejected(tmp_path, capsys):
+    weights = tmp_path / "w.csv"
+    weights.write_text("1\n" * (MAX_RECORD_LENGTH + 2))
+    assert dispatch(["dist", "--qubits", "20", "--phase-frac", "0.1", "--window", "custom",
+                     "--weights-csv", str(weights)]) == 1
+    assert f"error: weights CSV: more than {MAX_RECORD_LENGTH} weights" in capsys.readouterr().err
 
 
 def test_randomized_commands_echo_seed(tmp_path, capsys):
