@@ -26,6 +26,7 @@ from .experiments import (
     run_scatter,
 )
 from .fisher import avg_sqrt_crb, crb, fisher_information
+from .io import load_weights_csv
 from .model import (
     Histogram,
     PhaseDistribution,
@@ -37,7 +38,6 @@ from .model import (
 from .rng import derive_seed, make_generator, splitmix64
 from .windows import (
     WindowVector,
-    load_weights_csv,
     make_bartlett,
     make_cosine,
     make_custom,

@@ -38,18 +38,18 @@ from .experiments import (
 from .io import (
     MAX_RECORD_LENGTH,
     MAX_SHOTS,
-    histogram_to_csv,
-    read_histogram_csv,
-    read_sample_set_json,
+    load_weights_csv,
+    read_sample_set,
     sample_set_to_json,
     save_text,
     table_to_csv,
     table_to_json,
     write_csv,
     write_json,
+    write_values,
 )
-from .model import SampleSet, distribution, histogram, sample
-from .windows import WINDOW_KINDS, load_weights_csv, make_window
+from .model import distribution, histogram, sample
+from .windows import WINDOW_KINDS, make_window
 
 THREADS_ENV = "PHASEKIT_THREADS"
 
@@ -174,8 +174,10 @@ def _add_length_args(p, many: bool = False):
 
 def _add_window_args(p):
     p.add_argument("--window", choices=WINDOW_KINDS, default="rect")
-    p.add_argument("--weights-csv", help="one-column CSV for --window custom, "
-                                         "one weight per outcome of the record length")
+    p.add_argument("--weights-csv",
+                   help="weights for --window custom, one per outcome of the record "
+                        "length: the y,value CSV that `window` writes, or one column "
+                        "with an optional header")
 
 
 def _add_phase_args(p, required: bool):
@@ -279,18 +281,10 @@ def _emit_table(args, table) -> int:
     return _emit(args, render(table))
 
 
-def _emit_values(args, spec: dict, values) -> int:
-    """A y,value listing: CSV rows, or JSON rows under spec."""
-    rows = list(enumerate(values))
-    if args.format == "csv":
-        return _emit(args, write_csv(["y", "value"], rows))
-    return _emit(args, write_json(spec, [{"y": y, "value": float(v)} for y, v in rows]))
-
-
 def _cmd_window(args) -> int:
     window = _resolve_window(args, _resolve_n(args))
-    return _emit_values(args, {"kind": window.kind, "n_points": window.n_points},
-                        window.weights)
+    spec = {"kind": window.kind, "n_points": window.n_points}
+    return _emit(args, write_values(window.weights, spec, args.format))
 
 
 def _cmd_dist(args) -> int:
@@ -299,7 +293,7 @@ def _cmd_dist(args) -> int:
     offset = np.pi / n if args.offset_half_cell else 0.0
     dist = distribution(window, _resolve_phase(args), offset)
     spec = {"n_points": n, "window": window.kind, "phase": dist.phase, "offset": dist.offset}
-    return _emit_values(args, spec, dist.probs)
+    return _emit(args, write_values(dist.probs, spec, args.format))
 
 
 def _cmd_sample(args) -> int:
@@ -312,7 +306,7 @@ def _cmd_sample(args) -> int:
     dist = distribution(window, _resolve_phase(args), offset)
     draws = sample(dist, args.shots, args.seed)
     if args.format == "csv":
-        return _emit(args, histogram_to_csv(histogram(draws)))
+        return _emit(args, write_values(histogram(draws).counts))
     return _emit(args, sample_set_to_json(draws))
 
 
@@ -333,7 +327,7 @@ def _cmd_crb(args) -> int:
 def _cmd_estimate(args) -> int:
     config = _validated(EstimatorConfig, bins_kept=args.bins_kept,
                         grid_points=args.grid_points)
-    sets = [_load_sample_set(path, args.offset_half_cell) for path in args.input]
+    sets = [read_sample_set(path, args.offset_half_cell) for path in args.input]
     if args.estimator == "df":
         if len(sets) != 2:
             raise CliError("df estimation needs exactly two --input files")
@@ -394,16 +388,6 @@ def _experiment_spec(args) -> ExperimentSpec:
         allow_any_n=args.allow_any_n,
         n_jobs=args.threads,
     )
-
-
-def _load_sample_set(path, offset_half_cell: bool):
-    """Sample set from JSON, or expanded from a histogram CSV."""
-    if str(path).endswith(".csv"):
-        hist = read_histogram_csv(path)
-        outcomes = np.repeat(np.arange(hist.n_points), hist.counts)
-        offset = np.pi / hist.n_points if offset_half_cell else 0.0
-        return SampleSet(hist.n_points, outcomes, offset=offset)
-    return read_sample_set_json(path)
 
 
 def _rescale_scatter(table):

@@ -14,10 +14,6 @@ import numpy as np
 
 NORM_TOL = 1e-12
 
-# The largest record length that a file or a command-line argument may ask
-# for, so that no input sizes an allocation beyond it.
-MAX_RECORD_LENGTH = 2 ** 20
-
 WINDOW_KINDS = ("rect", "cosine", "bartlett", "custom")
 
 
@@ -108,24 +104,13 @@ def make_window(kind: str, n_points: int | None = None, weights=None) -> WindowV
     raise ValueError(f"unknown window kind {kind!r}; expected one of {WINDOW_KINDS}")
 
 
-def load_weights_csv(path) -> np.ndarray:
-    """Read custom weights from a one-column CSV file (optional header).
-
-    At most MAX_RECORD_LENGTH + 1 rows are read; a file with more than
-    MAX_RECORD_LENGTH weights is rejected with ValueError.
-    """
-    rows = MAX_RECORD_LENGTH + 1
-    try:
-        weights = np.loadtxt(path, delimiter=",", ndmin=1, max_rows=rows)
-    except ValueError:
-        weights = np.loadtxt(path, delimiter=",", ndmin=1, skiprows=1, max_rows=rows)
-    if weights.shape[0] > MAX_RECORD_LENGTH:
-        raise ValueError(f"weights CSV: more than {MAX_RECORD_LENGTH} weights")
-    return weights
-
-
 def _normalized(w: np.ndarray) -> np.ndarray:
-    norm = np.linalg.norm(w)
+    # Finite weights can still overflow the sum of squares; say so instead of
+    # letting numpy warn and then dividing by infinity.
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(w)
+    if not np.isfinite(norm):
+        raise ValueError("window weights are too large to normalize: their norm overflows")
     if norm == 0.0:
         raise ValueError("window weights must not all be zero")
     return w / norm

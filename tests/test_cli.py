@@ -1,12 +1,15 @@
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
 
+import phasekit.io
 from phasekit.angles import TWO_PI, circ_distance
 from phasekit.cli import dispatch
-from phasekit.io import MAX_RECORD_LENGTH
+from phasekit.io import MAX_RECORD_LENGTH, load_weights_csv
+from phasekit.windows import make_window
 
 
 def read_csv_rows(path):
@@ -83,6 +86,64 @@ def test_weights_csv_beyond_the_length_bound_is_rejected(tmp_path, capsys):
     assert dispatch(["dist", "--qubits", "20", "--phase-frac", "0.1", "--window", "custom",
                      "--weights-csv", str(weights)]) == 1
     assert f"error: weights CSV: more than {MAX_RECORD_LENGTH} weights" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("qubits", [3, 7])
+@pytest.mark.parametrize("kind", ["rect", "cosine", "bartlett"])
+def test_window_csv_reads_back_as_custom_weights(tmp_path, kind, qubits):
+    weights = tmp_path / "w.csv"
+    assert dispatch(["window", "--qubits", str(qubits), "--window", kind,
+                     "--format", "csv", "--output", str(weights)]) == 0
+    assert np.array_equal(load_weights_csv(weights), make_window(kind, 2 ** qubits).weights)
+    dist = ["dist", "--qubits", str(qubits), "--phase-frac", "0.1"]
+    custom, builtin = tmp_path / "custom.csv", tmp_path / "builtin.csv"
+    assert dispatch([*dist, "--window", "custom", "--weights-csv", str(weights),
+                     "--output", str(custom)]) == 0
+    assert dispatch([*dist, "--window", kind, "--output", str(builtin)]) == 0
+    values = [[float(r["value"]) for r in read_csv_rows(path)] for path in (custom, builtin)]
+    np.testing.assert_allclose(values[0], values[1], rtol=0, atol=1e-12)
+    # Equal bytes hold for cosine only: rect's built-in distribution is the
+    # closed form while custom goes through the FFT, and renormalizing
+    # Bartlett's weights moves last bits at some N (8 and 1024).
+    if kind == "cosine":
+        assert custom.read_bytes() == builtin.read_bytes()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1e308\n1e308\n", "window weights are too large to normalize: their norm overflows"),
+    ("hello\nworld\n", "weights CSV: expected one number per row after an optional "
+                        "header, or the columns y,value"),
+    ("", "weights CSV: 0 weights, expected 2 to 1048576"),
+    ("5\n", "weights CSV: 1 weights, expected 2 to 1048576"),
+    ("1\nnan\n", "weights CSV: weights must be finite"),
+    ("1\n\n2\n", "weights CSV: expected one number per row"),
+    ("y,value\n0,1\n0,2\n", "weights CSV: repeated y=0"),
+    ("y,value\n0,1\n2,2\n", "weights CSV: y=2 outside [0, 2)"),
+    ("y,value\n0,1\n1\n", "weights CSV: every row must be an integer y and a weight"),
+    ("y,value\n0,1\n1,inf\n", "weights CSV: weights must be finite"),
+])
+def test_malformed_weights_csv_is_one_error_line(tmp_path, capsys, text, message):
+    weights = tmp_path / "w.csv"
+    weights.write_text(text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert dispatch(["dist", "--qubits", "1", "--phase-frac", "0.1", "--window", "custom",
+                         "--weights-csv", str(weights)]) == 1
+    assert caught == []
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}")
+    assert err.count("\n") == 1 and "Warning" not in err
+
+
+def test_sample_set_json_beyond_the_outcome_bound_is_rejected(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(phasekit.io, "MAX_SHOTS", 3)
+    path = tmp_path / "s.json"
+    estimate = ["estimate", "--estimator", "mean", "--input", str(path)]
+    path.write_text('{"n_points": 8, "outcomes": [1, 2, 2]}')
+    assert dispatch(estimate) == 0
+    path.write_text('{"n_points": 8, "outcomes": [1, 2, 2, 3]}')
+    assert dispatch(estimate) == 1
+    assert "error: sample-set JSON: more than 3 outcomes" in capsys.readouterr().err
 
 
 def test_randomized_commands_echo_seed(tmp_path, capsys):

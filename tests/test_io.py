@@ -5,14 +5,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import phasekit.io
 from phasekit.io import (
-    distribution_to_csv,
     format_value,
-    histogram_to_csv,
+    load_weights_csv,
     read_histogram_csv,
     read_sample_set_json,
     sample_set_to_json,
     write_csv,
+    write_values,
 )
 from phasekit.model import SampleSet, distribution, histogram, sample
 from phasekit.windows import make_cosine
@@ -32,7 +33,7 @@ def test_csv_has_header_and_lf_endings(tmp_path):
 
 def test_distribution_csv_roundtrip_values():
     d = distribution(make_cosine(8), 1.1)
-    lines = distribution_to_csv(d).strip().split("\n")
+    lines = write_values(d.probs).strip().split("\n")
     assert lines[0] == "y,value"
     values = [float(line.split(",")[1]) for line in lines[1:]]
     np.testing.assert_array_equal(values, d.probs)  # 17 digits round-trip exactly
@@ -41,7 +42,7 @@ def test_distribution_csv_roundtrip_values():
 def test_histogram_csv_roundtrip(tmp_path):
     h = histogram(sample(distribution(make_cosine(16), 0.9), 500, seed=4))
     path = tmp_path / "h.csv"
-    histogram_to_csv(h, path)
+    write_values(h.counts, path=path)
     back = read_histogram_csv(path)
     assert np.array_equal(back.counts, h.counts)
     assert back.total == h.total
@@ -102,6 +103,45 @@ def test_histogram_reader_parses_or_raises_value_error(tmp_path, text):
 @given(text=JSON_TEXT)
 def test_sample_set_reader_parses_or_raises_value_error(tmp_path, text):
     _parses_or_raises_value_error(read_sample_set_json, tmp_path / "s.json", text)
+
+
+WEIGHTS_TEXT = st.one_of(
+    CSV_TEXT,
+    st.tuples(st.sampled_from(["", "weight\n"]), st.lists(CSV_CELL, max_size=8)).map(
+        lambda parts: parts[0] + "\n".join(parts[1])),
+)
+
+
+@FUZZ
+@given(text=WEIGHTS_TEXT)
+def test_weights_reader_parses_or_raises_value_error(tmp_path, text):
+    path = tmp_path / "w.csv"
+    path.write_bytes(text.encode("utf-8", "surrogatepass"))
+    try:
+        weights = load_weights_csv(path)
+    except ValueError:
+        return
+    assert weights.dtype == np.float64 and weights.ndim == 1
+    assert np.all(np.isfinite(weights))
+
+
+# Past row MAX_RECORD_LENGTH + 2 a reader must not look: a row there that
+# the csv module cannot parse would turn the row-count error into another.
+@pytest.mark.parametrize("reader, header, message", [
+    (read_histogram_csv, "y,value\n", "histogram CSV: more than 4 rows"),
+    (load_weights_csv, "y,value\n", "weights CSV: more than 4 weights"),
+    (load_weights_csv, "", "weights CSV: more than 4 weights"),
+])
+def test_csv_readers_stop_after_the_row_bound(tmp_path, monkeypatch, reader, header, message):
+    monkeypatch.setattr(phasekit.io, "MAX_RECORD_LENGTH", 4)
+    rows = [f"{y},1" if header else "1" for y in range(6)]
+    path = tmp_path / "big.csv"
+    path.write_text(header + "\n".join(rows) + "\n")
+    with pytest.raises(ValueError, match=message):
+        reader(path)
+    path.write_text(header + "\n".join([*rows, "x" * 200_000]) + "\n")
+    with pytest.raises(ValueError, match=message):
+        reader(path)
 
 
 @FUZZ

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from phasekit.io import load_weights_csv
 from phasekit.windows import (
     WindowVector,
-    load_weights_csv,
     make_bartlett,
     make_cosine,
     make_custom,
