@@ -7,8 +7,9 @@ fields of the kind's row type; an ExperimentRow's wall_time stays in
 memory and is never serialized, because it varies run to run.
 ExperimentSpec rejects a run that cannot start (an unknown window for a
 CRB curve, a CRB grid below 16 or above MAX_CRB_GRID_SIZE phases, more
-than MAX_TRIALS trials, a scatter run over more than one N, N_s or
-estimator, df with fewer than 2 shots) before any work is done.
+than MAX_TRIALS trials, N above io.MAX_RECORD_LENGTH, N_s above
+io.MAX_SHOTS, a scatter run over more than one N, N_s or estimator, df
+with fewer than 2 shots) before any work is done.
 
 Every trial draws its own generator from a seed derived as
 derive_seed(master_seed, kind, estimator, N, N_s, trial_index), so tables
@@ -26,9 +27,10 @@ same bytes as running its trials one at a time, because:
   splits into a ceil(N_s/2) plain and a floor(N_s/2) offset set.  So the
   block draws one (T, 1 + N_s) matrix with every stream unchanged (one
   column more for a sample mean, below);
-* distributions, CDFs and histograms are row-wise numpy operations whose
-  rows equal the single-trial results (row-wise cumsum and FFT, and one
-  searchsorted per row);
+* distributions, inverse-CDF sampling and histograms are row-wise numpy
+  operations whose rows equal the single-trial results (row-wise FFT,
+  model.sample_rows, the one sampler behind model.sample, with a row-wise
+  cumsum and one searchsorted per row);
 * the AML objective is contracted with the counts once per group of rows
   with the same number K of nonzero kept bins, so every product is the
   same (G, K) @ (K,) BLAS call as for one histogram (estimators.aml_rows);
@@ -36,12 +38,14 @@ same bytes as running its trials one at a time, because:
   argmax and argmin for the grid point and the DF pair.
 
 A block holds at most BLOCK_BYTES of arrays, sized from N and N_s, so
-memory does not grow with the trial count.  A sample-mean trial whose
-resultant vector vanishes (two opposite outcomes, say) has no mean; it
-then guesses a uniform phase from the next double of its own stream.  A
-sample-mean block draws that double for every trial along with the
-others, and a trial with a mean leaves it unused, so every trial's bytes
-stay those of the trial run alone.
+memory does not grow with the trial count.  It is the only memory budget
+of a block: rng.uniform_rows draws the block's uniforms in one pass.
+
+A sample-mean trial whose resultant vector vanishes (two opposite
+outcomes, say) has no mean; it then guesses a uniform phase from the
+next double of its own stream.  A sample-mean block draws that double
+for every trial along with the others, and a trial with a mean leaves it
+unused, so every trial's bytes stay those of the trial run alone.
 """
 
 from __future__ import annotations
@@ -60,7 +64,8 @@ from .estimators import (
     split_shot_counts,
 )
 from .fisher import avg_sqrt_crb
-from .model import cdf_rows, distribution_rows, histogram_rows, sample_rows
+from .io import MAX_RECORD_LENGTH, MAX_SHOTS
+from .model import distribution_rows, histogram_rows, sample_rows
 from .rng import derive_seed, uniform_rows
 from .windows import make_window
 
@@ -114,6 +119,8 @@ class ExperimentSpec:
             raise ValueError("n_points and n_shots lists must be nonempty")
         if min(self.n_shots) < 1:
             raise ValueError("every shot count must be >= 1")
+        if max(self.n_shots) > MAX_SHOTS:
+            raise ValueError(f"every shot count must be <= {MAX_SHOTS}")
         if self.trials < 0:
             raise ValueError("trials must be nonnegative")
         if self.trials > MAX_TRIALS:
@@ -128,6 +135,8 @@ class ExperimentSpec:
         for n in self.n_points:
             if n < 2:
                 raise ValueError("record length must be >= 2")
+            if n > MAX_RECORD_LENGTH:
+                raise ValueError(f"record length must be <= {MAX_RECORD_LENGTH}")
             if not self.allow_any_n and n & (n - 1) != 0:
                 raise ValueError(
                     f"record length {n} is not a power of two (set allow_any_n to override)"
@@ -345,7 +354,7 @@ def _trial_block(spec: ExperimentSpec, estimator: str, window, n: int, n_shots: 
 
 def _sample(window, effective: np.ndarray, u: np.ndarray) -> np.ndarray:
     """(T, S) outcomes of the uniforms u at the given effective phases."""
-    return sample_rows(cdf_rows(distribution_rows(window, effective)), u)
+    return sample_rows(distribution_rows(window, effective), u)
 
 
 def _draw_phases(spec: ExperimentSpec, n: int, index: np.ndarray, u: np.ndarray) -> np.ndarray:

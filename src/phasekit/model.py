@@ -126,32 +126,28 @@ def _window_probs(weights: np.ndarray, effective: np.ndarray) -> np.ndarray:
     return np.abs(np.fft.fft(ramp, axis=1)) ** 2 / n
 
 
-def sample(dist: PhaseDistribution, n_shots: int, seed: int) -> SampleSet:
-    """Draw n_shots i.i.d. outcomes by inverse CDF; bit-reproducible per seed."""
+def sample(dist: PhaseDistribution, n_shots: int, seed) -> SampleSet:
+    """Draw n_shots i.i.d. outcomes by inverse CDF; bit-reproducible per seed.
+
+    seed is an integer, or a np.random.Generator whose stream the draw
+    continues (so several sample sets can share one stream).
+    """
     if n_shots < 1:
         raise ValueError("n_shots must be >= 1")
-    return sample_with_rng(dist, n_shots, make_generator(seed))
-
-
-def sample_with_rng(dist: PhaseDistribution, n_shots: int, rng: np.random.Generator) -> SampleSet:
-    """Inverse-CDF sampling from an explicit generator (shared stream use)."""
-    cdf = cdf_rows(np.maximum(dist.probs, 0.0)[None, :])
-    outcomes = sample_rows(cdf, rng.random(n_shots)[None, :])[0]
+    rng = seed if isinstance(seed, np.random.Generator) else make_generator(seed)
+    probs = np.maximum(dist.probs, 0.0)[None, :]
+    outcomes = sample_rows(probs, rng.random(n_shots)[None, :])[0]
     return SampleSet(dist.n_points, outcomes, offset=dist.offset)
 
 
-def cdf_rows(probs: np.ndarray) -> np.ndarray:
-    """Row-normalized cumulative sums of (T, N) nonnegative probabilities."""
+def sample_rows(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """(T, S) outcomes: row t inverts the CDF of the nonnegative probs[t] at
+    the uniforms u[t] (row-normalized cumsum, one searchsorted per row)."""
     cdf = np.cumsum(probs, axis=1)
     last = cdf[:, -1:].copy()
     if np.any(last <= 0.0):
         raise ValueError("degenerate distribution: no positive probability mass")
     cdf /= last
-    return cdf
-
-
-def sample_rows(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """(T, S) outcomes: row t inverts cdf[t] at the uniforms u[t]."""
     outcomes = np.empty(u.shape, dtype=np.int64)
     for row_cdf, row_u, row_out in zip(cdf, u, outcomes):
         row_out[:] = np.searchsorted(row_cdf, row_u, side="right")

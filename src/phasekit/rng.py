@@ -31,6 +31,10 @@ the seeding and the stream of np.random.PCG64(seed) fixed:
 * for longer streams, one PCG64 is set to each (state, inc) in turn and
   asked for random_raw(k).
 
+uniform_rows keeps no memory budget of its own: the closed form draws the
+whole block in one pass, so the caller bounds T (experiments.BLOCK_BYTES
+keeps a block's closed-form draw within 2**12 words).
+
 The first call checks one stream of each kind against np.random.PCG64;
 should a numpy release break that, every call falls back to one PCG64 per
 seed, the plain loop that also serves as the test oracle.
@@ -53,8 +57,6 @@ _DOUBLE_SCALE = 2.0 ** -53
 # Longest stream computed in closed form; longer ones are read from a PCG64
 # set to each stream's state.  Measured crossover, in 64-bit words.
 CLOSED_FORM_MAX_WORDS = 64
-# Elements per (rows, k) temporary of the closed form.
-CHUNK_WORDS = 1 << 12
 
 # numpy's SeedSequence constants (numpy/random/bit_generator.pyx).
 _INIT_A = 0x43B0D7E5
@@ -160,19 +162,15 @@ def _streams_match_numpy() -> bool:
 
 
 def _uniform_rows_vectorized(seeds: np.ndarray, k: int) -> np.ndarray:
-    out = np.empty((len(seeds), k))
     state, inc = _seeded(np.asarray(seeds, dtype=np.uint64))
     if k <= CLOSED_FORM_MAX_WORDS:
-        step = max(1, CHUNK_WORDS // max(k, 1))
-        for lo in range(0, len(out), step):
-            rows = slice(lo, lo + step)
-            out[rows] = _to_double(_closed_form_raw(state[:, rows], inc[:, rows], k))
-    else:
-        bitgen = np.random.PCG64(0)
-        for row, s, i in zip(out, _as_ints(state), _as_ints(inc)):
-            bitgen.state = {"bit_generator": "PCG64", "state": {"state": s, "inc": i},
-                            "has_uint32": 0, "uinteger": 0}
-            row[:] = _to_double(bitgen.random_raw(k))
+        return _to_double(_closed_form_raw(state, inc, k))
+    out = np.empty((len(seeds), k))
+    bitgen = np.random.PCG64(0)
+    for row, s, i in zip(out, _as_ints(state), _as_ints(inc)):
+        bitgen.state = {"bit_generator": "PCG64", "state": {"state": s, "inc": i},
+                        "has_uint32": 0, "uinteger": 0}
+        row[:] = _to_double(bitgen.random_raw(k))
     return out
 
 

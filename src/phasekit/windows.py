@@ -16,6 +16,9 @@ NORM_TOL = 1e-12
 
 WINDOW_KINDS = ("rect", "cosine", "bartlett", "custom")
 
+# Below this norm the sum of squares of the weights loses digits to underflow.
+_RESCALE_BELOW = 2.0 ** -500
+
 
 @dataclass(frozen=True, eq=False)
 class WindowVector:
@@ -33,7 +36,8 @@ class WindowVector:
             raise ValueError("record length must be at least 2")
         if not np.all(np.isfinite(w)):
             raise ValueError("window weights must be finite")
-        norm = float(np.linalg.norm(w))
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(w))
         if abs(norm - 1.0) > NORM_TOL:
             raise ValueError(f"window is not unit-norm: ||w|| = {norm!r}")
         w.setflags(write=False)
@@ -111,8 +115,13 @@ def _normalized(w: np.ndarray) -> np.ndarray:
         norm = np.linalg.norm(w)
     if not np.isfinite(norm):
         raise ValueError("window weights are too large to normalize: their norm overflows")
-    if norm == 0.0:
-        raise ValueError("window weights must not all be zero")
+    if norm < _RESCALE_BELOW:
+        # The squares underflow or go subnormal: divide by the largest weight first.
+        largest = np.max(np.abs(w))
+        if largest == 0.0:
+            raise ValueError("window weights must not all be zero")
+        w = w / largest
+        norm = np.linalg.norm(w)
     return w / norm
 
 

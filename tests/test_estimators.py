@@ -233,10 +233,8 @@ def df_sample_pair(n, phase, n_shots, seed):
     rng = make_generator(seed)
     first, second = split_shot_counts(n_shots)
     w = make_rectangular(n)
-    from phasekit.model import sample_with_rng
-
-    set1 = sample_with_rng(distribution(w, phase, 0.0), first, rng)
-    set2 = sample_with_rng(distribution(w, phase, np.pi / n), second, rng)
+    set1 = sample(distribution(w, phase, 0.0), first, rng)
+    set2 = sample(distribution(w, phase, np.pi / n), second, rng)
     return set1, set2
 
 

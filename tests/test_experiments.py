@@ -22,10 +22,11 @@ from phasekit.experiments import (
     run_rmse_vs_n,
     run_rmse_vs_shots,
     run_scatter,
+    _block_rows,
 )
 from phasekit.io import table_to_csv, table_to_json
-from phasekit.model import distribution, histogram, sample_with_rng
-from phasekit.rng import derive_seed, make_generator, splitmix64
+from phasekit.model import distribution, histogram, sample
+from phasekit.rng import CLOSED_FORM_MAX_WORDS, derive_seed, make_generator, splitmix64
 from phasekit.windows import make_window
 
 
@@ -183,10 +184,10 @@ def _reference_trial(spec, window, i):
     phase = float(rng.random() * TWO_PI)
     if estimator == "df":
         first, second = split_shot_counts(n_shots)
-        set1 = sample_with_rng(distribution(window, phase, 0.0), first, rng)
-        set2 = sample_with_rng(distribution(window, phase, np.pi / n), second, rng)
+        set1 = sample(distribution(window, phase, 0.0), first, rng)
+        set2 = sample(distribution(window, phase, np.pi / n), second, rng)
         return phase, dual_frequency_estimate(set1, set2), False
-    draws = sample_with_rng(distribution(window, phase), n_shots, rng)
+    draws = sample(distribution(window, phase), n_shots, rng)
     if estimator == "aml":
         return phase, aml_estimate(histogram(draws)).refined, False
     try:
@@ -216,6 +217,27 @@ def test_blocks_equal_trials_run_one_by_one(estimator, n, n_shots, seed, guesses
     assert guessed == guesses
 
 
+def test_block_budget_bounds_the_closed_form_draw():
+    """A block's closed-form draw stays within 2**12 words.
+
+    uniform_rows draws the (T, k) words of a whole block in one pass, so
+    _block_rows is the only bound on its temporaries.  k is N_s plus 0, 1
+    or 2 extra draws (the phase, and a sample mean's guess).  Record lengths
+    are checked one by one up to 2**14; beyond that one trial's arrays take
+    more than half of BLOCK_BYTES, so a block is a single trial, which is
+    checked around every power of two up to 2**20.
+    """
+    beyond = [2**p + d for p in range(14, 21) for d in (-1, 0, 1) if 2**p + d <= 2**20]
+    worst = 0
+    for n_shots in range(1, CLOSED_FORM_MAX_WORDS + 1):
+        rows = max(_block_rows(n, n_shots) for n in range(2, 2**14 + 1))
+        assert all(_block_rows(n, n_shots) == 1 for n in beyond)
+        for extra in (0, 1, 2):
+            if n_shots + extra <= CLOSED_FORM_MAX_WORDS:
+                worst = max(worst, rows * (n_shots + extra))
+    assert worst <= 2**12
+
+
 @pytest.mark.parametrize("overrides, message", [
     (dict(kind="crb-curve", windows=("rect", "hann")), "unknown window 'hann'"),
     (dict(kind="crb-curve", windows=("custom",)), "unknown window 'custom'"),
@@ -228,6 +250,14 @@ def test_blocks_equal_trials_run_one_by_one(estimator, n, n_shots, seed, guesses
     # Bounds on what a spec sizes, checked before anything is allocated.
     (dict(trials=10**12), "trials must be <= 1000000"),
     (dict(crb_grid_size=10**12), "crb_grid_size must be <= 65536"),
+    (dict(n_points=(64, 2**21)), "record length must be <= 1048576"),
+    (dict(n_shots=(8, 10**7 + 1)), "every shot count must be <= 10000000"),
+    (dict(kind="crb-curve", n_points=(2**40,), n_shots=(1,), trials=1),
+     "record length must be <= 1048576"),
+    (dict(kind="crb-curve", n_points=(2**40,), n_shots=(10**12,), trials=1),
+     "every shot count must be <= 10000000"),
+    (dict(kind="crb-curve", n_points=(64,), n_shots=(10**12,), trials=1),
+     "every shot count must be <= 10000000"),
 ])
 def test_spec_rejects_runs_that_cannot_start(overrides, message):
     with pytest.raises(ValueError, match=message):

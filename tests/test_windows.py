@@ -68,6 +68,21 @@ def test_window_vector_rejects_bad_norm():
         WindowVector(3, np.array([1.0, 1.0, 1.0]))
 
 
+def test_window_vector_with_overflowing_norm_is_a_value_error():
+    # The sum of squares overflows: the module's own error, not numpy's warning.
+    with pytest.raises(ValueError, match="not unit-norm"):
+        WindowVector(2, [1e308, 1e308])
+
+
+@pytest.mark.parametrize("tiny", [1e-160, 1e-200, 5e-324])
+def test_tiny_custom_weights_normalize_like_unit_weights(tiny):
+    # Their squares go subnormal or underflow to zero.
+    expected = make_custom([1.0, 1.0]).weights
+    assert np.array_equal(make_custom([tiny, tiny]).weights, expected)
+    assert np.array_equal(make_custom([-tiny, 0.0, tiny]).weights,
+                          make_custom([-1.0, 0.0, 1.0]).weights)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=2, max_value=1024))
 def test_unit_norm_all_constructors(n):
