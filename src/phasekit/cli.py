@@ -6,9 +6,10 @@ length is given either as --qubits M (N = 2^M) or directly as
 are entered as --phase-frac x (phi = 2*pi*x) or --phase-rad r.  Each
 command renders only the format it emits.  Exit codes: 0 success, 1
 runtime error (including a malformed input file), 2 argument error
-(including a value that ExperimentSpec or EstimatorConfig rejects, a size
-beyond MAX_QUBITS, io.MAX_RECORD_LENGTH or io.MAX_SHOTS, and a custom
-window whose --weights-csv length differs from the record length).
+(including a value that ExperimentSpec or EstimatorConfig rejects, a
+phase that is not finite in radians, a size beyond MAX_QUBITS,
+io.MAX_RECORD_LENGTH or io.MAX_SHOTS, and a custom window whose
+--weights-csv length differs from the record length).
 """
 
 from __future__ import annotations
@@ -127,7 +128,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", action="append", required=True,
                    help="sample-set JSON or histogram CSV (twice for df)")
     p.add_argument("--offset-half-cell", action="store_true",
-                   help="declare a pi/N offset for CSV inputs, which carry none")
+                   help="declare a pi/N offset for CSV inputs, which carry none; it "
+                        "applies to every CSV input, so df needs at least one "
+                        "sample-set JSON")
     p.add_argument("--bins-kept", type=int, default=DEFAULT_CONFIG.bins_kept)
     p.add_argument("--grid-points", type=int, default=None)
     _add_output_args(p, default_format=None)
@@ -250,9 +253,14 @@ def _check_threads(args):
 
 
 def _resolve_phase(args) -> float:
+    # Checked before wrapping: np.mod of inf or nan warns and gives nan.
     if args.phase_frac is not None:
-        return wrap_two_pi(TWO_PI * args.phase_frac)
-    return wrap_two_pi(args.phase_rad)
+        flag, phase = "--phase-frac", TWO_PI * args.phase_frac
+    else:
+        flag, phase = "--phase-rad", args.phase_rad
+    if not np.isfinite(phase):
+        raise CliError(f"{flag} must give a finite phase")
+    return wrap_two_pi(phase)
 
 
 def _resolve_window(args, n: int):
@@ -302,8 +310,9 @@ def _cmd_sample(args) -> int:
     offset = np.pi / n if args.offset_half_cell else 0.0
     if not 1 <= args.shots <= MAX_SHOTS:
         raise CliError(f"--shots must be in [1, {MAX_SHOTS}]")
+    phase = _resolve_phase(args)
     print(f"seed: {args.seed}", file=sys.stderr)
-    dist = distribution(window, _resolve_phase(args), offset)
+    dist = distribution(window, phase, offset)
     draws = sample(dist, args.shots, args.seed)
     if args.format == "csv":
         return _emit(args, write_values(histogram(draws).counts))

@@ -117,6 +117,21 @@ class ExperimentSpec:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         if not self.n_points or not self.n_shots:
             raise ValueError("n_points and n_shots lists must be nonempty")
+        # Types first: a float here would pass every bound and fail deep in
+        # numpy.  numpy integers are stored as Python ints, which give the
+        # same bytes (np.sqrt of a uint16 shot count would be float32).
+        for name in ("n_points", "n_shots"):
+            values = getattr(self, name)
+            if not all(isinstance(v, (int, np.integer)) for v in values):
+                raise ValueError(f"every entry of {name} must be an integer")
+            object.__setattr__(self, name, tuple(int(v) for v in values))
+        for name in ("trials", "master_seed", "crb_grid_size"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer")
+            object.__setattr__(self, name, int(value))
+        if not np.all(np.isfinite(self.fixed_phases)):
+            raise ValueError("fixed_phases must be finite")
         if min(self.n_shots) < 1:
             raise ValueError("every shot count must be >= 1")
         if max(self.n_shots) > MAX_SHOTS:

@@ -18,29 +18,34 @@ absorbed in one pass; scalar seeds are the one-element case.
 
 uniform_rows computes the streams of a whole block as numpy computes
 them, without building one PCG64 per seed.  It relies on NEP 19 keeping
-the seeding and the stream of np.random.PCG64(seed) fixed:
+the seeding and the stream of np.random.PCG64(seed) fixed.  It has two
+paths:
 
-* SeedSequence(seed) is replayed on uint32 arrays: the hashmix/mix of its
-  4-word pool, then generate_state(4, uint64) and PCG64's srandom.  A seed
-  below 2**32 is one entropy word, and its missing high word hashes
-  exactly as the pool's zero pad, so one formula serves every seed;
-* for k <= CLOSED_FORM_MAX_WORDS, the j-th state of each stream is
-  A_j * s + C_j * inc mod 2**128 (per-k constants, built once with Python
-  ints), multiplied through 32-bit limbs on uint64 and turned into output
-  words by PCG64's XSL-RR step;
-* for longer streams, one PCG64 is set to each (state, inc) in turn and
-  asked for random_raw(k).
+* for k <= CLOSED_FORM_MAX_WORDS, the closed form.  SeedSequence(seed) is
+  replayed on uint32 arrays: the hashmix/mix of its 4-word pool, then
+  generate_state(4, uint64) and PCG64's srandom.  A seed below 2**32 is
+  one entropy word, and its missing high word hashes exactly as the
+  pool's zero pad, so one formula serves every seed.  The j-th state of
+  each stream is then A_j * s + C_j * inc mod 2**128 (constants built
+  once at import with Python ints), multiplied through 32-bit limbs on
+  uint64 and turned into output words by PCG64's XSL-RR step;
+* every longer stream, and every call once the first-use check has
+  failed, reads np.random.PCG64(seed).random_raw(k) seed by seed.  This
+  plain loop is also the test oracle.
+
+A third path, one PCG64 set to each vectorized-seeded (state, inc) in
+turn, was deleted: at the block shapes the engine uses it cost 44-79 us
+per row against 27 us for the per-seed loop at k = 1002 (taper-bounds),
+and saved only ~5 us per row at k = 71-101 (under 1 % of cli-figures).
 
 uniform_rows keeps no memory budget of its own: the closed form draws the
 whole block in one pass, so the caller bounds T (experiments.BLOCK_BYTES
 keeps a block's closed-form draw within 2**12 words).
 
-The first call checks one stream of each kind against np.random.PCG64;
-should a numpy release break that, every call falls back to one PCG64 per
-seed, the plain loop that also serves as the test oracle.
+The first call checks one closed-form stream of CLOSED_FORM_MAX_WORDS
+words against np.random.PCG64; should a numpy release break that, every
+call falls back to the per-seed loop.
 """
-
-from functools import lru_cache
 
 import numpy as np
 
@@ -54,8 +59,10 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 _DOUBLE_SHIFT = np.uint64(11)
 _DOUBLE_SCALE = 2.0 ** -53
 
-# Longest stream computed in closed form; longer ones are read from a PCG64
-# set to each stream's state.  Measured crossover, in 64-bit words.
+# Longest stream computed in closed form, in 64-bit words; longer ones are
+# read from one np.random.PCG64 per seed.  Held at 64 by
+# test_block_budget_bounds_the_closed_form_draw, which ties it to the
+# 2**12-word block budget.
 CLOSED_FORM_MAX_WORDS = 64
 
 # numpy's SeedSequence constants (numpy/random/bit_generator.pyx).
@@ -126,11 +133,11 @@ def make_generator(seed: int) -> np.random.Generator:
 def uniform_rows(seeds: np.ndarray, k: int) -> np.ndarray:
     """(T, k) matrix whose row t is make_generator(seeds[t]).random(k).
 
-    The raw PCG64 words are computed for the whole block (see the module
-    docstring) and converted as numpy converts them, which skips building
-    a Generator per stream.
+    Up to CLOSED_FORM_MAX_WORDS, the raw PCG64 words are computed for the
+    whole block (see the module docstring); longer rows come from one
+    np.random.PCG64 per seed.  Both are converted as numpy converts them.
     """
-    if _streams_match_numpy():
+    if k <= CLOSED_FORM_MAX_WORDS and _streams_match_numpy():
         return _uniform_rows_vectorized(seeds, k)
     return _to_double(_raw_rows_loop(seeds, k))
 
@@ -151,27 +158,19 @@ _streams_checked: bool | None = None
 
 
 def _streams_match_numpy() -> bool:
-    """Whether both vectorized paths reproduce np.random.PCG64 (checked once)."""
+    """Whether the closed form reproduces np.random.PCG64 (checked once)."""
     global _streams_checked
     if _streams_checked is None:
-        seed = np.array([_MASK64], dtype=np.uint64)
-        _streams_checked = all(
-            np.array_equal(_uniform_rows_vectorized(seed, k), _to_double(_raw_rows_loop(seed, k)))
-            for k in (CLOSED_FORM_MAX_WORDS, CLOSED_FORM_MAX_WORDS + 1))
+        seed, k = np.array([_MASK64], dtype=np.uint64), CLOSED_FORM_MAX_WORDS
+        _streams_checked = np.array_equal(_uniform_rows_vectorized(seed, k),
+                                          _to_double(_raw_rows_loop(seed, k)))
     return _streams_checked
 
 
 def _uniform_rows_vectorized(seeds: np.ndarray, k: int) -> np.ndarray:
+    """Closed-form rows, for k <= CLOSED_FORM_MAX_WORDS."""
     state, inc = _seeded(np.asarray(seeds, dtype=np.uint64))
-    if k <= CLOSED_FORM_MAX_WORDS:
-        return _to_double(_closed_form_raw(state, inc, k))
-    out = np.empty((len(seeds), k))
-    bitgen = np.random.PCG64(0)
-    for row, s, i in zip(out, _as_ints(state), _as_ints(inc)):
-        bitgen.state = {"bit_generator": "PCG64", "state": {"state": s, "inc": i},
-                        "has_uint32": 0, "uinteger": 0}
-        row[:] = _to_double(bitgen.random_raw(k))
-    return out
+    return _to_double(_closed_form_raw(state, inc, k))
 
 
 def _seeded(seeds: np.ndarray):
@@ -227,7 +226,7 @@ _OTHER_WORDS = [np.array([i for i in range(4) if i != src]) for src in range(4)]
 
 def _closed_form_raw(state: np.ndarray, inc: np.ndarray, k: int) -> np.ndarray:
     """(T, k) raw words: XSL-RR of state_j = A_j * state + C_j * inc, j = 1..k."""
-    a_hi, a_lo, c_hi, c_lo = _jump_constants(k)
+    a_hi, a_lo, c_hi, c_lo = _JUMPS[:, :k]
     s_hi, s_lo = state[:, :, None]
     i_hi, i_lo = inc[:, :, None]
     hi, lo = _add128(*_mul128(s_hi, s_lo, a_hi, a_lo), *_mul128(i_hi, i_lo, c_hi, c_lo))
@@ -236,27 +235,19 @@ def _closed_form_raw(state: np.ndarray, inc: np.ndarray, k: int) -> np.ndarray:
     return (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
 
 
-@lru_cache(maxsize=CLOSED_FORM_MAX_WORDS + 1)
-def _jump_constants(k: int):
-    """(hi, lo) of A_j = MULT**j and of C_j = sum_{i<j} MULT**i mod 2**128, j = 1..k."""
+def _jump_constants(k: int) -> np.ndarray:
+    """(4, k) uint64 rows: the (hi, lo) halves of A_j = MULT**j and of
+    C_j = sum_{i<j} MULT**i mod 2**128, j = 1..k, from Python ints."""
     a, c = 1, 0
-    jumps, offsets = [], []
+    columns = []
     for _ in range(k):
         a, c = (a * _PCG_MULT) & _MASK128, (c * _PCG_MULT + 1) & _MASK128
-        jumps.append(a)
-        offsets.append(c)
-    return (*_split128(np.array(jumps, dtype=object)), *_split128(np.array(offsets, dtype=object)))
+        columns.append([a >> 64, a & _MASK64, c >> 64, c & _MASK64])
+    return np.array(columns, dtype=np.uint64).T.copy()
 
 
-def _split128(values: np.ndarray):
-    """(hi, lo) uint64 arrays of an object array of 128-bit Python ints."""
-    return ((values >> 64).astype(np.uint64),
-            (values & _MASK64).astype(np.uint64))
-
-
-def _as_ints(pair: np.ndarray) -> list[int]:
-    """128-bit Python ints of a (2, T) uint64 (hi, lo) pair."""
-    return [(hi << 64) | lo for hi, lo in zip(pair[0].tolist(), pair[1].tolist())]
+# (a_hi, a_lo, c_hi, c_lo) rows for j = 1..CLOSED_FORM_MAX_WORDS, sliced [:, :k].
+_JUMPS = _jump_constants(CLOSED_FORM_MAX_WORDS)
 
 
 def _mul128(x_hi, x_lo, a_hi, a_lo):

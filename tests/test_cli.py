@@ -135,6 +135,22 @@ def test_malformed_weights_csv_is_one_error_line(tmp_path, capsys, text, message
     assert err.count("\n") == 1 and "Warning" not in err
 
 
+@pytest.mark.parametrize("command", [["dist"], ["sample", "--shots", "5"]])
+@pytest.mark.parametrize("phase, message", [
+    (["--phase-frac", "1e308"], "--phase-frac must give a finite phase"),
+    (["--phase-frac", "nan"], "--phase-frac must give a finite phase"),
+    (["--phase-rad", "inf"], "--phase-rad must give a finite phase"),
+    (["--phase-rad=-inf"], "--phase-rad must give a finite phase"),
+])
+def test_non_finite_phase_is_one_usage_error_line(command, phase, message, capsys):
+    # 2*pi * 1e308 overflows to inf; it is rejected before np.mod would warn.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert dispatch([*command, "--qubits", "3", *phase]) == 2
+    assert caught == []
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+
+
 def test_sample_set_json_beyond_the_outcome_bound_is_rejected(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(phasekit.io, "MAX_SHOTS", 3)
     path = tmp_path / "s.json"

@@ -258,10 +258,31 @@ def test_block_budget_bounds_the_closed_form_draw():
      "every shot count must be <= 10000000"),
     (dict(kind="crb-curve", n_points=(64,), n_shots=(10**12,), trials=1),
      "every shot count must be <= 10000000"),
+    # Non-integers and non-finite fixed phases, which would otherwise fail
+    # late in numpy or write rmse=nan into the table.
+    (dict(n_shots=(30.5,)), "every entry of n_shots must be an integer"),
+    (dict(n_points=(64.5,)), "every entry of n_points must be an integer"),
+    (dict(n_points=(64.5,), allow_any_n=True), "every entry of n_points must be an integer"),
+    (dict(trials=20.5), "trials must be an integer"),
+    (dict(master_seed=1.5), "master_seed must be an integer"),
+    (dict(kind="crb-curve", crb_grid_size=100.5), "crb_grid_size must be an integer"),
+    (dict(phase_policy="fixed", fixed_phases=(float("nan"),)), "fixed_phases must be finite"),
+    (dict(phase_policy="fixed", fixed_phases=(0.5, float("inf"))),
+     "fixed_phases must be finite"),
 ])
 def test_spec_rejects_runs_that_cannot_start(overrides, message):
     with pytest.raises(ValueError, match=message):
         small_spec(**overrides)
+
+
+def test_spec_accepts_numpy_integers():
+    spec = small_spec(trials=20)
+    as_numpy = small_spec(n_points=(np.int64(64),), n_shots=(np.int32(8), np.uint16(16)),
+                          trials=np.int64(20), master_seed=np.int64(7))
+    def table(spec):
+        return [(r.n_shots, r.estimator, r.rmse, r.sqrt_crb) for r in run_experiment(spec).rows]
+
+    assert table(as_numpy) == table(spec)
 
 
 def test_spec_shape_checks_follow_the_kind():

@@ -65,6 +65,17 @@ def test_failed_first_use_check_falls_back_to_the_loop(monkeypatch):
     assert rng._streams_checked is False
 
 
+@pytest.mark.parametrize("k", [CLOSED_FORM_MAX_WORDS + 1, 1001])
+def test_longer_streams_use_one_pcg64_per_seed(monkeypatch, k):
+    # Beyond the closed form there is no vectorized seeding at all.
+    def no_seeding(seeds):
+        raise AssertionError("vectorized seeding used beyond the closed form")
+
+    seeds = _seeds(50, seed=k)
+    monkeypatch.setattr(rng, "_seeded", no_seeding)
+    assert np.array_equal(uniform_rows(seeds, k), _as_double(_pcg64_raw(seeds, k)))
+
+
 def test_vectorized_streams_pass_the_first_use_check(monkeypatch):
     monkeypatch.setattr(rng, "_streams_checked", None)
     assert rng._streams_match_numpy()
