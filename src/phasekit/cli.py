@@ -375,8 +375,9 @@ def _cmd_experiment(args) -> int:
         return _emit_plot_bundle(args)
     if args.kind is None:
         raise CliError("provide an experiment kind or --plot-data")
+    spec = _experiment_spec(args)
     print(f"seed: {args.seed}", file=sys.stderr)
-    table = run_experiment(_experiment_spec(args))
+    table = run_experiment(spec)
     if args.kind == "scatter" and args.cell_units:
         table = _rescale_scatter(table)
     return _emit_table(args, table)
@@ -407,9 +408,6 @@ def _rescale_scatter(table):
 
 def _emit_plot_bundle(args) -> int:
     """Write fig3.csv ... fig7.csv: CRB curves, scatter runs and RMSE sweeps."""
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    print(f"seed: {args.seed}", file=sys.stderr)
     shots_sweep = (2, 4, 8, 16, 30, 50, 70, 100)
 
     def spec(kind, **kw):
@@ -424,9 +422,15 @@ def _emit_plot_bundle(args) -> int:
 
     # One RMSE sweep feeds fig3's sample-mean overlay and fig5: a cell's
     # trial seeds depend on the kind, estimator, N and N_s, not on the
-    # other estimators of the run.
-    rmse_table = run_experiment(spec(
-        "rmse-vs-shots", estimators=("df", "mean-rect", "mean-cosine", "mean-bartlett")))
+    # other estimators of the run.  Its spec checks every argument the
+    # bundle takes, so a usage error comes before the seed line and before
+    # anything is written.
+    rmse_spec = spec(
+        "rmse-vs-shots", estimators=("df", "mean-rect", "mean-cosine", "mean-bartlett"))
+    print(f"seed: {args.seed}", file=sys.stderr)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    rmse_table = run_experiment(rmse_spec)
 
     # fig3: sqrt-CRB vs shots for each window, with sample-mean RMSE overlay
     crb_table = run_experiment(spec("crb-curve", n_shots=(1,) + shots_sweep))

@@ -63,7 +63,7 @@ from .estimators import (
     dual_frequency_rows,
     split_shot_counts,
 )
-from .fisher import avg_sqrt_crb
+from .fisher import _avg_sqrt_crbs
 from .io import MAX_RECORD_LENGTH, MAX_SHOTS
 from .model import distribution_rows, histogram_rows, sample_rows
 from .rng import derive_seed, uniform_rows
@@ -267,6 +267,9 @@ def _rmse_rows(spec: ExperimentSpec) -> list[ExperimentRow]:
     if spec.trials < 1:
         raise ValueError("RMSE experiments need at least one trial")
     rows = []
+    # The windows behind the estimators, in first-use order: at the first row
+    # of each N one call prices them all, sharing each block's phase ramp.
+    window_ids = list(dict.fromkeys(ESTIMATOR_WINDOWS[e] for e in spec.estimators))
     crb_cache: dict[tuple[str, int], float] = {}
     for n in spec.n_points:
         for n_shots in spec.n_shots:
@@ -275,10 +278,11 @@ def _rmse_rows(spec: ExperimentSpec) -> list[ExperimentRow]:
                 window_id = ESTIMATOR_WINDOWS[estimator]
                 _, errors = _collect_trials(spec, estimator, n, n_shots)
                 rmse = float(np.sqrt(np.sum(errors * errors) / spec.trials))
-                key = (window_id, n)
-                if key not in crb_cache:
-                    crb_cache[key] = avg_sqrt_crb(make_window(window_id, n), 1, spec.crb_grid_size)
-                sqrt_crb = float(crb_cache[key] / np.sqrt(n_shots))
+                if (window_id, n) not in crb_cache:
+                    prices = _avg_sqrt_crbs([make_window(w, n) for w in window_ids], 1,
+                                            spec.crb_grid_size)
+                    crb_cache.update(((w, n), p) for w, p in zip(window_ids, prices))
+                sqrt_crb = float(crb_cache[window_id, n] / np.sqrt(n_shots))
                 rows.append(ExperimentRow(
                     n_points=n,
                     n_shots=n_shots,
@@ -302,8 +306,9 @@ def _crb_rows(spec: ExperimentSpec) -> list[CrbRow]:
     vary_n = len(spec.n_points) > 1 and len(spec.n_shots) == 1
     rows = []
     for n in spec.n_points:
-        for window_id in spec.windows:
-            one_shot = avg_sqrt_crb(make_window(window_id, n), 1, spec.crb_grid_size)
+        prices = _avg_sqrt_crbs([make_window(w, n) for w in spec.windows], 1,
+                                spec.crb_grid_size)
+        for window_id, one_shot in zip(spec.windows, prices):
             for n_shots in spec.n_shots:
                 x = float(n) if vary_n else float(n_shots)
                 rows.append(CrbRow(x, window_id, one_shot / np.sqrt(n_shots)))

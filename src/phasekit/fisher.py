@@ -14,11 +14,16 @@ are materialized.  Independent shots add, so the bound for N_s shots is
 FI is computed for a block of phases at a time: row-wise length-N inverse
 FFTs of a (B, N) block, with B = max(1, FI_BLOCK_ELEMENTS // N), so the
 block's complex temporaries stay near 64 KiB each whatever the grid size
-(larger blocks cost resident memory and buy no speed).  Each row's
-masked sum stays a separate np.sum over that row's kept outcomes, which
-keeps numpy's pairwise summation order: the grid and the scalar
-fisher_information, its one-row case, give the bytes of a per-phase
-computation.
+(larger blocks cost resident memory and buy no speed).  The block's phase
+ramp exp(-j*phi_i*n) does not depend on the window, so it is computed
+once per block and shared by every window of that record length priced
+in the same call; each window multiplies it by its weights exactly as a
+call of its own would.  Rows that keep every outcome are summed whole,
+one np.sum along the rows; a row that drops some outcomes is summed over
+its kept ones alone.  Either way each row is one pairwise summation over
+its kept outcomes in order, so a grid of several windows, the grid of
+one window and the scalar fisher_information, its one-row case, all give
+the bytes of a per-phase computation.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ def fisher_information(window: WindowVector, phase: float) -> float:
     """Single-shot Fisher information of the phase under the given window."""
     if not np.isfinite(phase):
         raise ValueError("phase must be finite")
-    return float(_fisher_rows(window.weights, np.array([phase]))[0])
+    return float(_fisher_rows([window.weights], np.array([phase]))[0, 0])
 
 
 def crb(window: WindowVector, phase: float, n_shots: int) -> float:
@@ -72,16 +77,24 @@ def avg_sqrt_crb(
     collapses to zero.  Points with FI below FI_FLOOR are excluded; more
     than 10% exclusions is an error.
     """
+    return _avg_sqrt_crbs([window], n_shots, phase_grid_size)[0]
+
+
+def _avg_sqrt_crbs(windows: list[WindowVector], n_shots: int,
+                   phase_grid_size: int) -> list[float]:
+    """avg_sqrt_crb of each window, all of one record length, from one shared grid."""
     if phase_grid_size < 16:
         raise ValueError("phase_grid_size must be >= 16")
     if n_shots < 1:
         raise ValueError("n_shots must be >= 1")
-    fis = fisher_information_grid(window, phase_grid_size)
-    kept = fis[fis >= FI_FLOOR]
-    excluded = fis.size - kept.size
-    if excluded > 0.1 * fis.size:
-        raise ValueError(f"{excluded} of {fis.size} grid phases have degenerate FI")
-    return float(np.sqrt(np.mean(1.0 / (n_shots * kept))))
+    prices = []
+    for fis in _fisher_grids(windows, phase_grid_size):
+        kept = fis[fis >= FI_FLOOR]
+        excluded = fis.size - kept.size
+        if excluded > 0.1 * fis.size:
+            raise ValueError(f"{excluded} of {fis.size} grid phases have degenerate FI")
+        prices.append(float(np.sqrt(np.mean(1.0 / (n_shots * kept)))))
+    return prices
 
 
 def fisher_information_grid(window: WindowVector, grid_size: int = DEFAULT_PHASE_GRID) -> np.ndarray:
@@ -89,18 +102,37 @@ def fisher_information_grid(window: WindowVector, grid_size: int = DEFAULT_PHASE
 
     One cell suffices because FI has period 2*pi/N in the phase.
     """
-    cell = TWO_PI / window.n_points
-    phases = cell * (np.arange(grid_size) + 0.5) / grid_size
-    step = max(1, FI_BLOCK_ELEMENTS // window.n_points)
-    return np.concatenate([_fisher_rows(window.weights, phases[lo:lo + step])
-                           for lo in range(0, grid_size, step)])
+    return _fisher_grids([window], grid_size)[0]
 
 
-def _fisher_rows(weights: np.ndarray, phases: np.ndarray) -> np.ndarray:
-    """FI at each phase, from s_y and v_y of every outcome as (B, N) rows."""
-    n = weights.shape[0]
+def _fisher_grids(windows: list[WindowVector], grid_size: int) -> np.ndarray:
+    """(W, G) fisher_information_grid of W windows that share one record length."""
+    lengths = {window.n_points for window in windows}
+    if len(lengths) > 1:
+        raise ValueError(f"windows differ in record length: {sorted(lengths)}")
+    grids = np.empty((len(windows), grid_size))
+    if not windows:
+        return grids
+    (n,) = lengths
+    phases = TWO_PI / n * (np.arange(grid_size) + 0.5) / grid_size
+    step = max(1, FI_BLOCK_ELEMENTS // n)
+    weights = [window.weights for window in windows]
+    for lo in range(0, grid_size, step):
+        grids[:, lo:lo + step] = _fisher_rows(weights, phases[lo:lo + step])
+    return grids
+
+
+def _fisher_rows(weights: list[np.ndarray], phases: np.ndarray) -> np.ndarray:
+    """(W, B) FI of each weight vector at each phase, from one shared phase ramp."""
+    n = weights[0].shape[0]
     idx = np.arange(n)
-    ramp = weights * np.exp((-1j * phases)[:, None] * idx)
+    ramp = np.exp((-1j * phases)[:, None] * idx)
+    return np.array([_fisher_of_ramp(alpha * ramp, idx) for alpha in weights])
+
+
+def _fisher_of_ramp(ramp: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """FI of each (B, N) row c_n = alpha_n * e^{-j*n*phi}, from s_y and v_y of every outcome."""
+    n = ramp.shape[1]
     # N * ifft(c)[y] = sum_n c_n * exp(+2j*pi*n*y/N), so with c_n = alpha_n * e^{-j*n*phi}
     # this is exactly sum_n alpha_n * exp(-j*n*(phi - 2*pi*y/N)).
     s = n * np.fft.ifft(ramp, axis=1)
@@ -109,7 +141,12 @@ def _fisher_rows(weights: np.ndarray, phases: np.ndarray) -> np.ndarray:
     keep = f_scaled / n >= NEGLIGIBLE_PROB
     imag = np.imag(np.conj(s) * v)
     terms = imag * imag / np.where(keep, f_scaled, 1.0)
-    # One sum per row over its kept outcomes: pairwise summation over the
-    # same elements in the same order as for a single phase.
-    return np.array([4.0 / n * np.sum(row[mask]) if mask.any() else 0.0
-                     for row, mask in zip(terms, keep)])
+    # One pairwise sum per row over its kept outcomes, in order, as for a
+    # single phase: whole rows in one call, the others one masked row at a
+    # time (a row that keeps nothing sums to 0.0).
+    full = keep.all(axis=1)
+    sums = np.empty(len(terms))
+    sums[full] = np.sum(terms[full], axis=1)
+    for i in np.flatnonzero(~full):
+        sums[i] = np.sum(terms[i][keep[i]])
+    return 4.0 / n * sums

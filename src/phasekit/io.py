@@ -19,13 +19,15 @@ Readers:
                         with an optional header
 
 Each reader returns a value or raises ValueError, whatever the file holds.
-A CSV is read up to its MAX_RECORD_LENGTH + 2nd row and no further, and
+A CSV is parsed row by row as it is read, into arrays rather than a list
+of rows, up to its MAX_RECORD_LENGTH + 2nd row and no further, and
 record lengths above MAX_RECORD_LENGTH and shot or outcome totals above
 MAX_SHOTS are rejected, so no file sizes an allocation beyond them.
 """
 
 from __future__ import annotations
 
+import array
 import csv
 import io as _io
 import itertools
@@ -112,12 +114,20 @@ def write_values(values, spec=None, fmt: str = "csv", path=None) -> str:
     return write_json(spec, [{"y": y, "value": float(v)} for y, v in rows], path)
 
 
-def _read_csv_rows(path, what: str) -> list[list[str]]:
-    """The rows of a CSV file, read up to row MAX_RECORD_LENGTH + 2 (a header,
-    the largest record, and one row more to tell that it is too long)."""
+def _read_csv(path, what: str, parse):
+    """parse(first, rows) of a CSV file: its first row ([] when it is empty)
+    and an iterator over the rows after it, read as parse consumes them up to
+    row MAX_RECORD_LENGTH + 2 (a header, the largest record, and one row more
+    to tell that it is too long)."""
     try:
         with open(path, newline="") as fh:
-            return list(itertools.islice(csv.reader(fh), MAX_RECORD_LENGTH + 2))
+            rows = itertools.islice(csv.reader(fh), MAX_RECORD_LENGTH + 2)
+            try:
+                return parse(next(rows, []), rows)
+            finally:
+                # A malformed row up to the bound outranks parse's own error.
+                for _ in rows:
+                    pass
     except csv.Error as exc:
         raise ValueError(f"{what}: {exc}") from None
 
@@ -131,37 +141,62 @@ def _check_count(n: int, what: str, unit: str):
 
 def _parse_y_values(rows, what: str, value_name: str) -> np.ndarray:
     """The values of the y,value rows under the header, indexed by y: each y
-    in [0, rows) appears exactly once."""
-    n = len(rows)
-    values = np.empty(n)
-    seen = np.zeros(n, dtype=bool)
-    for row in rows:
+    in [0, rows) appears exactly once.
+
+    Rows are parsed as they are read, into two arrays.  Whether a y lies
+    below the row count is known only at the end, so the first row that no
+    count could accept stops the parsing but not the counting, and the
+    error raised is that of the first bad row, as in a check row by row.
+    """
+    ys, vs = array.array("q"), array.array("d")
+    seen = bytearray(MAX_RECORD_LENGTH + 1)
+    error = far_y = None
+    n = 0
+    for n, row in enumerate(rows, 1):
+        if error or far_y is not None:
+            continue
         try:
             y, v = row
             y, v = int(y), float(v)
         except ValueError:
-            raise ValueError(
-                f"{what}: every row must be an integer y and a {value_name}") from None
-        if not 0 <= y < n:
-            raise ValueError(f"{what}: y={y} outside [0, {n})")
-        if seen[y]:
-            raise ValueError(f"{what}: repeated y={y}")
-        seen[y] = True
-        values[y] = v
+            error = f"{what}: every row must be an integer y and a {value_name}"
+            continue
+        if not 0 <= y <= MAX_RECORD_LENGTH:
+            far_y = y
+        elif seen[y]:
+            error = f"{what}: repeated y={y}"
+        else:
+            seen[y] = 1
+            ys.append(y)
+            vs.append(v)
+    y = np.frombuffer(ys, dtype=np.int64)
+    outside = np.flatnonzero(y >= n)
+    if outside.size:
+        far_y = y[outside[0]]
+    if far_y is not None:
+        raise ValueError(f"{what}: y={far_y} outside [0, {n})")
+    if error:
+        raise ValueError(error)
+    values = np.empty(n)
+    values[y] = np.frombuffer(vs)
     return values
 
 
 def read_histogram_csv(path) -> Histogram:
     """Histogram from a y,value CSV of integer counts in [0, MAX_SHOTS]."""
-    rows = _read_csv_rows(path, "histogram CSV")
-    if not rows or rows[0][:2] != Y_VALUE:
-        raise ValueError("expected histogram CSV with columns y,value")
-    values = _parse_y_values(rows[1:], "histogram CSV", "count")
+    def parse(header, rows):
+        if header[:2] != Y_VALUE:
+            raise ValueError("expected histogram CSV with columns y,value")
+        return _parse_y_values(rows, "histogram CSV", "count")
+
+    values = _read_csv(path, "histogram CSV", parse)
     _check_count(len(values), "histogram CSV", "rows")
-    for y, v in enumerate(values.tolist()):
-        if not (v.is_integer() and 0 <= v <= MAX_SHOTS):
-            raise ValueError(
-                f"histogram CSV: count {v!r} at y={y} is not an integer in [0, {MAX_SHOTS}]")
+    bad = np.flatnonzero(~((values == np.floor(values)) & (values >= 0)
+                           & (values <= MAX_SHOTS)))
+    if bad.size:
+        y = int(bad[0])
+        raise ValueError(f"histogram CSV: count {float(values[y])!r} at y={y} "
+                         f"is not an integer in [0, {MAX_SHOTS}]")
     counts = values.astype(np.int64)
     total = int(counts.sum())
     if total > MAX_SHOTS:
@@ -172,26 +207,32 @@ def read_histogram_csv(path) -> Histogram:
 def load_weights_csv(path) -> np.ndarray:
     """Finite custom-window weights: a y,value CSV as `window` writes it, or
     one weight per row after an optional header, 2 to MAX_RECORD_LENGTH in all."""
-    rows = _read_csv_rows(path, "weights CSV")
-    if rows and rows[0][:2] == Y_VALUE:
-        weights = _parse_y_values(rows[1:], "weights CSV", "weight")
-    else:
-        weights = _parse_column(rows)
+    def parse(first, rows):
+        if first[:2] == Y_VALUE:
+            return _parse_y_values(rows, "weights CSV", "weight")
+        return _parse_column(first, rows)
+
+    weights = _read_csv(path, "weights CSV", parse)
     _check_count(len(weights), "weights CSV", "weights")
     if not np.all(np.isfinite(weights)):
         raise ValueError("weights CSV: weights must be finite")
     return weights
 
 
-def _parse_column(rows) -> np.ndarray:
-    """One weight per row, after an optional header row."""
-    for body in (rows, rows[1:]):
+def _parse_column(first, rows) -> np.ndarray:
+    """One weight per row, after an optional header row: the first row is
+    one unless it is a single number."""
+    weights = array.array("d")
+    for i, row in enumerate(itertools.chain([first], rows)):
         try:
-            return np.array([float(v) for (v,) in body])
+            (v,) = row
+            weights.append(float(v))
         except ValueError:
-            continue
-    raise ValueError("weights CSV: expected one number per row after an optional header, "
-                     "or the columns y,value")
+            if i == 0:
+                continue
+            raise ValueError("weights CSV: expected one number per row after an optional "
+                             "header, or the columns y,value") from None
+    return np.array(weights)
 
 
 def read_sample_set(path, offset_half_cell: bool = False) -> SampleSet:

@@ -47,6 +47,8 @@ words against np.random.PCG64; should a numpy release break that, every
 call falls back to the per-seed loop.
 """
 
+import operator
+
 import numpy as np
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -111,7 +113,9 @@ def derive_seed(master_seed: int, *parts):
     example a block of trial indices; the result is then the uint64 array
     of the seeds for each entry, otherwise a Python int.
     """
-    state = np.array([master_seed & _MASK64], dtype=np.uint64)
+    # As a Python int first: a numpy signed seed masked as is overflows
+    # (np.int64(-1)); operator.index still refuses a float.
+    state = np.array([operator.index(master_seed) & _MASK64], dtype=np.uint64)
     batched = False
     for part in parts:
         if isinstance(part, str):
@@ -127,7 +131,7 @@ def derive_seed(master_seed: int, *parts):
 
 def make_generator(seed: int) -> np.random.Generator:
     """numpy Generator over PCG64 seeded with a 64-bit integer."""
-    return np.random.Generator(np.random.PCG64(seed & _MASK64))
+    return np.random.Generator(np.random.PCG64(operator.index(seed) & _MASK64))
 
 
 def uniform_rows(seeds: np.ndarray, k: int) -> np.ndarray:

@@ -172,6 +172,20 @@ def test_randomized_commands_echo_seed(tmp_path, capsys):
     assert "seed: 13" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["rmse-vs-n", "--qubits", "7.5"], "--qubits must be comma-separated integers"),
+    (["rmse-vs-shots", "--qubits", "3", "--trials", "-1"], "trials must be nonnegative"),
+    (["--plot-data", "--qubits", "7", "--trials", "1000001"], "trials must be <= 1000000"),
+])
+def test_experiment_usage_error_is_one_stderr_line(argv, message, tmp_path, capsys):
+    # The seed is echoed, and the bundle's directory made, only once the
+    # run's arguments are known to be valid.
+    out_dir = tmp_path / "bundle"
+    assert dispatch(["experiment", *argv, "--seed", "4", "--out-dir", str(out_dir)]) == 2
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert not out_dir.exists()
+
+
 def test_threads_env_default(tmp_path, monkeypatch):
     monkeypatch.setenv("PHASEKIT_THREADS", "2")
     out = tmp_path / "env.csv"

@@ -3,6 +3,7 @@ import multiprocessing.process
 import numpy as np
 import pytest
 
+import phasekit.fisher
 from phasekit.angles import TWO_PI, circ_signed_error
 from phasekit.estimators import (
     aml_estimate,
@@ -154,6 +155,52 @@ def test_seed_derivation_mixing():
     assert len({a, b, c}) == 3
     assert splitmix64(0) != 0
     assert all(0 <= s < 2**64 for s in (a, b, c))
+
+
+@pytest.mark.parametrize("seed", [np.int64(7), np.int32(7), np.int64(-1), np.uint64(7)])
+def test_numpy_integer_seeds_act_as_the_equal_python_int(seed):
+    assert derive_seed(seed, "rmse-vs-shots", "df", 64, 8, 0) == \
+        derive_seed(int(seed), "rmse-vs-shots", "df", 64, 8, 0)
+    index = np.arange(3)
+    assert np.array_equal(derive_seed(seed, "df", index), derive_seed(int(seed), "df", index))
+    assert make_generator(seed).random(4).tobytes() == \
+        make_generator(int(seed)).random(4).tobytes()
+
+
+def test_float_seeds_are_refused():
+    for seed in (7.0, np.float64(7.0)):
+        with pytest.raises(TypeError):
+            derive_seed(seed, "df")
+        with pytest.raises(TypeError):
+            make_generator(seed)
+
+
+def _count_grids(monkeypatch) -> list[tuple[str, int]]:
+    """(window, N) of every Fisher grid computed from now on."""
+    grids = []
+    shared = phasekit.fisher._fisher_grids
+
+    def counted(windows, grid_size):
+        grids.extend((w.kind, w.n_points) for w in windows)
+        return shared(windows, grid_size)
+
+    monkeypatch.setattr(phasekit.fisher, "_fisher_grids", counted)
+    return grids
+
+
+def test_crb_curve_computes_one_grid_per_window_and_n(monkeypatch):
+    grids = _count_grids(monkeypatch)
+    run_crb_curve(ExperimentSpec(kind="crb-curve", n_points=(64, 128, 256), n_shots=(1,),
+                                 windows=("rect", "cosine", "bartlett"), trials=1))
+    assert grids == [(w, n) for n in (64, 128, 256) for w in ("rect", "cosine", "bartlett")]
+
+
+def test_rmse_run_computes_one_grid_per_window_and_n(monkeypatch):
+    grids = _count_grids(monkeypatch)
+    run_rmse_vs_n(ExperimentSpec(
+        kind="rmse-vs-n", n_points=(64, 128), n_shots=(4, 8), trials=3,
+        estimators=("df", "mean-cosine", "aml", "mean-rect", "mean-bartlett")))
+    assert grids == [(w, n) for n in (64, 128) for w in ("rect", "cosine", "bartlett")]
 
 
 def test_json_emission_shape():

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -142,6 +146,27 @@ def test_csv_readers_stop_after_the_row_bound(tmp_path, monkeypatch, reader, hea
     path.write_text(header + "\n".join([*rows, "x" * 200_000]) + "\n")
     with pytest.raises(ValueError, match=message):
         reader(path)
+
+
+def test_largest_histogram_csv_is_read_without_a_row_list(tmp_path):
+    # Rows are parsed as they are read: the reader holds a few arrays of
+    # 2**20 entries, not 2**20 lists of strings (~220 MB).
+    path = tmp_path / "h.csv"
+    n = phasekit.io.MAX_RECORD_LENGTH
+    path.write_text("y,value\n" + "".join(f"{y},{y % 5}\n" for y in range(n)))
+    code = ("import resource, sys\n"
+            "from phasekit.io import read_histogram_csv\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "hist = read_histogram_csv(sys.argv[1])\n"
+            "growth = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before\n"
+            "print(hist.n_points, hist.total, growth)\n")
+    src = Path(phasekit.io.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", code, str(path)], capture_output=True,
+                          text=True, timeout=120, check=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    n_points, total, growth_kib = map(int, proc.stdout.split())
+    assert (n_points, total) == (n, sum(y % 5 for y in range(n)))
+    assert growth_kib < 100 * 1024
 
 
 @FUZZ

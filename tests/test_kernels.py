@@ -9,7 +9,7 @@ exactly the bytes of the plain computation it replaces.
 import numpy as np
 import pytest
 
-from phasekit import rng
+from phasekit import fisher, rng
 from phasekit.angles import wrap_two_pi
 from phasekit.estimators import circular_mean_rows
 from phasekit.fisher import NEGLIGIBLE_PROB, fisher_information, fisher_information_grid
@@ -117,6 +117,45 @@ def test_fisher_grid_equals_per_phase_reference(kind, n, grid_size):
     phases = cell * (np.arange(grid_size) + 0.5) / grid_size
     expected = np.array([_reference_fi(window.weights, p) for p in phases])
     assert fisher_information_grid(window, grid_size).tobytes() == expected.tobytes()
+
+
+def _full_rows(window, grid_size: int) -> int:
+    """Grid phases at which every outcome is kept."""
+    n = window.n_points
+    phases = 2 * np.pi / n * (np.arange(grid_size) + 0.5) / grid_size
+    s = n * np.fft.ifft(window.weights * np.exp((-1j * phases)[:, None] * np.arange(n)), axis=1)
+    return int(np.sum(np.all(np.abs(s) ** 2 / n >= NEGLIGIBLE_PROB, axis=1)))
+
+
+@pytest.mark.parametrize("grid_size", [16, 256, 257])
+@pytest.mark.parametrize("n", [3, 64, 100, 1024, 4096])
+def test_shared_ramp_grid_equals_each_windows_own_grid(n, grid_size):
+    windows = [_window(kind, n) for kind in ("rect", "cosine", "bartlett", "custom")]
+    grids = fisher._fisher_grids(windows, grid_size)
+    assert grids.shape == (len(windows), grid_size)
+    for window, row in zip(windows, grids):
+        assert row.tobytes() == fisher_information_grid(window, grid_size).tobytes()
+
+
+def test_shared_ramp_cases_cover_whole_and_masked_row_sums():
+    # Whole-row sums (rect), a mix (cosine at 1024) and masked sums only
+    # (Bartlett at 1024 and 4096) are all among the cases above.
+    assert _full_rows(_window("rect", 1024), 256) == 256
+    assert _full_rows(_window("cosine", 1024), 256) == 248
+    assert _full_rows(_window("bartlett", 1024), 256) == 0
+    assert _full_rows(_window("bartlett", 4096), 256) == 0
+
+
+def test_shared_ramp_prices_equal_each_windows_own_price():
+    windows = [_window(kind, 1024) for kind in ("rect", "cosine", "bartlett", "custom")]
+    assert fisher._avg_sqrt_crbs(windows, 3, 256) == [fisher.avg_sqrt_crb(w, 3) for w in windows]
+
+
+def test_shared_ramp_grid_needs_one_record_length():
+    with pytest.raises(ValueError, match="differ in record length"):
+        fisher._fisher_grids([make_rectangular(64), make_cosine(128)], 16)
+    with pytest.raises(ValueError, match="differ in record length"):
+        fisher._avg_sqrt_crbs([make_rectangular(64), make_cosine(128)], 1, 16)
 
 
 @pytest.mark.parametrize("kind", ["rect", "cosine", "custom"])
