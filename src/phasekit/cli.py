@@ -8,8 +8,12 @@ command renders only the format it emits.  Exit codes: 0 success, 1
 runtime error (including a malformed input file), 2 argument error
 (including a value that ExperimentSpec or EstimatorConfig rejects, a
 phase that is not finite in radians, a size beyond MAX_QUBITS,
-io.MAX_RECORD_LENGTH or io.MAX_SHOTS, and a custom window whose
---weights-csv length differs from the record length).
+io.MAX_RECORD_LENGTH or io.MAX_SHOTS, a custom window whose
+--weights-csv length differs from the record length, an --input count
+that the estimator does not take, and --plot-data with a kind or with a
+record length other than 128).  crb and experiment build their
+ExperimentSpec through one function, and every file goes through
+io.save_text.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +35,7 @@ from .estimators import (
     dual_frequency_details,
 )
 from .experiments import (
+    BUILTIN_WINDOWS,
     EXPERIMENT_KINDS,
     ExperimentSpec,
     ExperimentTable,
@@ -195,12 +201,6 @@ def _add_output_args(p, default_format: str | None = "csv"):
     p.add_argument("--output", help="output path (default: stdout)")
 
 
-def _resolve_n(args) -> int:
-    if args.qubits is not None:
-        return 2 ** _check_qubits(args.qubits)
-    return _check_length(args.record_length, args.allow_any_n)
-
-
 def _resolve_n_list(args) -> list[int]:
     if args.qubits is not None:
         return [2 ** _check_qubits(q) for q in _int_list(args.qubits, "--qubits")]
@@ -263,7 +263,11 @@ def _resolve_phase(args) -> float:
     return wrap_two_pi(phase)
 
 
-def _resolve_window(args, n: int):
+def _resolve_window(args):
+    if args.qubits is not None:
+        n = 2 ** _check_qubits(args.qubits)
+    else:
+        n = _check_length(args.record_length, args.allow_any_n)
     if args.window == "custom":
         if not args.weights_csv:
             raise CliError("--window custom requires --weights-csv")
@@ -290,24 +294,23 @@ def _emit_table(args, table) -> int:
 
 
 def _cmd_window(args) -> int:
-    window = _resolve_window(args, _resolve_n(args))
+    window = _resolve_window(args)
     spec = {"kind": window.kind, "n_points": window.n_points}
     return _emit(args, write_values(window.weights, spec, args.format))
 
 
 def _cmd_dist(args) -> int:
-    n = _resolve_n(args)
-    window = _resolve_window(args, n)
-    offset = np.pi / n if args.offset_half_cell else 0.0
+    window = _resolve_window(args)
+    offset = np.pi / window.n_points if args.offset_half_cell else 0.0
     dist = distribution(window, _resolve_phase(args), offset)
-    spec = {"n_points": n, "window": window.kind, "phase": dist.phase, "offset": dist.offset}
+    spec = {"n_points": window.n_points, "window": window.kind, "phase": dist.phase,
+            "offset": dist.offset}
     return _emit(args, write_values(dist.probs, spec, args.format))
 
 
 def _cmd_sample(args) -> int:
-    n = _resolve_n(args)
-    window = _resolve_window(args, n)
-    offset = np.pi / n if args.offset_half_cell else 0.0
+    window = _resolve_window(args)
+    offset = np.pi / window.n_points if args.offset_half_cell else 0.0
     if not 1 <= args.shots <= MAX_SHOTS:
         raise CliError(f"--shots must be in [1, {MAX_SHOTS}]")
     phase = _resolve_phase(args)
@@ -319,27 +322,34 @@ def _cmd_sample(args) -> int:
     return _emit(args, sample_set_to_json(draws))
 
 
-def _cmd_crb(args) -> int:
-    spec = _validated(
+def _spec(args, kind: str, **run) -> ExperimentSpec:
+    """The ExperimentSpec of kind from the length, shot and window arguments
+    and the run fields given; a value it rejects is an argument error."""
+    return _validated(
         ExperimentSpec,
-        kind="crb-curve",
+        kind=kind,
         n_points=tuple(_resolve_n_list(args)),
         n_shots=_resolve_shots(args),
         windows=tuple(args.windows.split(",")),
-        trials=1,
         allow_any_n=args.allow_any_n,
-        crb_grid_size=args.grid_size,
+        **run,
     )
+
+
+def _cmd_crb(args) -> int:
+    spec = _spec(args, "crb-curve", trials=1, crb_grid_size=args.grid_size)
     return _emit_table(args, run_experiment(spec))
 
 
 def _cmd_estimate(args) -> int:
     config = _validated(EstimatorConfig, bins_kept=args.bins_kept,
                         grid_points=args.grid_points)
+    if args.estimator == "df" and len(args.input) != 2:
+        raise CliError("df estimation needs exactly two --input files")
+    if args.estimator != "df" and len(args.input) != 1:
+        raise CliError(f"{args.estimator} estimation takes exactly one --input file")
     sets = [read_sample_set(path, args.offset_half_cell) for path in args.input]
     if args.estimator == "df":
-        if len(sets) != 2:
-            raise CliError("df estimation needs exactly two --input files")
         details = dual_frequency_details(sets[0], sets[1], config)
         payload = {
             "estimator": "df",
@@ -352,8 +362,6 @@ def _cmd_estimate(args) -> int:
                      "correction": details.aml_set2.correction},
         }
     elif args.estimator == "aml":
-        if len(sets) != 1:
-            raise CliError("aml estimation takes exactly one --input file")
         result = aml_estimate(histogram(sets[0]), sets[0].offset, config)
         payload = {
             "estimator": "aml",
@@ -363,41 +371,28 @@ def _cmd_estimate(args) -> int:
             "correction": result.correction,
         }
     else:
-        if len(sets) != 1:
-            raise CliError("mean estimation takes exactly one --input file")
         payload = {"estimator": "mean", "estimate": circular_sample_mean(sets[0])}
     return _emit(args, write_json(payload, []))
 
 
 def _cmd_experiment(args) -> int:
     _check_threads(args)
-    if args.plot_data:
-        return _emit_plot_bundle(args)
-    if args.kind is None:
+    if args.plot_data and args.kind is not None:
+        raise CliError("--plot-data takes no experiment kind")
+    if not args.plot_data and args.kind is None:
         raise CliError("provide an experiment kind or --plot-data")
-    spec = _experiment_spec(args)
+    # The bundle starts from its RMSE sweep's kind and overrides each figure's fields.
+    spec = _spec(args, args.kind or "rmse-vs-shots",
+                 estimators=tuple(args.estimators.split(",")), trials=args.trials,
+                 master_seed=args.seed, phase_policy=args.phase_policy,
+                 cell_index=args.cell, n_jobs=args.threads)
+    if args.plot_data:
+        return _emit_plot_bundle(args, spec)
     print(f"seed: {args.seed}", file=sys.stderr)
     table = run_experiment(spec)
     if args.kind == "scatter" and args.cell_units:
         table = _rescale_scatter(table)
     return _emit_table(args, table)
-
-
-def _experiment_spec(args) -> ExperimentSpec:
-    return _validated(
-        ExperimentSpec,
-        kind=args.kind,
-        n_points=tuple(_resolve_n_list(args)),
-        n_shots=_resolve_shots(args),
-        estimators=tuple(args.estimators.split(",")),
-        windows=tuple(args.windows.split(",")),
-        trials=args.trials,
-        master_seed=args.seed,
-        phase_policy=args.phase_policy,
-        cell_index=args.cell,
-        allow_any_n=args.allow_any_n,
-        n_jobs=args.threads,
-    )
 
 
 def _rescale_scatter(table):
@@ -406,60 +401,54 @@ def _rescale_scatter(table):
     return ExperimentTable(table.spec, rows)
 
 
-def _emit_plot_bundle(args) -> int:
-    """Write fig3.csv ... fig7.csv: CRB curves, scatter runs and RMSE sweeps."""
-    shots_sweep = (2, 4, 8, 16, 30, 50, 70, 100)
+def _emit_plot_bundle(args, spec: ExperimentSpec) -> int:
+    """Write fig3.csv ... fig7.csv: CRB curves, scatter runs and RMSE sweeps.
 
-    def spec(kind, **kw):
-        merged = dict(
-            kind=kind, n_points=(128,), n_shots=shots_sweep,
-            estimators=("df", "mean-cosine"), windows=("rect", "cosine", "bartlett"),
-            trials=args.trials, master_seed=args.seed, phase_policy="uniform",
-            cell_index=args.cell, allow_any_n=True, n_jobs=args.threads,
-        )
-        merged.update(kw)
-        return _validated(ExperimentSpec, **merged)
+    Of spec, the figures keep the trials, seed and threads; each sets its
+    own kind, lengths, shots, estimators, windows and phase policy.
+    """
+    if spec.n_points != (128,):
+        raise CliError("--plot-data draws its figures at record length 128 (--qubits 7)")
+    shots_sweep = (2, 4, 8, 16, 30, 50, 70, 100)
+    base = replace(spec, n_shots=shots_sweep, windows=BUILTIN_WINDOWS, phase_policy="uniform")
 
     # One RMSE sweep feeds fig3's sample-mean overlay and fig5: a cell's
     # trial seeds depend on the kind, estimator, N and N_s, not on the
-    # other estimators of the run.  Its spec checks every argument the
-    # bundle takes, so a usage error comes before the seed line and before
-    # anything is written.
-    rmse_spec = spec(
-        "rmse-vs-shots", estimators=("df", "mean-rect", "mean-cosine", "mean-bartlett"))
+    # other estimators of the run.
+    rmse_spec = replace(base, estimators=("df", "mean-rect", "mean-cosine", "mean-bartlett"))
     print(f"seed: {args.seed}", file=sys.stderr)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rmse_table = run_experiment(rmse_spec)
 
     # fig3: sqrt-CRB vs shots for each window, with sample-mean RMSE overlay
-    crb_table = run_experiment(spec("crb-curve", n_shots=(1,) + shots_sweep))
+    crb_table = run_experiment(replace(base, kind="crb-curve", n_shots=(1,) + shots_sweep))
     rmse_by_key = {(r.window, r.n_shots): r.rmse for r in rmse_table.rows
                    if r.estimator.startswith("mean-")}
     fig3_rows = [
         (int(r.x), r.window, r.sqrt_crb, rmse_by_key.get((r.window, int(r.x)), ""))
         for r in crb_table.rows
     ]
-    write_csv(["n_shots", "window", "sqrt_crb", "rmse_sample_mean"],
-              fig3_rows, out_dir / "fig3.csv")
+    save_text(write_csv(["n_shots", "window", "sqrt_crb", "rmse_sample_mean"], fig3_rows),
+              out_dir / "fig3.csv")
 
     # fig4 / fig7: estimator error scatter across one cell at N = 100
     for name, estimator in (("fig4.csv", "aml"), ("fig7.csv", "df")):
-        table = run_experiment(spec(
-            "scatter", n_points=(100,), n_shots=(30,), estimators=(estimator,),
-            phase_policy="cell", cell_index=10))
+        table = run_experiment(replace(
+            base, kind="scatter", n_points=(100,), n_shots=(30,), estimators=(estimator,),
+            phase_policy="cell", cell_index=10, allow_any_n=True))
         if args.cell_units:
             table = _rescale_scatter(table)
-        table_to_csv(table, out_dir / name)
+        save_text(table_to_csv(table), out_dir / name)
 
     # fig5: RMSE vs shots, dual-frequency against the cosine sample mean
     fig5_rows = [r for r in rmse_table.rows if r.estimator in ("df", "mean-cosine")]
-    table_to_csv(ExperimentTable(rmse_table.spec, fig5_rows), out_dir / "fig5.csv")
+    save_text(table_to_csv(ExperimentTable(rmse_table.spec, fig5_rows)), out_dir / "fig5.csv")
 
     # fig6: RMSE vs record length at a fixed shot count
-    table_to_csv(run_experiment(spec(
-        "rmse-vs-n", n_points=(64, 128, 256, 512, 1024), n_shots=(30,),
-        estimators=("df", "aml", "mean-cosine", "mean-rect"))), out_dir / "fig6.csv")
+    fig6_spec = replace(base, kind="rmse-vs-n", n_points=(64, 128, 256, 512, 1024),
+                        n_shots=(30,), estimators=("df", "aml", "mean-cosine", "mean-rect"))
+    save_text(table_to_csv(run_experiment(fig6_spec)), out_dir / "fig6.csv")
 
     for name in ("fig3.csv", "fig4.csv", "fig5.csv", "fig6.csv", "fig7.csv"):
         print(f"wrote {out_dir / name}", file=sys.stderr)

@@ -9,7 +9,8 @@ ExperimentSpec rejects a run that cannot start (an unknown window for a
 CRB curve, a CRB grid below 16 or above MAX_CRB_GRID_SIZE phases, more
 than MAX_TRIALS trials, N above io.MAX_RECORD_LENGTH, N_s above
 io.MAX_SHOTS, a scatter run over more than one N, N_s or estimator, df
-with fewer than 2 shots) before any work is done.
+with fewer than 2 shots, a cell-policy cell_index outside [0, N) for
+some N) before any work is done.
 
 Every trial draws its own generator from a seed derived as
 derive_seed(master_seed, kind, estimator, N, N_s, trial_index), so tables
@@ -156,6 +157,10 @@ class ExperimentSpec:
                 raise ValueError(
                     f"record length {n} is not a power of two (set allow_any_n to override)"
                 )
+        # Only the cell policy reads cell_index; its phases must stay in [0, 2*pi).
+        if self.phase_policy == "cell" and not 0 <= self.cell_index < min(self.n_points):
+            raise ValueError(f"cell_index must be in [0, {min(self.n_points)}), "
+                             "a cell of every N")
         if self.n_jobs < 1:
             raise ValueError("n_jobs must be >= 1")
         if self.crb_grid_size < 16:
@@ -267,22 +272,17 @@ def _rmse_rows(spec: ExperimentSpec) -> list[ExperimentRow]:
     if spec.trials < 1:
         raise ValueError("RMSE experiments need at least one trial")
     rows = []
-    # The windows behind the estimators, in first-use order: at the first row
-    # of each N one call prices them all, sharing each block's phase ramp.
+    # The windows behind the estimators, in first-use order.
     window_ids = list(dict.fromkeys(ESTIMATOR_WINDOWS[e] for e in spec.estimators))
-    crb_cache: dict[tuple[str, int], float] = {}
     for n in spec.n_points:
+        prices = dict(zip(window_ids, _one_shot_prices(spec, window_ids, n)))
         for n_shots in spec.n_shots:
             for estimator in spec.estimators:
                 start = time.perf_counter()
                 window_id = ESTIMATOR_WINDOWS[estimator]
                 _, errors = _collect_trials(spec, estimator, n, n_shots)
                 rmse = float(np.sqrt(np.sum(errors * errors) / spec.trials))
-                if (window_id, n) not in crb_cache:
-                    prices = _avg_sqrt_crbs([make_window(w, n) for w in window_ids], 1,
-                                            spec.crb_grid_size)
-                    crb_cache.update(((w, n), p) for w, p in zip(window_ids, prices))
-                sqrt_crb = float(crb_cache[window_id, n] / np.sqrt(n_shots))
+                sqrt_crb = float(prices[window_id] / np.sqrt(n_shots))
                 rows.append(ExperimentRow(
                     n_points=n,
                     n_shots=n_shots,
@@ -306,13 +306,17 @@ def _crb_rows(spec: ExperimentSpec) -> list[CrbRow]:
     vary_n = len(spec.n_points) > 1 and len(spec.n_shots) == 1
     rows = []
     for n in spec.n_points:
-        prices = _avg_sqrt_crbs([make_window(w, n) for w in spec.windows], 1,
-                                spec.crb_grid_size)
-        for window_id, one_shot in zip(spec.windows, prices):
+        for window_id, one_shot in zip(spec.windows, _one_shot_prices(spec, spec.windows, n)):
             for n_shots in spec.n_shots:
                 x = float(n) if vary_n else float(n_shots)
                 rows.append(CrbRow(x, window_id, one_shot / np.sqrt(n_shots)))
     return rows
+
+
+def _one_shot_prices(spec: ExperimentSpec, window_ids, n: int) -> list[float]:
+    """One-shot average sqrt-CRB of each window at N, priced in one call that
+    shares each block's phase ramp."""
+    return _avg_sqrt_crbs([make_window(w, n) for w in window_ids], 1, spec.crb_grid_size)
 
 
 # Row type and row builder of each experiment kind.

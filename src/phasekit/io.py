@@ -5,11 +5,13 @@ floats printed with 17 significant digits so they round-trip exactly.
 Tables and y,value listings in JSON are one top-level object with "spec"
 and "rows" keys; a table's columns, in CSV and JSON alike, are the ones
 its `columns` property names.  A sample set is its own JSON object
-(n_points, offset, outcomes).  Every file is written through save_text.
+(n_points, offset, outcomes).
 
-Writers: table_to_csv and table_to_json for tables, write_values for a
-y,value listing (window weights, a distribution, a histogram) in CSV or
-JSON, sample_set_to_json for a sample set.
+Renderers return text and write nothing: table_to_csv and table_to_json
+for tables, write_values for a y,value listing (window weights, a
+distribution, a histogram) in CSV or JSON, sample_set_to_json for a
+sample set, and write_csv and write_json beneath them.  save_text(text,
+path) is the one function that writes a file.
 
 Readers:
   read_histogram_csv    y,value CSV of integer counts
@@ -54,16 +56,14 @@ def format_value(value) -> str:
     return str(value)
 
 
-def save_text(text: str, path=None) -> str:
-    """Write text to path as is (no newline translation) if given; return it."""
-    if path is not None:
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
-    return text
+def save_text(text: str, path) -> None:
+    """Write text to path as is (no newline translation)."""
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
 
 
-def write_csv(header, rows, path=None) -> str:
-    """Render rows (sequences or dataclasses) as CSV; write to path if given."""
+def write_csv(header, rows) -> str:
+    """Render rows (sequences or dataclasses) as CSV."""
     buf = _io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -71,23 +71,23 @@ def write_csv(header, rows, path=None) -> str:
         if is_dataclass(row):
             row = [getattr(row, name) for name in header]
         writer.writerow([format_value(v) for v in row])
-    return save_text(buf.getvalue(), path)
+    return buf.getvalue()
 
 
-def write_json(spec, rows, path=None) -> str:
-    """Render {"spec": ..., "rows": [...]} JSON; write to path if given."""
+def write_json(spec, rows) -> str:
+    """Render {"spec": ..., "rows": [...]} JSON."""
     payload = {"spec": _plain(spec), "rows": [_plain(r) for r in rows]}
-    return save_text(json.dumps(payload, indent=2) + "\n", path)
+    return json.dumps(payload, indent=2) + "\n"
 
 
-def table_to_csv(table, path=None) -> str:
-    return write_csv(table.columns, table.rows, path)
+def table_to_csv(table) -> str:
+    return write_csv(table.columns, table.rows)
 
 
-def table_to_json(table, path=None) -> str:
+def table_to_json(table) -> str:
     columns = table.columns
     rows = [{c: getattr(r, c) for c in columns} for r in table.rows]
-    return write_json(table.spec, rows, path)
+    return write_json(table.spec, rows)
 
 
 def _plain(obj):
@@ -106,12 +106,12 @@ def _plain(obj):
     return obj
 
 
-def write_values(values, spec=None, fmt: str = "csv", path=None) -> str:
+def write_values(values, spec=None, fmt: str = "csv") -> str:
     """A y,value listing of values: CSV rows, or JSON rows under spec."""
     rows = list(enumerate(values))
     if fmt == "csv":
-        return write_csv(Y_VALUE, rows, path)
-    return write_json(spec, [{"y": y, "value": float(v)} for y, v in rows], path)
+        return write_csv(Y_VALUE, rows)
+    return write_json(spec, [{"y": y, "value": float(v)} for y, v in rows])
 
 
 def _read_csv(path, what: str, parse):
@@ -246,13 +246,13 @@ def read_sample_set(path, offset_half_cell: bool = False) -> SampleSet:
     return read_sample_set_json(path)
 
 
-def sample_set_to_json(samples: SampleSet, path=None) -> str:
+def sample_set_to_json(samples: SampleSet) -> str:
     payload = {
         "n_points": samples.n_points,
         "offset": samples.offset,
         "outcomes": samples.outcomes.tolist(),
     }
-    return save_text(json.dumps(payload) + "\n", path)
+    return json.dumps(payload) + "\n"
 
 
 def read_sample_set_json(path) -> SampleSet:

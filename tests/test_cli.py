@@ -176,6 +176,12 @@ def test_randomized_commands_echo_seed(tmp_path, capsys):
     (["rmse-vs-n", "--qubits", "7.5"], "--qubits must be comma-separated integers"),
     (["rmse-vs-shots", "--qubits", "3", "--trials", "-1"], "trials must be nonnegative"),
     (["--plot-data", "--qubits", "7", "--trials", "1000001"], "trials must be <= 1000000"),
+    (["--plot-data", "--qubits", "abc"], "--qubits must be comma-separated integers"),
+    (["--plot-data", "--qubits", "8"],
+     "--plot-data draws its figures at record length 128 (--qubits 7)"),
+    (["rmse-vs-shots", "--plot-data", "--qubits", "7"], "--plot-data takes no experiment kind"),
+    (["--plot-data", "--qubits", "7", "--shots-list", "zz"],
+     "--shots-list must be comma-separated integers"),
 ])
 def test_experiment_usage_error_is_one_stderr_line(argv, message, tmp_path, capsys):
     # The seed is echoed, and the bundle's directory made, only once the
@@ -450,6 +456,12 @@ def test_malformed_sample_set_json_is_rejected(tmp_path, capsys, payload, messag
      "crb_grid_size must be <= 65536"),
     (["estimate", "--estimator", "aml", "--input", "unread.json",
       "--grid-points", "1000000000001"], "grid_points must be <= 32769"),
+    # The input count is checked before any file is read.
+    (["estimate", "--estimator", "aml", "--input", "unread1.json", "--input", "unread2.json"],
+     "aml estimation takes exactly one --input file"),
+    (["experiment", "scatter", "--record-length", "100", "--allow-any-n", "--shots-list", "30",
+      "--estimators", "aml", "--trials", "5", "--phase-policy", "cell", "--cell", "150"],
+     "cell_index must be in [0, 100)"),
 ])
 def test_invalid_argument_values_are_usage_errors(argv, message, capsys):
     assert dispatch(argv) == 2

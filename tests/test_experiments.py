@@ -316,6 +316,15 @@ def test_block_budget_bounds_the_closed_form_draw():
     (dict(phase_policy="fixed", fixed_phases=(float("nan"),)), "fixed_phases must be finite"),
     (dict(phase_policy="fixed", fixed_phases=(0.5, float("inf"))),
      "fixed_phases must be finite"),
+    # A cell outside [0, N) would draw true phases outside [0, 2*pi).
+    (dict(kind="scatter", n_points=(100,), n_shots=(30,), estimators=("aml",),
+          allow_any_n=True, phase_policy="cell", cell_index=100),
+     r"cell_index must be in \[0, 100\)"),
+    (dict(kind="scatter", n_points=(100,), n_shots=(30,), estimators=("aml",),
+          allow_any_n=True, phase_policy="cell", cell_index=-1),
+     r"cell_index must be in \[0, 100\)"),
+    (dict(kind="rmse-vs-n", n_points=(64, 128), phase_policy="cell", cell_index=64),
+     r"cell_index must be in \[0, 64\)"),
 ])
 def test_spec_rejects_runs_that_cannot_start(overrides, message):
     with pytest.raises(ValueError, match=message):

@@ -16,6 +16,7 @@ from phasekit.io import (
     read_histogram_csv,
     read_sample_set_json,
     sample_set_to_json,
+    save_text,
     write_csv,
     write_values,
 )
@@ -30,7 +31,8 @@ def test_floats_have_17_significant_digits():
 
 def test_csv_has_header_and_lf_endings(tmp_path):
     path = tmp_path / "t.csv"
-    text = write_csv(["y", "value"], [(0, 0.5), (1, 0.25)], path)
+    text = write_csv(["y", "value"], [(0, 0.5), (1, 0.25)])
+    save_text(text, path)
     assert text == "y,value\n0,0.5\n1,0.25\n"
     assert "\r" not in path.read_bytes().decode()
 
@@ -46,7 +48,7 @@ def test_distribution_csv_roundtrip_values():
 def test_histogram_csv_roundtrip(tmp_path):
     h = histogram(sample(distribution(make_cosine(16), 0.9), 500, seed=4))
     path = tmp_path / "h.csv"
-    write_values(h.counts, path=path)
+    save_text(write_values(h.counts), path)
     back = read_histogram_csv(path)
     assert np.array_equal(back.counts, h.counts)
     assert back.total == h.total
@@ -55,7 +57,7 @@ def test_histogram_csv_roundtrip(tmp_path):
 def test_sample_set_json_roundtrip(tmp_path):
     s = SampleSet(16, np.array([1, 5, 5, 12]), offset=np.pi / 16)
     path = tmp_path / "s.json"
-    sample_set_to_json(s, path)
+    save_text(sample_set_to_json(s), path)
     back = read_sample_set_json(path)
     assert back.n_points == 16
     assert back.offset == s.offset
@@ -67,6 +69,26 @@ def test_sample_set_json_roundtrip(tmp_path):
 # Readers either parse a file or raise ValueError: never another exception.
 FUZZ = settings(max_examples=300, deadline=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def test_a_failing_property_test_lets_the_later_tests_run(tmp_path):
+    # hypothesis's failure report imports a module that warns on import;
+    # under the project's filterwarnings = ["error"] that warning must not
+    # abort the session and hide every test after the failing fuzzer.
+    (tmp_path / "test_pair.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x < 10\n\n\n"
+        "def test_passes():\n"
+        "    pass\n")
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(config),
+         "--rootdir", str(tmp_path), "test_pair.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr
+    assert "1 failed, 1 passed" in proc.stdout
 
 CSV_CELL = st.one_of(st.integers(-3, 10).map(str), st.floats().map(repr),
                      st.integers().map(str), st.text(max_size=3))
@@ -175,7 +197,8 @@ def test_largest_histogram_csv_is_read_without_a_row_list(tmp_path):
 def test_sample_set_json_roundtrip_property(tmp_path, n, data, offset):
     outcomes = data.draw(st.lists(st.integers(0, n - 1), max_size=20))
     path = tmp_path / "s.json"
-    sample_set_to_json(SampleSet(n, np.array(outcomes, dtype=np.int64), offset=offset), path)
+    save_text(sample_set_to_json(SampleSet(n, np.array(outcomes, dtype=np.int64),
+                                           offset=offset)), path)
     back = read_sample_set_json(path)
     assert (back.n_points, back.outcomes.tolist(), back.offset) == (n, outcomes, offset)
 
