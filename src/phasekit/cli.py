@@ -1,14 +1,16 @@
 """Command-line front end.
 
 Subcommands: window, dist, sample, crb, estimate, experiment.  Record
-length is given either as --qubits M (N = 2^M) or directly as
---record-length N; non-power-of-two lengths need --allow-any-n.  Phases
-are entered as --phase-frac x (phi = 2*pi*x) or --phase-rad r.  Each
-command renders only the format it emits.  Exit codes: 0 success, 1
-runtime error (including a malformed input file), 2 argument error
-(including a value that ExperimentSpec or EstimatorConfig rejects, a
-phase that is not finite in radians, a size beyond MAX_QUBITS,
-io.MAX_RECORD_LENGTH or io.MAX_SHOTS, a custom window whose
+length is --qubits M (N = 2^M) or --record-length N, comma-separated for
+every command: window, dist and sample take one, crb and experiment a
+list.  Non-power-of-two lengths need --allow-any-n.  Phases are entered
+as --phase-frac x (phi = 2*pi*x) or --phase-rad r.  Each command renders
+only the format it emits.  Exit codes: 0 success, 1 runtime error
+(including a malformed input file), 2 argument error (including a value
+that ExperimentSpec or EstimatorConfig rejects, a non-integer length
+entry, more than one length for window, dist or sample, a phase that is
+not finite in radians, a size beyond MAX_QUBITS, io.MAX_RECORD_LENGTH or
+io.MAX_SHOTS, --threads outside [1, CPUs], a custom window whose
 --weights-csv length differs from the record length, an --input count
 that the estimator does not take, and --plot-data with a kind or with a
 record length other than 128).  crb and experiment build their
@@ -104,7 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dist", help="emit the exact outcome distribution")
     _add_length_args(p)
     _add_window_args(p)
-    _add_phase_args(p, required=True)
+    _add_phase_args(p)
     p.add_argument("--offset-half-cell", action="store_true",
                    help="apply the pi/N frequency offset")
     _add_output_args(p)
@@ -113,7 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="draw seeded measurement outcomes")
     _add_length_args(p)
     _add_window_args(p)
-    _add_phase_args(p, required=True)
+    _add_phase_args(p)
     p.add_argument("--offset-half-cell", action="store_true")
     p.add_argument("--shots", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
@@ -121,7 +123,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("crb", help="average square-root CRB curves")
-    _add_length_args(p, many=True)
+    _add_length_args(p)
     p.add_argument("--windows", default="rect,cosine,bartlett",
                    help="comma-separated window ids")
     p.add_argument("--shots-list", default="1", help="comma-separated shot counts")
@@ -144,7 +146,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="run a Monte-Carlo experiment")
     p.add_argument("kind", nargs="?", choices=EXPERIMENT_KINDS)
-    _add_length_args(p, many=True)
+    _add_length_args(p)
     p.add_argument("--shots-list", default="30")
     p.add_argument("--estimators", default="df")
     p.add_argument("--windows", default="rect,cosine,bartlett")
@@ -169,14 +171,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_length_args(p, many: bool = False):
+def _add_length_args(p):
     group = p.add_mutually_exclusive_group(required=True)
-    if many:
-        group.add_argument("--qubits", help="qubit count(s), comma-separated")
-        group.add_argument("--record-length", help="record length(s), comma-separated")
-    else:
-        group.add_argument("--qubits", type=int)
-        group.add_argument("--record-length", type=int)
+    group.add_argument("--qubits", help="qubit count; crb and experiment take a "
+                                        "comma-separated list")
+    group.add_argument("--record-length", help="record length; crb and experiment take a "
+                                               "comma-separated list")
     p.add_argument("--allow-any-n", action="store_true",
                    help="permit record lengths that are not powers of two")
 
@@ -189,8 +189,8 @@ def _add_window_args(p):
                         "with an optional header")
 
 
-def _add_phase_args(p, required: bool):
-    group = p.add_mutually_exclusive_group(required=required)
+def _add_phase_args(p):
+    group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--phase-frac", type=float, help="phase as a fraction of 2*pi")
     group.add_argument("--phase-rad", type=float, help="phase in radians")
 
@@ -202,10 +202,20 @@ def _add_output_args(p, default_format: str | None = "csv"):
 
 
 def _resolve_n_list(args) -> list[int]:
+    """The record lengths of --qubits or --record-length; the only reader of both."""
     if args.qubits is not None:
-        return [2 ** _check_qubits(q) for q in _int_list(args.qubits, "--qubits")]
-    return [_check_length(n, args.allow_any_n)
-            for n in _int_list(args.record_length, "--record-length")]
+        qubits = _int_list(args.qubits, "--qubits")
+        # Checked before 2 ** q is computed: that power alone can be a huge integer.
+        if not all(1 <= q <= MAX_QUBITS for q in qubits):
+            raise CliError(f"--qubits must be in [1, {MAX_QUBITS}]")
+        return [2 ** q for q in qubits]
+    lengths = _int_list(args.record_length, "--record-length")
+    for n in lengths:
+        if not 2 <= n <= MAX_RECORD_LENGTH:
+            raise CliError(f"record length must be in [2, {MAX_RECORD_LENGTH}]")
+        if n & (n - 1) != 0 and not args.allow_any_n:
+            raise CliError(f"record length {n} is not a power of two (use --allow-any-n)")
+    return lengths
 
 
 def _int_list(text: str, flag: str) -> list[int]:
@@ -214,21 +224,6 @@ def _int_list(text: str, flag: str) -> list[int]:
         return [int(s) for s in text.split(",")]
     except ValueError:
         raise CliError(f"{flag} must be comma-separated integers") from None
-
-
-def _check_qubits(q: int) -> int:
-    # Checked before 2 ** q is computed: that power alone can be a huge integer.
-    if not 1 <= q <= MAX_QUBITS:
-        raise CliError(f"--qubits must be in [1, {MAX_QUBITS}]")
-    return q
-
-
-def _check_length(n: int, allow_any: bool) -> int:
-    if not 2 <= n <= MAX_RECORD_LENGTH:
-        raise CliError(f"record length must be in [2, {MAX_RECORD_LENGTH}]")
-    if n & (n - 1) != 0 and not allow_any:
-        raise CliError(f"record length {n} is not a power of two (use --allow-any-n)")
-    return n
 
 
 def _resolve_shots(args) -> tuple[int, ...]:
@@ -264,10 +259,9 @@ def _resolve_phase(args) -> float:
 
 
 def _resolve_window(args):
-    if args.qubits is not None:
-        n = 2 ** _check_qubits(args.qubits)
-    else:
-        n = _check_length(args.record_length, args.allow_any_n)
+    n, *more = _resolve_n_list(args)
+    if more:
+        raise CliError(f"{args.command} takes one record length")
     if args.window == "custom":
         if not args.weights_csv:
             raise CliError("--window custom requires --weights-csv")
@@ -385,7 +379,7 @@ def _cmd_experiment(args) -> int:
     spec = _spec(args, args.kind or "rmse-vs-shots",
                  estimators=tuple(args.estimators.split(",")), trials=args.trials,
                  master_seed=args.seed, phase_policy=args.phase_policy,
-                 cell_index=args.cell, n_jobs=args.threads)
+                 cell_index=args.cell)
     if args.plot_data:
         return _emit_plot_bundle(args, spec)
     print(f"seed: {args.seed}", file=sys.stderr)
@@ -404,7 +398,7 @@ def _rescale_scatter(table):
 def _emit_plot_bundle(args, spec: ExperimentSpec) -> int:
     """Write fig3.csv ... fig7.csv: CRB curves, scatter runs and RMSE sweeps.
 
-    Of spec, the figures keep the trials, seed and threads; each sets its
+    Of spec, the figures keep the trials and seed; each sets its
     own kind, lengths, shots, estimators, windows and phase policy.
     """
     if spec.n_points != (128,):

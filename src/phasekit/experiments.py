@@ -10,7 +10,8 @@ CRB curve, a CRB grid below 16 or above MAX_CRB_GRID_SIZE phases, more
 than MAX_TRIALS trials, N above io.MAX_RECORD_LENGTH, N_s above
 io.MAX_SHOTS, a scatter run over more than one N, N_s or estimator, df
 with fewer than 2 shots, a cell-policy cell_index outside [0, N) for
-some N) before any work is done.
+some N, an RMSE kind of no trials, a non-integer count, seed or index,
+a fixed phase that is not a finite number) before any work is done.
 
 Every trial draws its own generator from a seed derived as
 derive_seed(master_seed, kind, estimator, N, N_s, trial_index), so tables
@@ -51,6 +52,7 @@ unused, so every trial's bytes stay those of the trial run alone.
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass, field, fields
 
@@ -126,11 +128,13 @@ class ExperimentSpec:
             if not all(isinstance(v, (int, np.integer)) for v in values):
                 raise ValueError(f"every entry of {name} must be an integer")
             object.__setattr__(self, name, tuple(int(v) for v in values))
-        for name in ("trials", "master_seed", "crb_grid_size"):
+        for name in ("trials", "master_seed", "crb_grid_size", "cell_index", "n_jobs"):
             value = getattr(self, name)
             if not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer")
             object.__setattr__(self, name, int(value))
+        if not all(isinstance(v, numbers.Real) for v in self.fixed_phases):
+            raise ValueError("every entry of fixed_phases must be a number")
         if not np.all(np.isfinite(self.fixed_phases)):
             raise ValueError("fixed_phases must be finite")
         if min(self.n_shots) < 1:
@@ -141,6 +145,9 @@ class ExperimentSpec:
             raise ValueError("trials must be nonnegative")
         if self.trials > MAX_TRIALS:
             raise ValueError(f"trials must be <= {MAX_TRIALS}")
+        # A scatter run of no trials is its header; an RMSE has no value.
+        if self.kind in ("rmse-vs-shots", "rmse-vs-n") and self.trials < 1:
+            raise ValueError("RMSE experiments need at least one trial")
         if self.phase_policy not in PHASE_POLICIES:
             raise ValueError(f"unknown phase policy {self.phase_policy!r}")
         if self.phase_policy == "fixed" and not self.fixed_phases:
@@ -269,8 +276,6 @@ def fit_loglog_slope(table, x_field: str, where: dict | None = None) -> float:
 
 
 def _rmse_rows(spec: ExperimentSpec) -> list[ExperimentRow]:
-    if spec.trials < 1:
-        raise ValueError("RMSE experiments need at least one trial")
     rows = []
     # The windows behind the estimators, in first-use order.
     window_ids = list(dict.fromkeys(ESTIMATOR_WINDOWS[e] for e in spec.estimators))

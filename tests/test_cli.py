@@ -182,6 +182,10 @@ def test_randomized_commands_echo_seed(tmp_path, capsys):
     (["rmse-vs-shots", "--plot-data", "--qubits", "7"], "--plot-data takes no experiment kind"),
     (["--plot-data", "--qubits", "7", "--shots-list", "zz"],
      "--shots-list must be comma-separated integers"),
+    (["rmse-vs-shots", "--qubits", "7", "--trials", "0"],
+     "RMSE experiments need at least one trial"),
+    (["--plot-data", "--qubits", "7", "--trials", "0"],
+     "RMSE experiments need at least one trial"),
 ])
 def test_experiment_usage_error_is_one_stderr_line(argv, message, tmp_path, capsys):
     # The seed is echoed, and the bundle's directory made, only once the
@@ -204,6 +208,18 @@ def test_threads_env_default(tmp_path, monkeypatch):
                      "--estimators", "df", "--trials", "40", "--seed", "3",
                      "--output", str(ref)]) == 0
     assert out.read_bytes() == ref.read_bytes()
+
+
+@pytest.mark.parametrize("argv, message", [
+    *[([*command, *lengths], f"{command[0]} takes one record length")
+      for command in (["window"], ["dist", "--phase-frac", "0.1"],
+                      ["sample", "--phase-frac", "0.1", "--shots", "5"])
+      for lengths in (["--qubits", "3,4"], ["--record-length", "8,16"])],
+    (["window", "--qubits", "x"], "--qubits must be comma-separated integers"),
+])
+def test_single_length_usage_error_is_one_stderr_line(argv, message, capsys):
+    assert dispatch(argv) == 2
+    assert capsys.readouterr().err == f"usage error: {message}\n"
 
 
 def test_sample_and_estimate_roundtrip(tmp_path):
@@ -284,6 +300,18 @@ def test_experiment_threads_byte_identical(tmp_path):
                          "--trials", "80", "--seed", "3", "--threads", threads,
                          "--output", str(out)]) == 0
         outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
+def test_threads_change_no_json_byte(capsys, monkeypatch):
+    # The spec that the JSON echoes is the same at every thread count.
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    outs = []
+    for threads in ("1", "2"):
+        assert dispatch(["experiment", "rmse-vs-shots", "--qubits", "4", "--shots-list", "6",
+                         "--trials", "10", "--seed", "3", "--threads", threads,
+                         "--format", "json"]) == 0
+        outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1]
 
 

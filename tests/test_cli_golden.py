@@ -116,6 +116,15 @@ def test_output_bytes_match_recorded_digest(name, sets, tmp_path, capsys):
     assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
 
 
+@pytest.mark.parametrize("name", sorted(n for n in CASES if n.startswith("experiment-")))
+def test_threads_from_the_environment_change_no_byte(name, monkeypatch, capsys):
+    # The JSON echoes the spec, which must not carry the thread count.
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    monkeypatch.setenv("PHASEKIT_THREADS", "2")
+    assert dispatch(CASES[name]) == 0
+    assert _digest(capsys.readouterr().out.encode("utf-8")) == DIGESTS[name]
+
+
 def test_empty_scatter_csv_is_the_header_alone(capsys):
     assert dispatch(SCATTER + ["--trials", "0"]) == 0
     assert capsys.readouterr().out == "true_phase,signed_error\n"

@@ -325,6 +325,14 @@ def test_block_budget_bounds_the_closed_form_draw():
      r"cell_index must be in \[0, 100\)"),
     (dict(kind="rmse-vs-n", n_points=(64, 128), phase_policy="cell", cell_index=64),
      r"cell_index must be in \[0, 64\)"),
+    (dict(n_jobs="2"), "n_jobs must be an integer"),
+    (dict(n_jobs=1.5), "n_jobs must be an integer"),
+    (dict(phase_policy="cell", cell_index=1.5), "cell_index must be an integer"),
+    (dict(phase_policy="fixed", fixed_phases=("a",)),
+     "every entry of fixed_phases must be a number"),
+    # A scatter of no trials is its header; an RMSE of no trials has no value.
+    (dict(trials=0), "RMSE experiments need at least one trial"),
+    (dict(kind="rmse-vs-n", trials=0), "RMSE experiments need at least one trial"),
 ])
 def test_spec_rejects_runs_that_cannot_start(overrides, message):
     with pytest.raises(ValueError, match=message):
@@ -339,6 +347,9 @@ def test_spec_accepts_numpy_integers():
         return [(r.n_shots, r.estimator, r.rmse, r.sqrt_crb) for r in run_experiment(spec).rows]
 
     assert table(as_numpy) == table(spec)
+    cell = small_spec(trials=20, phase_policy="cell", cell_index=np.int64(10))
+    assert type(cell.cell_index) is int
+    assert table(cell) == table(small_spec(trials=20, phase_policy="cell", cell_index=10))
 
 
 def test_spec_shape_checks_follow_the_kind():
