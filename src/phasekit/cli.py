@@ -44,6 +44,7 @@ from .experiments import (
     ScatterRow,
     run_experiment,
 )
+from .fisher import DEFAULT_PHASE_GRID
 from .io import (
     MAX_RECORD_LENGTH,
     MAX_SHOTS,
@@ -124,10 +125,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("crb", help="average square-root CRB curves")
     _add_length_args(p)
-    p.add_argument("--windows", default="rect,cosine,bartlett",
+    p.add_argument("--windows", default=",".join(BUILTIN_WINDOWS),
                    help="comma-separated window ids")
     p.add_argument("--shots-list", default="1", help="comma-separated shot counts")
-    p.add_argument("--grid-size", type=int, default=256)
+    p.add_argument("--grid-size", type=int, default=DEFAULT_PHASE_GRID)
     _add_output_args(p)
     p.set_defaults(func=_cmd_crb)
 
@@ -149,7 +150,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_length_args(p)
     p.add_argument("--shots-list", default="30")
     p.add_argument("--estimators", default="df")
-    p.add_argument("--windows", default="rect,cosine,bartlett")
+    p.add_argument("--windows", default=",".join(BUILTIN_WINDOWS))
     p.add_argument("--trials", type=int, default=2000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--phase-policy", choices=("uniform", "cell"), default="uniform")
@@ -226,8 +227,8 @@ def _int_list(text: str, flag: str) -> list[int]:
         raise CliError(f"{flag} must be comma-separated integers") from None
 
 
-def _resolve_shots(args) -> tuple[int, ...]:
-    shots = tuple(_int_list(args.shots_list, "--shots-list"))
+def _resolve_shots(args) -> list[int]:
+    shots = _int_list(args.shots_list, "--shots-list")
     if not all(1 <= s <= MAX_SHOTS for s in shots):
         raise CliError(f"--shots-list entries must be in [1, {MAX_SHOTS}]")
     return shots
@@ -322,9 +323,9 @@ def _spec(args, kind: str, **run) -> ExperimentSpec:
     return _validated(
         ExperimentSpec,
         kind=kind,
-        n_points=tuple(_resolve_n_list(args)),
+        n_points=_resolve_n_list(args),
         n_shots=_resolve_shots(args),
-        windows=tuple(args.windows.split(",")),
+        windows=args.windows.split(","),
         allow_any_n=args.allow_any_n,
         **run,
     )
@@ -377,7 +378,7 @@ def _cmd_experiment(args) -> int:
         raise CliError("provide an experiment kind or --plot-data")
     # The bundle starts from its RMSE sweep's kind and overrides each figure's fields.
     spec = _spec(args, args.kind or "rmse-vs-shots",
-                 estimators=tuple(args.estimators.split(",")), trials=args.trials,
+                 estimators=args.estimators.split(","), trials=args.trials,
                  master_seed=args.seed, phase_policy=args.phase_policy,
                  cell_index=args.cell)
     if args.plot_data:

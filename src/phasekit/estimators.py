@@ -25,6 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .angles import TWO_PI, circ_distance, circ_midpoint, wrap_two_pi
+from .io import _is_int, _is_real
 from .model import Histogram, SampleSet, histogram_rows
 
 # Offsets within this of 0 resp. pi/N identify the two sample sets of the
@@ -64,13 +65,22 @@ class EstimatorConfig:
     sinc_floor: float = 1e-12
 
     def __post_init__(self):
+        # Counts are stored as Python ints: N * N_g in a numpy int32 overflows.
+        if not _is_int(self.bins_kept):
+            raise ValueError("bins_kept must be an integer")
+        object.__setattr__(self, "bins_kept", int(self.bins_kept))
         if self.bins_kept < 2:
             raise ValueError("bins_kept must be >= 2")
         if self.grid_points is not None:
+            if not _is_int(self.grid_points):
+                raise ValueError("grid_points must be an integer or None")
+            object.__setattr__(self, "grid_points", int(self.grid_points))
             if self.grid_points < 3 or self.grid_points % 2 == 0:
                 raise ValueError("grid_points must be odd and >= 3")
             if self.grid_points > MAX_GRID_POINTS:
                 raise ValueError(f"grid_points must be <= {MAX_GRID_POINTS}")
+        if not _is_real(self.sinc_floor):
+            raise ValueError("sinc_floor must be a number")
         if not 0.0 < self.sinc_floor < 1.0:
             raise ValueError("sinc_floor must be in (0, 1)")
 
@@ -185,7 +195,9 @@ def aml_estimate(
     data was drawn under); the caller maps back to the phi frame.  The
     grid has resolve_grid_points(total) points spaced 4*pi/(N*N_g) around
     the rough estimate, so the rough value itself is always a grid point
-    and the search never leaves [rough - 2*pi/N, rough + 2*pi/N].
+    and the search never leaves [rough - 2*pi/N, rough + 2*pi/N].  offset is
+    accepted and not read: the counts already carry it, and callers pin the
+    signature.
     """
     rough, correction = aml_rows(hist.counts[None, :], hist.total, config)
     return _aml_result(rough[0], correction[0])

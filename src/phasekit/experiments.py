@@ -5,13 +5,16 @@ check spec.kind once and hand the spec to the kind's row builder.  The
 result is always an ExperimentTable, whose columns name the serialized
 fields of the kind's row type; an ExperimentRow's wall_time stays in
 memory and is never serialized, because it varies run to run.
-ExperimentSpec rejects a run that cannot start (an unknown window for a
-CRB curve, a CRB grid below 16 or above MAX_CRB_GRID_SIZE phases, more
-than MAX_TRIALS trials, N above io.MAX_RECORD_LENGTH, N_s above
-io.MAX_SHOTS, a scatter run over more than one N, N_s or estimator, df
-with fewer than 2 shots, a cell-policy cell_index outside [0, N) for
-some N, an RMSE kind of no trials, a non-integer count, seed or index,
-a fixed phase that is not a finite number) before any work is done.
+ExperimentSpec stores each list field as a tuple of Python ints, strs or
+floats, and rejects a run that cannot start before any work is done: a
+list field that is not a tuple, list or array, a count, seed or index
+that is not an integer (a bool is not), a non-bool allow_any_n, a fixed
+phase that is not a finite number, an empty estimator list (window list
+for a CRB curve), an unknown window for a CRB curve, a CRB grid below 16
+or above MAX_CRB_GRID_SIZE phases, more than MAX_TRIALS trials, N above
+io.MAX_RECORD_LENGTH, N_s above io.MAX_SHOTS, a scatter run over more
+than one N, N_s or estimator, df with fewer than 2 shots, a cell-policy
+cell_index outside [0, N) for some N, or an RMSE kind of no trials.
 
 Every trial draws its own generator from a seed derived as
 derive_seed(master_seed, kind, estimator, N, N_s, trial_index), so tables
@@ -52,7 +55,6 @@ unused, so every trial's bytes stay those of the trial run alone.
 
 from __future__ import annotations
 
-import numbers
 import time
 from dataclasses import dataclass, field, fields
 
@@ -66,8 +68,8 @@ from .estimators import (
     dual_frequency_rows,
     split_shot_counts,
 )
-from .fisher import _avg_sqrt_crbs
-from .io import MAX_RECORD_LENGTH, MAX_SHOTS
+from .fisher import DEFAULT_PHASE_GRID, _avg_sqrt_crbs
+from .io import MAX_RECORD_LENGTH, MAX_SHOTS, _is_int, _is_real
 from .model import distribution_rows, histogram_rows, sample_rows
 from .rng import derive_seed, uniform_rows
 from .windows import make_window
@@ -92,7 +94,7 @@ BUILTIN_WINDOWS = ("rect", "cosine", "bartlett")
 BLOCK_BYTES = 1 << 20
 
 # Upper bounds on what a spec can size: per-trial result arrays, and the
-# phase grid of each CRB price (256 by default).
+# phase grid of each CRB price (fisher.DEFAULT_PHASE_GRID by default).
 MAX_TRIALS = 10 ** 6
 MAX_CRB_GRID_SIZE = 2 ** 16
 
@@ -112,29 +114,34 @@ class ExperimentSpec:
     cell_index: int = 0
     fixed_phases: tuple[float, ...] = ()
     allow_any_n: bool = False
-    crb_grid_size: int = 256
+    crb_grid_size: int = DEFAULT_PHASE_GRID
     n_jobs: int = 1  # accepted for compatibility; starts no worker, changes no byte
 
     def __post_init__(self):
         if self.kind not in EXPERIMENT_KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
-        if not self.n_points or not self.n_shots:
-            raise ValueError("n_points and n_shots lists must be nonempty")
-        # Types first: a float here would pass every bound and fail deep in
-        # numpy.  numpy integers are stored as Python ints, which give the
-        # same bytes (np.sqrt of a uint16 shot count would be float32).
-        for name in ("n_points", "n_shots"):
+        # Each field gets one Python type before a bound reads it: a float fails
+        # deep in numpy, and np.sqrt of a uint16 shot count is a float32.
+        rules = {int: (_is_int, "an integer"), float: (_is_real, "a number"),
+                 str: (lambda v: isinstance(v, str), "a string")}
+        for name, convert in (("n_points", int), ("n_shots", int), ("estimators", str),
+                              ("windows", str), ("fixed_phases", float)):
+            is_entry, what = rules[convert]
             values = getattr(self, name)
-            if not all(isinstance(v, (int, np.integer)) for v in values):
-                raise ValueError(f"every entry of {name} must be an integer")
-            object.__setattr__(self, name, tuple(int(v) for v in values))
+            if not isinstance(values, (tuple, list, np.ndarray)):
+                raise ValueError(f"{name} must be a tuple, list or array")
+            if not all(is_entry(v) for v in values):
+                raise ValueError(f"every entry of {name} must be {what}")
+            object.__setattr__(self, name, tuple(convert(v) for v in values))
         for name in ("trials", "master_seed", "crb_grid_size", "cell_index", "n_jobs"):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)):
+            if not _is_int(value):
                 raise ValueError(f"{name} must be an integer")
             object.__setattr__(self, name, int(value))
-        if not all(isinstance(v, numbers.Real) for v in self.fixed_phases):
-            raise ValueError("every entry of fixed_phases must be a number")
+        if not isinstance(self.allow_any_n, bool):
+            raise ValueError("allow_any_n must be a bool")
+        if not self.n_points or not self.n_shots:
+            raise ValueError("n_points and n_shots lists must be nonempty")
         if not np.all(np.isfinite(self.fixed_phases)):
             raise ValueError("fixed_phases must be finite")
         if min(self.n_shots) < 1:
@@ -175,11 +182,16 @@ class ExperimentSpec:
         if self.crb_grid_size > MAX_CRB_GRID_SIZE:
             raise ValueError(f"crb_grid_size must be <= {MAX_CRB_GRID_SIZE}")
         # Only a crb-curve run prices windows; every other kind runs estimators.
+        # An empty list of either would run nothing and return an empty table.
         if self.kind == "crb-curve":
+            if not self.windows:
+                raise ValueError("windows list must be nonempty")
             for window_id in self.windows:
                 if window_id not in BUILTIN_WINDOWS:
                     raise ValueError(f"unknown window {window_id!r}; expected one of "
                                      f"{BUILTIN_WINDOWS}")
+        elif not self.estimators:
+            raise ValueError("estimators list must be nonempty")
         elif "df" in self.estimators and min(self.n_shots) < 2:
             raise ValueError("dual-frequency estimation needs at least 2 shots")
         if self.kind == "scatter" and not (

@@ -111,8 +111,6 @@ def _fisher_grids(windows: list[WindowVector], grid_size: int) -> np.ndarray:
     if len(lengths) > 1:
         raise ValueError(f"windows differ in record length: {sorted(lengths)}")
     grids = np.empty((len(windows), grid_size))
-    if not windows:
-        return grids
     (n,) = lengths
     phases = TWO_PI / n * (np.arange(grid_size) + 0.5) / grid_size
     step = max(1, FI_BLOCK_ELEMENTS // n)

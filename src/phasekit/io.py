@@ -35,6 +35,7 @@ import io as _io
 import itertools
 import json
 import math
+import numbers
 import sys
 from dataclasses import asdict, is_dataclass
 
@@ -75,9 +76,10 @@ def write_csv(header, rows) -> str:
 
 
 def write_json(spec, rows) -> str:
-    """Render {"spec": ..., "rows": [...]} JSON."""
-    payload = {"spec": _plain(spec), "rows": [_plain(r) for r in rows]}
-    return json.dumps(payload, indent=2) + "\n"
+    """Render {"spec": ..., "rows": [...]} JSON; every value is already a JSON type."""
+    if is_dataclass(spec):
+        spec = asdict(spec)
+    return json.dumps({"spec": spec, "rows": rows}, indent=2) + "\n"
 
 
 def table_to_csv(table) -> str:
@@ -88,22 +90,6 @@ def table_to_json(table) -> str:
     columns = table.columns
     rows = [{c: getattr(r, c) for c in columns} for r in table.rows]
     return write_json(table.spec, rows)
-
-
-def _plain(obj):
-    if is_dataclass(obj) and not isinstance(obj, type):
-        obj = asdict(obj)
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    return obj
 
 
 def write_values(values, spec=None, fmt: str = "csv") -> str:
@@ -277,7 +263,7 @@ def read_sample_set_json(path) -> SampleSet:
     if not all(0 <= y < n for y in outcomes):
         raise ValueError(f"sample-set JSON: outcomes outside [0, {n})")
     offset = payload.get("offset", 0.0)
-    if isinstance(offset, bool) or not isinstance(offset, (int, float)):
+    if not _is_real(offset):
         raise ValueError("sample-set JSON: offset must be a number")
     offset = math.inf if abs(offset) > sys.float_info.max else float(offset)
     if not math.isfinite(offset):
@@ -286,4 +272,10 @@ def read_sample_set_json(path) -> SampleSet:
 
 
 def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+    """A Python or numpy integer, never a bool: files, specs and configs alike."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """A real number (numpy's too), never a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)

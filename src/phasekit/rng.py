@@ -33,11 +33,6 @@ paths:
   failed, reads np.random.PCG64(seed).random_raw(k) seed by seed.  This
   plain loop is also the test oracle.
 
-A third path, one PCG64 set to each vectorized-seeded (state, inc) in
-turn, was deleted: at the block shapes the engine uses it cost 44-79 us
-per row against 27 us for the per-seed loop at k = 1002 (taper-bounds),
-and saved only ~5 us per row at k = 71-101 (under 1 % of cli-figures).
-
 uniform_rows keeps no memory budget of its own: the closed form draws the
 whole block in one pass, so the caller bounds T (experiments.BLOCK_BYTES
 keeps a block's closed-form draw within 2**12 words).

@@ -42,6 +42,7 @@ class WindowVector:
             raise ValueError(f"window is not unit-norm: ||w|| = {norm!r}")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "n_points", w.shape[0])  # a Python int, as JSON needs
 
 
 def make_rectangular(n_points: int) -> WindowVector:
@@ -126,5 +127,6 @@ def _normalized(w: np.ndarray) -> np.ndarray:
 
 
 def _check_length(n_points: int):
-    if int(n_points) != n_points or n_points < 2:
+    # A Python or numpy integer; a bool is an int, but below 2.
+    if not isinstance(n_points, (int, np.integer)) or n_points < 2:
         raise ValueError("record length must be an integer >= 2")

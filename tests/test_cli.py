@@ -1,10 +1,15 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import phasekit
 import phasekit.io
 from phasekit.angles import TWO_PI, circ_distance
 from phasekit.cli import dispatch
@@ -339,6 +344,41 @@ def test_plot_data_bundle(tmp_path):
     for name in ("fig3.csv", "fig4.csv", "fig5.csv", "fig6.csv", "fig7.csv"):
         rows = read_csv_rows(tmp_path / name)
         assert rows, name
+
+
+def test_plot_data_cell_units_rescale_only_the_scatter_figures(tmp_path):
+    run = ["--seed", "3", "--trials", "20"]
+    for name, extra in (("rad", []), ("cells", ["--cell-units"])):
+        assert dispatch(["experiment", "--plot-data", "--qubits", "7", *run, *extra,
+                         "--out-dir", str(tmp_path / name)]) == 0
+    for fig in ("fig3.csv", "fig5.csv", "fig6.csv"):
+        assert (tmp_path / "cells" / fig).read_bytes() == (tmp_path / "rad" / fig).read_bytes()
+    # fig4 and fig7 are the aml and df scatter runs of one cell at N = 100.
+    for fig, estimator in (("fig4.csv", "aml"), ("fig7.csv", "df")):
+        out = tmp_path / f"scatter-{estimator}.csv"
+        assert dispatch(["experiment", "scatter", "--record-length", "100", "--allow-any-n",
+                         "--shots-list", "30", "--estimators", estimator,
+                         "--phase-policy", "cell", "--cell", "10", "--cell-units", *run,
+                         "--output", str(out)]) == 0
+        assert (tmp_path / "cells" / fig).read_bytes() == out.read_bytes()
+
+
+def test_module_entry_point_runs_dispatch(tmp_path, capsys):
+    """`python -m phasekit.cli` is main(), the installed `phasekit` script."""
+    src = str(Path(phasekit.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "phasekit.cli", *argv], env=env,
+                              cwd=tmp_path, capture_output=True, text=True, timeout=60)
+
+    done = run("window", "--qubits", "2")
+    assert done.returncode == 0
+    assert dispatch(["window", "--qubits", "2"]) == 0
+    assert done.stdout == capsys.readouterr().out
+    done = run("window", "--qubits", "x")
+    assert done.returncode == 2
+    assert done.stderr == "usage error: --qubits must be comma-separated integers\n"
 
 
 def test_plot_data_cell_with_opposite_two_shot_outcomes(tmp_path, capsys):

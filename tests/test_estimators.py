@@ -5,6 +5,7 @@ from phasekit.angles import TWO_PI, circ_distance, wrap_two_pi
 from phasekit.estimators import (
     DEFAULT_CONFIG,
     MAX_GRID_POINTS,
+    CandidateSet,
     EstimatorConfig,
     aml_estimate,
     aml_objective,
@@ -44,6 +45,19 @@ def test_config_validation():
     with pytest.raises(ValueError, match=f"grid_points must be <= {MAX_GRID_POINTS}"):
         EstimatorConfig(grid_points=MAX_GRID_POINTS + 2)
     EstimatorConfig(grid_points=MAX_GRID_POINTS)
+    # Counts are Python or numpy integers, never floats or bools, and the
+    # floor is a real number.
+    for kwargs, message in [(dict(bins_kept=2.5), "bins_kept must be an integer"),
+                            (dict(bins_kept=True), "bins_kept must be an integer"),
+                            (dict(grid_points=3.0), "grid_points must be an integer or None"),
+                            (dict(sinc_floor="x"), "sinc_floor must be a number"),
+                            (dict(sinc_floor=True), "sinc_floor must be a number")]:
+        with pytest.raises(ValueError, match=message):
+            EstimatorConfig(**kwargs)
+    # numpy integers are stored as Python ints: N * N_g would overflow an int32.
+    config = EstimatorConfig(bins_kept=np.int64(4), grid_points=np.int32(MAX_GRID_POINTS))
+    assert config == EstimatorConfig(bins_kept=4, grid_points=MAX_GRID_POINTS)
+    assert type(config.bins_kept) is int and type(config.grid_points) is int
 
 
 def test_grid_bound_admits_the_default_rule_at_the_shot_bound():
@@ -103,9 +117,16 @@ def test_rough_tie_breaks_low():
     assert rough_estimate(h) == pytest.approx(TWO_PI * 2 / 8, abs=1e-15)
 
 
+def test_candidate_set_needs_four_entries():
+    with pytest.raises(ValueError, match="exactly 4 entries"):
+        CandidateSet(np.zeros(3))
+
+
 def test_rough_empty_rejected():
     with pytest.raises(ValueError):
         rough_estimate(hist_from_counts([0] * 8))
+    with pytest.raises(ValueError, match="histogram is empty"):
+        aml_estimate(hist_from_counts([0] * 8))
 
 
 def test_rough_mid_cell_monte_carlo():

@@ -1,4 +1,6 @@
+import json
 import multiprocessing.process
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -205,8 +207,6 @@ def test_rmse_run_computes_one_grid_per_window_and_n(monkeypatch):
 
 def test_json_emission_shape():
     table = run_rmse_vs_shots(small_spec(trials=20))
-    import json
-
     payload = json.loads(table_to_json(table))
     assert set(payload) == {"spec", "rows"}
     assert payload["spec"]["kind"] == "rmse-vs-shots"
@@ -333,6 +333,30 @@ def test_block_budget_bounds_the_closed_form_draw():
     # A scatter of no trials is its header; an RMSE of no trials has no value.
     (dict(trials=0), "RMSE experiments need at least one trial"),
     (dict(kind="rmse-vs-n", trials=0), "RMSE experiments need at least one trial"),
+    # A list field takes a tuple, list or array and nothing else, whatever the
+    # kind reads.
+    (dict(n_points=64), "n_points must be a tuple, list or array"),
+    (dict(n_shots=8), "n_shots must be a tuple, list or array"),
+    (dict(estimators="df"), "estimators must be a tuple, list or array"),
+    (dict(windows="rect"), "windows must be a tuple, list or array"),
+    (dict(phase_policy="fixed", fixed_phases=1.0),
+     "fixed_phases must be a tuple, list or array"),
+    (dict(estimators=("df", 5)), "every entry of estimators must be a string"),
+    (dict(kind="crb-curve", windows=["rect", None]), "every entry of windows must be a string"),
+    (dict(phase_policy="fixed", fixed_phases=(True,)),
+     "every entry of fixed_phases must be a number"),
+    # A bool is not an integer, and allow_any_n is a bool.
+    (dict(trials=True), "trials must be an integer"),
+    (dict(master_seed=np.bool_(True)), "master_seed must be an integer"),
+    (dict(n_shots=(8, True)), "every entry of n_shots must be an integer"),
+    (dict(n_points=(100,), allow_any_n="no"), "allow_any_n must be a bool"),
+    # An empty list the kind reads would run nothing.
+    (dict(estimators=()), "estimators list must be nonempty"),
+    (dict(kind="rmse-vs-n", estimators=[]), "estimators list must be nonempty"),
+    (dict(kind="crb-curve", windows=()), "windows list must be nonempty"),
+    (dict(phase_policy="nope"), "unknown phase policy 'nope'"),
+    (dict(n_points=(1,)), "record length must be >= 2"),
+    (dict(n_jobs=0), "n_jobs must be >= 1"),
 ])
 def test_spec_rejects_runs_that_cannot_start(overrides, message):
     with pytest.raises(ValueError, match=message):
@@ -350,6 +374,27 @@ def test_spec_accepts_numpy_integers():
     cell = small_spec(trials=20, phase_policy="cell", cell_index=np.int64(10))
     assert type(cell.cell_index) is int
     assert table(cell) == table(small_spec(trials=20, phase_policy="cell", cell_index=10))
+
+
+def test_spec_settles_each_field_to_one_python_type():
+    spec = small_spec(kind="rmse-vs-n", n_points=np.array([64, 128]),
+                      n_shots=[np.int32(8)], estimators=np.array(["df", "aml"]),
+                      windows=["rect"], phase_policy="fixed", fixed_phases=np.array([1, 2.5]),
+                      trials=np.int64(5), crb_grid_size=np.uint16(64))
+    assert spec == small_spec(kind="rmse-vs-n", n_points=(64, 128), n_shots=(8,),
+                              estimators=("df", "aml"), windows=("rect",),
+                              phase_policy="fixed", fixed_phases=(1.0, 2.5), trials=5,
+                              crb_grid_size=64)
+    for name in ("n_points", "n_shots", "estimators", "windows", "fixed_phases"):
+        assert type(getattr(spec, name)) is tuple
+    assert {type(v) for v in spec.n_points + spec.n_shots} == {int}
+    assert {type(v) for v in spec.estimators + spec.windows} == {str}
+    assert {type(v) for v in spec.fixed_phases} == {float}
+    assert type(spec.crb_grid_size) is int and type(spec.allow_any_n) is bool
+    assert hash(spec) == hash(replace(spec)) and replace(spec) == spec
+    # A library caller's integer fixed phase echoes as a float: 1.0, not 1.
+    echo = json.loads(table_to_json(ExperimentTable(spec)))["spec"]["fixed_phases"]
+    assert [(type(v), v) for v in echo] == [(float, 1.0), (float, 2.5)]
 
 
 def test_spec_shape_checks_follow_the_kind():

@@ -125,6 +125,18 @@ def test_avg_sqrt_crb_rejects_degenerate_window():
         avg_sqrt_crb(flat_info, 10)
 
 
+def test_bound_arguments_are_checked():
+    w = make_rectangular(16)
+    with pytest.raises(ValueError, match="phase must be finite"):
+        fisher_information(w, np.nan)
+    with pytest.raises(ValueError, match="n_shots must be >= 1"):
+        crb(w, 0.3, 0)
+    with pytest.raises(ValueError, match="n_shots must be >= 1"):
+        avg_sqrt_crb(w, 0)
+    with pytest.raises(ValueError, match="phase_grid_size must be >= 16"):
+        avg_sqrt_crb(w, 1, 15)
+
+
 def test_grid_never_on_grid():
     fis = fisher_information_grid(make_rectangular(512), 256)
     assert fis.min() > 0.0

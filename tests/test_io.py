@@ -29,6 +29,11 @@ def test_floats_have_17_significant_digits():
     assert float(format_value(0.1 + 0.2)) == 0.1 + 0.2
 
 
+def test_one_integer_rule_for_files_specs_and_configs():
+    assert all(phasekit.io._is_int(v) for v in (3, -3, np.int64(3), np.uint16(3)))
+    assert not any(phasekit.io._is_int(v) for v in (True, np.bool_(True), 3.0, "3", None))
+
+
 def test_csv_has_header_and_lf_endings(tmp_path):
     path = tmp_path / "t.csv"
     text = write_csv(["y", "value"], [(0, 0.5), (1, 0.25)])

@@ -5,10 +5,12 @@ import scipy.stats
 from phasekit.angles import TWO_PI
 from phasekit.model import (
     Histogram,
+    PhaseDistribution,
     SampleSet,
     distribution,
     histogram,
     sample,
+    sample_rows,
 )
 from phasekit.windows import make_bartlett, make_cosine, make_rectangular, make_window
 
@@ -164,3 +166,21 @@ def test_histogram_validates():
         Histogram(4, np.array([1, 1, 1, 1]), 3)
     with pytest.raises(ValueError):
         Histogram(4, np.array([-1, 1, 1, 2]), 3)
+    with pytest.raises(ValueError, match="counts must have length n_points"):
+        Histogram(4, np.array([1, 1, 1]), 3)
+
+
+@pytest.mark.parametrize("probs, message", [
+    ([0.5, 0.5, 0.0], "probs must have length n_points"),
+    ([0.5, 0.5, 0.5, 0.0], "probabilities sum to 1.5, not 1"),
+    ([0.6, 0.5, -0.1, 0.0], "negative probability beyond roundoff"),
+])
+def test_phase_distribution_validates(probs, message):
+    with pytest.raises(ValueError, match=message):
+        PhaseDistribution(4, 0.0, 0.0, np.array(probs))
+
+
+def test_sampler_rejects_a_row_without_mass():
+    probs = np.array([[0.5, 0.5, 0.0], [0.0, 0.0, 0.0]])
+    with pytest.raises(ValueError, match="no positive probability mass"):
+        sample_rows(probs, np.full((2, 3), 0.5))
