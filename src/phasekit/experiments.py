@@ -6,15 +6,16 @@ result is always an ExperimentTable, whose columns name the serialized
 fields of the kind's row type; an ExperimentRow's wall_time stays in
 memory and is never serialized, because it varies run to run.
 ExperimentSpec stores each list field as a tuple of Python ints, strs or
-floats, and rejects a run that cannot start before any work is done: a
-list field that is not a tuple, list or array, a count, seed or index
-that is not an integer (a bool is not), a non-bool allow_any_n, a fixed
-phase that is not a finite number, an empty estimator list (window list
-for a CRB curve), an unknown window for a CRB curve, a CRB grid below 16
-or above MAX_CRB_GRID_SIZE phases, more than MAX_TRIALS trials, N above
-io.MAX_RECORD_LENGTH, N_s above io.MAX_SHOTS, a scatter run over more
-than one N, N_s or estimator, df with fewer than 2 shots, a cell-policy
-cell_index outside [0, N) for some N, or an RMSE kind of no trials.
+floats, and kind and phase_policy as a str.  It rejects a run that cannot
+start before any work is done: a list field that is not a tuple, list or
+array, a count, seed or index that is not an integer (a bool is not), a
+non-bool allow_any_n, a fixed phase that is not a finite number, an
+empty estimator list (window list for a CRB curve), an unknown window for
+a CRB curve, a CRB grid below 16 or above MAX_CRB_GRID_SIZE phases, more
+than MAX_TRIALS trials, N above io.MAX_RECORD_LENGTH, N_s above
+io.MAX_SHOTS, a scatter run over more than one N, N_s or estimator, df
+with fewer than 2 shots, a cell-policy cell_index outside [0, N) for some
+N, or an RMSE kind of no trials.
 
 Every trial draws its own generator from a seed derived as
 derive_seed(master_seed, kind, estimator, N, N_s, trial_index), so tables
@@ -42,9 +43,12 @@ same bytes as running its trials one at a time, because:
 * ties resolve as before: stable argsort for the kept bins, first-index
   argmax and argmin for the grid point and the DF pair.
 
-A block holds at most BLOCK_BYTES of arrays, sized from N and N_s, so
-memory does not grow with the trial count.  It is the only memory budget
-of a block: rng.uniform_rows draws the block's uniforms in one pass.
+A block holds about BLOCK_BYTES of arrays, so memory does not grow with
+the trial count.  _block_rows charges each row for the arrays its
+estimator builds (fitted to tracemalloc peaks; see there).  It also caps
+a block that may draw from the closed form, N_s <= rng.CLOSED_FORM_MAX_WORDS,
+at 2**12 // (N_s + 2) rows, since rng.uniform_rows draws a whole block in
+one pass and keeps no budget of its own.
 
 A sample-mean trial whose resultant vector vanishes (two opposite
 outcomes, say) has no mean; it then guesses a uniform phase from the
@@ -71,7 +75,7 @@ from .estimators import (
 from .fisher import DEFAULT_PHASE_GRID, _avg_sqrt_crbs
 from .io import MAX_RECORD_LENGTH, MAX_SHOTS, _is_int, _is_real
 from .model import distribution_rows, histogram_rows, sample_rows
-from .rng import derive_seed, uniform_rows
+from .rng import CLOSED_FORM_MAX_WORDS, derive_seed, uniform_rows
 from .windows import make_window
 
 EXPERIMENT_KINDS = ("rmse-vs-shots", "rmse-vs-n", "scatter", "crb-curve")
@@ -138,6 +142,11 @@ class ExperimentSpec:
             if not _is_int(value):
                 raise ValueError(f"{name} must be an integer")
             object.__setattr__(self, name, int(value))
+        # An np.str_ is a str; anything else fails its name check below.
+        for name in ("kind", "phase_policy"):
+            value = getattr(self, name)
+            if isinstance(value, str):
+                object.__setattr__(self, name, str(value))
         if not isinstance(self.allow_any_n, bool):
             raise ValueError("allow_any_n must be a bool")
         if not self.n_points or not self.n_shots:
@@ -347,11 +356,11 @@ _KINDS = {
 
 def _collect_trials(spec: ExperimentSpec, estimator: str, n: int, n_shots: int):
     """(true_phases, signed_errors) arrays indexed by trial, in blocks of at most
-    _block_rows(n, n_shots) trials."""
+    _block_rows(n, n_shots, estimator) trials."""
     window = make_window(ESTIMATOR_WINDOWS[estimator], n)
     phases = np.empty(spec.trials)
     errors = np.empty(spec.trials)
-    step = _block_rows(n, n_shots)
+    step = _block_rows(n, n_shots, estimator)
     for lo in range(0, spec.trials, step):
         hi = min(lo + step, spec.trials)
         phases[lo:hi], errors[lo:hi] = _trial_block(spec, estimator, window, n, n_shots,
@@ -359,11 +368,53 @@ def _collect_trials(spec: ExperimentSpec, estimator: str, n: int, n_shots: int):
     return phases, errors
 
 
-def _block_rows(n: int, n_shots: int) -> int:
-    """Trials per block such that the block's arrays stay near BLOCK_BYTES."""
-    n_grid = DEFAULT_CONFIG.resolve_grid_points(n_shots)
-    row_bytes = 8 * (2 * (n_shots + 1) + 6 * n + 4 * n_grid * DEFAULT_CONFIG.bins_kept)
-    return max(1, BLOCK_BYTES // row_bytes)
+def _block_rows(n: int, n_shots: int, estimator: str) -> int:
+    """Trials per block such that the block's arrays stay near BLOCK_BYTES.
+
+    A row draws at most k = N_s + 2 words (the phase, the shots, a sample
+    mean's guess).  It is charged, in 8-byte words, the shot arrays that
+    stay live plus the larger of two stages that peak at different times:
+
+        sample mean:  2k + max(7N, 2k)
+        aml, df:      3k + max(7N, 3N + 5 * G * K)
+
+    * 2k: the uniforms and the outcomes; a mean's unit vectors are the
+      other 2k.  3k: the uniforms, the outcomes and the histogram's flat
+      index, or the per-seed draw's three (T, k) arrays when k > 64;
+    * 7N: the distribution, 6.1N for rect with df's first histogram live
+      beside it (an FFT window's takes about 5.3N);
+    * 3N + 5GK: the histograms, the kept-bin order and the objective's
+      (rows, G, K) tensors on the per-set grid G = resolve_grid_points(s),
+      s = ceil(N_s/2) for df and N_s for aml.  Rows are grouped by their
+      number of nonzero kept bins, and the largest group holds about s/16
+      kept bins per row (0.9 at s = 15 or 30, 1.6 at 50, 4.5 at 100, 7 at
+      1000), so K = min(bins_kept, N, max(1, s // 16)).
+
+    One block's tracemalloc peak per row (seeds 5-7) against its charge:
+
+        shape                          rows  peak/row, B   charge, B
+        df, N=128, N_s=30               128         7592        7936
+        mean-cosine, N=1024, N_s=1000    14        51482       73376
+        aml, N=64, N_s=1000               9  78044-94673      106544
+        aml, N=4096, N_s=30               4       201342      230144
+
+    A row draws N_s to k words, depending on the phase policy and the
+    estimator, and a draw of at most CLOSED_FORM_MAX_WORDS words comes from
+    the closed form, which holds about 8k words per row at once.  So a block
+    of N_s <= CLOSED_FORM_MAX_WORDS shots also stays within 2**12 // k rows.
+    """
+    k = n_shots + 2
+    if estimator.startswith("mean-"):
+        words = 2 * k + max(7 * n, 2 * k)
+    else:
+        per_set = (n_shots + 1) // 2 if estimator == "df" else n_shots
+        n_grid = DEFAULT_CONFIG.resolve_grid_points(per_set)
+        kept = min(DEFAULT_CONFIG.bins_kept, n, max(1, per_set // 16))
+        words = 3 * k + max(7 * n, 3 * n + 5 * n_grid * kept)
+    rows = max(1, BLOCK_BYTES // (8 * words))
+    if n_shots <= CLOSED_FORM_MAX_WORDS:
+        rows = min(rows, 2 ** 12 // k)
+    return rows
 
 
 def _trial_block(spec: ExperimentSpec, estimator: str, window, n: int, n_shots: int,

@@ -14,6 +14,7 @@ enters the statistics only through phi + delta.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +50,7 @@ class PhaseDistribution:
             raise ValueError("negative probability beyond roundoff")
         p.setflags(write=False)
         object.__setattr__(self, "probs", p)
+        object.__setattr__(self, "n_points", p.shape[0])  # a Python int, as JSON needs
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,6 +62,7 @@ class SampleSet:
     offset: float = 0.0
 
     def __post_init__(self):
+        object.__setattr__(self, "n_points", operator.index(self.n_points))
         y = np.asarray(self.outcomes, dtype=np.int64)
         if y.size and (y.min() < 0 or y.max() >= self.n_points):
             raise ValueError("outcomes outside [0, n_points)")
@@ -88,6 +91,7 @@ class Histogram:
             raise ValueError("counts do not sum to total")
         z.setflags(write=False)
         object.__setattr__(self, "counts", z)
+        object.__setattr__(self, "n_points", z.shape[0])
 
 
 def distribution(window: WindowVector, phase: float, offset: float = 0.0) -> PhaseDistribution:
@@ -109,8 +113,7 @@ def distribution_rows(window: WindowVector, effective: np.ndarray) -> np.ndarray
 
 
 def _rect_probs(n: int, effective: np.ndarray) -> np.ndarray:
-    theta = effective[:, None] - TWO_PI * np.arange(n) / n
-    half = 0.5 * theta
+    half = 0.5 * (effective[:, None] - TWO_PI * np.arange(n) / n)
     s = np.sin(half)
     on_grid = np.abs(s) < _SINGULARITY_EPS
     denom = np.where(on_grid, 1.0, s)

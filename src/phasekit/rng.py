@@ -34,8 +34,9 @@ paths:
   plain loop is also the test oracle.
 
 uniform_rows keeps no memory budget of its own: the closed form draws the
-whole block in one pass, so the caller bounds T (experiments.BLOCK_BYTES
-keeps a block's closed-form draw within 2**12 words).
+whole block in one pass, about 8k words per row at once, so the caller
+bounds T (experiments._block_rows caps a block of N_s <= CLOSED_FORM_MAX_WORDS
+shots, whose rows draw at most k = N_s + 2 words, at 2**12 // k rows).
 
 The first call checks one closed-form stream of CLOSED_FORM_MAX_WORDS
 words against np.random.PCG64; should a numpy release break that, every
@@ -57,9 +58,9 @@ _DOUBLE_SHIFT = np.uint64(11)
 _DOUBLE_SCALE = 2.0 ** -53
 
 # Longest stream computed in closed form, in 64-bit words; longer ones are
-# read from one np.random.PCG64 per seed.  Held at 64 by
-# test_block_budget_bounds_the_closed_form_draw, which ties it to the
-# 2**12-word block budget.
+# read from one np.random.PCG64 per seed.  experiments._block_rows caps a
+# closed-form block at 2**12 // k rows, which
+# test_block_budget_bounds_the_closed_form_draw checks for every estimator.
 CLOSED_FORM_MAX_WORDS = 64
 
 # numpy's SeedSequence constants (numpy/random/bit_generator.pyx).

@@ -1,5 +1,6 @@
 import json
 import multiprocessing.process
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -25,7 +26,9 @@ from phasekit.experiments import (
     run_rmse_vs_n,
     run_rmse_vs_shots,
     run_scatter,
+    BLOCK_BYTES,
     _block_rows,
+    _trial_block,
 )
 from phasekit.io import table_to_csv, table_to_json
 from phasekit.model import distribution, histogram, sample
@@ -265,7 +268,7 @@ def test_blocks_equal_trials_run_one_by_one(estimator, n, n_shots, seed, guesses
 
 
 def test_block_budget_bounds_the_closed_form_draw():
-    """A block's closed-form draw stays within 2**12 words.
+    """A block's closed-form draw stays within 2**12 words, for every estimator.
 
     uniform_rows draws the (T, k) words of a whole block in one pass, so
     _block_rows is the only bound on its temporaries.  k is N_s plus 0, 1
@@ -276,13 +279,40 @@ def test_block_budget_bounds_the_closed_form_draw():
     """
     beyond = [2**p + d for p in range(14, 21) for d in (-1, 0, 1) if 2**p + d <= 2**20]
     worst = 0
-    for n_shots in range(1, CLOSED_FORM_MAX_WORDS + 1):
-        rows = max(_block_rows(n, n_shots) for n in range(2, 2**14 + 1))
-        assert all(_block_rows(n, n_shots) == 1 for n in beyond)
-        for extra in (0, 1, 2):
-            if n_shots + extra <= CLOSED_FORM_MAX_WORDS:
-                worst = max(worst, rows * (n_shots + extra))
+    for estimator in ESTIMATOR_WINDOWS:
+        for n_shots in range(1, CLOSED_FORM_MAX_WORDS + 1):
+            rows = max(_block_rows(n, n_shots, estimator) for n in range(2, 2**14 + 1))
+            assert all(_block_rows(n, n_shots, estimator) == 1 for n in beyond)
+            for extra in (0, 1, 2):
+                if n_shots + extra <= CLOSED_FORM_MAX_WORDS:
+                    worst = max(worst, rows * (n_shots + extra))
     assert worst <= 2**12
+
+
+# df-cell's and the taper cells' shapes, then a grid over N and N_s.
+_BUDGET_SHAPES = [("df", 128, 30), ("mean-cosine", 1024, 1000), ("mean-bartlett", 1024, 1000)] + [
+    (estimator, n, n_shots) for estimator in ("df", "aml", "mean-rect", "mean-cosine")
+    for n in (2, 8, 64, 1024, 4096) for n_shots in (2, 30, 1000)]
+
+
+@pytest.mark.parametrize("estimator, n, n_shots", _BUDGET_SHAPES)
+def test_block_peak_stays_within_the_budget(estimator, n, n_shots):
+    """One block of _block_rows trials peaks at no more than 1.25 * BLOCK_BYTES
+    of traced allocations, unless one trial alone is the block."""
+    rows = _block_rows(n, n_shots, estimator)
+    spec = ExperimentSpec(kind="scatter", n_points=(n,), n_shots=(n_shots,),
+                          estimators=(estimator,), trials=rows, master_seed=5)
+    window = make_window(ESTIMATOR_WINDOWS[estimator], n)
+    # The first block runs the stream check and fills numpy's caches.
+    _trial_block(spec, estimator, window, n, n_shots, 0, rows)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _trial_block(spec, estimator, window, n, n_shots, 0, rows)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert rows == 1 or peak <= 1.25 * BLOCK_BYTES, (rows, peak)
 
 
 @pytest.mark.parametrize("overrides, message", [
@@ -377,9 +407,10 @@ def test_spec_accepts_numpy_integers():
 
 
 def test_spec_settles_each_field_to_one_python_type():
-    spec = small_spec(kind="rmse-vs-n", n_points=np.array([64, 128]),
+    spec = small_spec(kind=np.str_("rmse-vs-n"), n_points=np.array([64, 128]),
                       n_shots=[np.int32(8)], estimators=np.array(["df", "aml"]),
-                      windows=["rect"], phase_policy="fixed", fixed_phases=np.array([1, 2.5]),
+                      windows=["rect"], phase_policy=np.str_("fixed"),
+                      fixed_phases=np.array([1, 2.5]),
                       trials=np.int64(5), crb_grid_size=np.uint16(64))
     assert spec == small_spec(kind="rmse-vs-n", n_points=(64, 128), n_shots=(8,),
                               estimators=("df", "aml"), windows=("rect",),
@@ -391,6 +422,7 @@ def test_spec_settles_each_field_to_one_python_type():
     assert {type(v) for v in spec.estimators + spec.windows} == {str}
     assert {type(v) for v in spec.fixed_phases} == {float}
     assert type(spec.crb_grid_size) is int and type(spec.allow_any_n) is bool
+    assert type(spec.kind) is str and type(spec.phase_policy) is str
     assert hash(spec) == hash(replace(spec)) and replace(spec) == spec
     # A library caller's integer fixed phase echoes as a float: 1.0, not 1.
     echo = json.loads(table_to_json(ExperimentTable(spec)))["spec"]["fixed_phases"]

@@ -7,6 +7,11 @@ The batched harness must reproduce them byte for byte.  The cases cover
 every estimator, all three phase policies, odd shot counts, record lengths
 that are not powers of two, trial counts that are not a multiple of the
 block size, and one and two workers.
+
+The scatter-long cases were recorded later, from the batched harness while
+it still sized blocks for the AML grid of every estimator (115 rows at
+N=64 and N_s=7), and the same bytes came out of 1-row and 461-row blocks.
+They run over several blocks of the current sizing, too.
 """
 
 import hashlib
@@ -14,7 +19,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from phasekit.experiments import ExperimentSpec, _block_rows, run_experiment
+import phasekit.experiments
+from phasekit.experiments import BLOCK_BYTES, ExperimentSpec, _block_rows, run_experiment
 from phasekit.io import table_to_csv
 from phasekit.rng import derive_seed, make_generator, uniform_rows
 
@@ -37,6 +43,8 @@ CASES = {
         n_points=(128,), n_shots=(30,), estimators=(est,), trials=40, master_seed=1,
         phase_policy="fixed", fixed_phases=(0.3, 1.7, 5.9))
        for est in ("df", "aml", "mean-bartlett")},
+    **{f"scatter-long-{est}": _scatter(estimators=(est,), trials=1001)
+       for est in ("df", "mean-cosine")},
     "rmse-vs-shots-all": dict(
         kind="rmse-vs-shots", n_points=(64,), n_shots=(3, 9, 16), estimators=ESTIMATORS,
         trials=257, master_seed=11),
@@ -56,6 +64,10 @@ DIGESTS = {
         "5016e93c3a6601d80b819ff1e9255b3f12dc2f19b909f74e41f2d503acbf8efd",
     "scatter-cell-mean-cosine":
         "57e5a244309f0b5b7af51a356030e8b267e681094152dd7d0c924d5c287417e1",
+    "scatter-long-df":
+        "cb7d7473d4d17ca59eedbd3f7f3bbb2256ac6ccdf365395c0e6aef4c28a93830",
+    "scatter-long-mean-cosine":
+        "09024df923a28786242c9556588dceff2218ac4722f899acfea9a258b202e2d0",
     "scatter-fixed-aml":
         "b6939d8332bc4b04f41fccacd1ff86910399f53ceaaf0cd0575a7d9b4eb62ba6",
     "scatter-fixed-df":
@@ -84,9 +96,20 @@ def test_table_bytes_match_recorded_digest(name, n_jobs):
 
 
 def test_cases_span_several_blocks():
-    spec = CASES["scatter-uniform-df"]
-    rows = _block_rows(spec["n_points"][0], spec["n_shots"][0])
-    assert spec["trials"] > 2 * rows and spec["trials"] % rows != 0
+    for name in ("scatter-long-df", "scatter-long-mean-cosine"):
+        spec = CASES[name]
+        rows = _block_rows(spec["n_points"][0], spec["n_shots"][0], spec["estimators"][0])
+        assert spec["trials"] > 2 * rows and spec["trials"] % rows != 0
+
+
+@pytest.mark.parametrize("estimator", ("df", "aml", "mean-cosine"))
+def test_tables_do_not_depend_on_the_block_size(estimator, monkeypatch):
+    spec = ExperimentSpec(**_scatter(estimators=(estimator,), trials=1001))
+    tables = []
+    for budget in (1, BLOCK_BYTES, 4 * BLOCK_BYTES):  # 1 byte: one trial per block
+        monkeypatch.setattr(phasekit.experiments, "BLOCK_BYTES", budget)
+        tables.append(table_to_csv(run_experiment(spec)))
+    assert tables[0] == tables[1] == tables[2]
 
 
 @pytest.mark.parametrize("seed", (0, 1, 7, 2**63 + 5, 2**64 - 1))

@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.stats
 
 from phasekit.angles import TWO_PI
+from phasekit.io import sample_set_to_json
 from phasekit.model import (
     Histogram,
     PhaseDistribution,
@@ -168,6 +171,16 @@ def test_histogram_validates():
         Histogram(4, np.array([-1, 1, 1, 2]), 3)
     with pytest.raises(ValueError, match="counts must have length n_points"):
         Histogram(4, np.array([1, 1, 1]), 3)
+
+
+def test_record_length_is_stored_as_a_python_int():
+    samples = SampleSet(np.int64(4), [1, 2])
+    hist = Histogram(np.int64(4), np.array([0, 1, 1, 0]), 2)
+    dist = PhaseDistribution(np.uint16(4), 0.0, 0.0, np.full(4, 0.25))
+    assert {type(x.n_points) for x in (samples, hist, dist)} == {int}
+    assert json.loads(sample_set_to_json(samples))["n_points"] == 4
+    with pytest.raises(TypeError):
+        SampleSet(4.0, [1, 2])
 
 
 @pytest.mark.parametrize("probs, message", [
