@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .angles import TWO_PI, circ_distance, circ_midpoint, wrap_two_pi
-from .io import _is_int, _is_real
+from .checks import _is_int, _is_real
 from .model import Histogram, SampleSet, histogram_rows
 
 # Offsets within this of 0 resp. pi/N identify the two sample sets of the

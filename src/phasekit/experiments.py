@@ -50,6 +50,12 @@ a block that may draw from the closed form, N_s <= rng.CLOSED_FORM_MAX_WORDS,
 at 2**12 // (N_s + 2) rows, since rng.uniform_rows draws a whole block in
 one pass and keeps no budget of its own.
 
+Every CRB column and crb-curve row divides a one-shot price by sqrt(N_s):
+the average sqrt-CRB of a window at N, a pure function of (window, N,
+crb_grid_size).  A price is computed once per (window, N, grid) per
+process and kept, so an RMSE run and a CRB curve in one process share
+their prices, and a repeated run computes no Fisher grid.
+
 A sample-mean trial whose resultant vector vanishes (two opposite
 outcomes, say) has no mean; it then guesses a uniform phase from the
 next double of its own stream.  A sample-mean block draws that double
@@ -65,6 +71,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .angles import TWO_PI, circ_signed_error, wrap_two_pi
+from .checks import _is_int, _is_real
 from .estimators import (
     DEFAULT_CONFIG,
     aml_rows,
@@ -73,7 +80,7 @@ from .estimators import (
     split_shot_counts,
 )
 from .fisher import DEFAULT_PHASE_GRID, _avg_sqrt_crbs
-from .io import MAX_RECORD_LENGTH, MAX_SHOTS, _is_int, _is_real
+from .io import MAX_RECORD_LENGTH, MAX_SHOTS
 from .model import distribution_rows, histogram_rows, sample_rows
 from .rng import CLOSED_FORM_MAX_WORDS, derive_seed, uniform_rows
 from .windows import make_window
@@ -101,6 +108,10 @@ BLOCK_BYTES = 1 << 20
 # phase grid of each CRB price (fisher.DEFAULT_PHASE_GRID by default).
 MAX_TRIALS = 10 ** 6
 MAX_CRB_GRID_SIZE = 2 ** 16
+
+# One-shot price of each (window, N, crb_grid_size) computed in this process;
+# see _one_shot_prices.  An entry is one float, and none is ever evicted.
+_PRICES: dict[tuple[str, int, int], float] = {}
 
 
 @dataclass(frozen=True)
@@ -340,9 +351,17 @@ def _crb_rows(spec: ExperimentSpec) -> list[CrbRow]:
 
 
 def _one_shot_prices(spec: ExperimentSpec, window_ids, n: int) -> list[float]:
-    """One-shot average sqrt-CRB of each window at N, priced in one call that
-    shares each block's phase ramp."""
-    return _avg_sqrt_crbs([make_window(w, n) for w in window_ids], 1, spec.crb_grid_size)
+    """One-shot average sqrt-CRB of each window at N, in the order asked.
+
+    The windows not yet in _PRICES are priced in one call that shares each
+    block's phase ramp, and stored; a pricing that raises stores nothing.
+    """
+    keys = [(window_id, n, spec.crb_grid_size) for window_id in window_ids]
+    missing = list(dict.fromkeys(key for key in keys if key not in _PRICES))
+    if missing:
+        windows = [make_window(window_id, n) for window_id, _, _ in missing]
+        _PRICES.update(zip(missing, _avg_sqrt_crbs(windows, 1, spec.crb_grid_size)))
+    return [_PRICES[key] for key in keys]
 
 
 # Row type and row builder of each experiment kind.

@@ -31,6 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from .angles import TWO_PI
+from .checks import _check_count
 from .windows import WindowVector
 
 # Outcomes with |s_y|^2 / N below this contribute nothing in the limit and
@@ -55,8 +56,7 @@ def fisher_information(window: WindowVector, phase: float) -> float:
 
 def crb(window: WindowVector, phase: float, n_shots: int) -> float:
     """Cramer-Rao bound 1/(N_s * FI) on the phase MSE; inf when FI degenerates."""
-    if n_shots < 1:
-        raise ValueError("n_shots must be >= 1")
+    _check_count(n_shots, "n_shots", 1)
     fi = fisher_information(window, phase)
     if fi < FI_FLOOR:
         return float("inf")
@@ -83,10 +83,8 @@ def avg_sqrt_crb(
 def _avg_sqrt_crbs(windows: list[WindowVector], n_shots: int,
                    phase_grid_size: int) -> list[float]:
     """avg_sqrt_crb of each window, all of one record length, from one shared grid."""
-    if phase_grid_size < 16:
-        raise ValueError("phase_grid_size must be >= 16")
-    if n_shots < 1:
-        raise ValueError("n_shots must be >= 1")
+    _check_count(phase_grid_size, "phase_grid_size", 16)
+    _check_count(n_shots, "n_shots", 1)
     prices = []
     for fis in _fisher_grids(windows, phase_grid_size):
         kept = fis[fis >= FI_FLOOR]

@@ -34,13 +34,11 @@ import csv
 import io as _io
 import itertools
 import json
-import math
-import numbers
-import sys
 from dataclasses import asdict, is_dataclass
 
 import numpy as np
 
+from .checks import _is_int
 from .model import Histogram, SampleSet
 
 # The largest record length and shot total that a file or a command-line
@@ -262,20 +260,9 @@ def read_sample_set_json(path) -> SampleSet:
         raise ValueError(f"sample-set JSON: more than {MAX_SHOTS} outcomes")
     if not all(0 <= y < n for y in outcomes):
         raise ValueError(f"sample-set JSON: outcomes outside [0, {n})")
-    offset = payload.get("offset", 0.0)
-    if not _is_real(offset):
-        raise ValueError("sample-set JSON: offset must be a number")
-    offset = math.inf if abs(offset) > sys.float_info.max else float(offset)
-    if not math.isfinite(offset):
-        raise ValueError(f"sample-set JSON: offset {offset!r} is not finite")
-    return SampleSet(n, np.asarray(outcomes, dtype=np.int64), offset=offset)
-
-
-def _is_int(value) -> bool:
-    """A Python or numpy integer, never a bool: files, specs and configs alike."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    """A real number (numpy's too), never a bool."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    # SampleSet checks the offset: a finite real.
+    try:
+        return SampleSet(n, np.asarray(outcomes, dtype=np.int64),
+                         offset=payload.get("offset", 0.0))
+    except ValueError as exc:
+        raise ValueError(f"sample-set JSON: {exc}") from None

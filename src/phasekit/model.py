@@ -14,12 +14,14 @@ enters the statistics only through phi + delta.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .angles import TWO_PI
+from .checks import _check_count, _is_real
 from .rng import make_generator
 from .windows import WindowVector
 
@@ -68,6 +70,17 @@ class SampleSet:
             raise ValueError("outcomes outside [0, n_points)")
         y.setflags(write=False)
         object.__setattr__(self, "outcomes", y)
+        # A finite real, stored as a Python float, as JSON needs; an integer
+        # beyond the float range is not finite.
+        if not _is_real(self.offset):
+            raise ValueError("offset must be a number")
+        try:
+            offset = float(self.offset)
+        except OverflowError:
+            offset = math.inf
+        if not math.isfinite(offset):
+            raise ValueError(f"offset {offset!r} is not finite")
+        object.__setattr__(self, "offset", offset)
 
     def __len__(self):
         return self.outcomes.size
@@ -135,8 +148,7 @@ def sample(dist: PhaseDistribution, n_shots: int, seed) -> SampleSet:
     seed is an integer, or a np.random.Generator whose stream the draw
     continues (so several sample sets can share one stream).
     """
-    if n_shots < 1:
-        raise ValueError("n_shots must be >= 1")
+    _check_count(n_shots, "n_shots", 1)
     rng = seed if isinstance(seed, np.random.Generator) else make_generator(seed)
     probs = np.maximum(dist.probs, 0.0)[None, :]
     outcomes = sample_rows(probs, rng.random(n_shots)[None, :])[0]

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import _is_int
+
 NORM_TOL = 1e-12
 
 WINDOW_KINDS = ("rect", "cosine", "bartlett", "custom")
@@ -127,6 +129,5 @@ def _normalized(w: np.ndarray) -> np.ndarray:
 
 
 def _check_length(n_points: int):
-    # A Python or numpy integer; a bool is an int, but below 2.
-    if not isinstance(n_points, (int, np.integer)) or n_points < 2:
+    if not _is_int(n_points) or n_points < 2:
         raise ValueError("record length must be an integer >= 2")

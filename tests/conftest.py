@@ -1,8 +1,33 @@
 import pytest
 
+import phasekit.experiments
+import phasekit.fisher
+
 
 @pytest.fixture(autouse=True)
 def _no_threads_from_the_shell(monkeypatch):
     # The CLI reads its --threads default from PHASEKIT_THREADS; a value in
     # the caller's shell must not decide a test.  Tests of the variable set it.
     monkeypatch.delenv("PHASEKIT_THREADS", raising=False)
+
+
+@pytest.fixture(autouse=True)
+def _cold_crb_prices():
+    # experiments keeps every CRB price it computes for the life of the
+    # process; a test that counts Fisher grids must not see the prices that
+    # the tests before it computed.
+    phasekit.experiments._PRICES.clear()
+
+
+@pytest.fixture
+def grids(monkeypatch) -> list[tuple[str, int]]:
+    """(window, N) of every Fisher grid computed during the test."""
+    computed = []
+    shared = phasekit.fisher._fisher_grids
+
+    def counted(windows, grid_size):
+        computed.extend((w.kind, w.n_points) for w in windows)
+        return shared(windows, grid_size)
+
+    monkeypatch.setattr(phasekit.fisher, "_fisher_grids", counted)
+    return computed

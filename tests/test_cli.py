@@ -346,6 +346,15 @@ def test_plot_data_bundle(tmp_path):
         assert rows, name
 
 
+def test_plot_data_prices_each_window_and_n_once(tmp_path, grids):
+    # fig3's curve reuses the prices of the RMSE sweep at N = 128, and so
+    # does fig6 at N = 128: 11 grids, not 16.
+    assert dispatch(["experiment", "--plot-data", "--qubits", "7", "--trials", "5",
+                     "--seed", "2", "--out-dir", str(tmp_path)]) == 0
+    assert grids == [("rect", 128), ("cosine", 128), ("bartlett", 128),
+                     *[(w, n) for n in (64, 256, 512, 1024) for w in ("rect", "cosine")]]
+
+
 def test_plot_data_cell_units_rescale_only_the_scatter_figures(tmp_path):
     run = ["--seed", "3", "--trials", "20"]
     for name, extra in (("rad", []), ("cells", ["--cell-units"])):

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import phasekit.fisher
+import phasekit.experiments
 from phasekit.angles import TWO_PI, circ_signed_error
 from phasekit.estimators import (
     aml_estimate,
@@ -180,32 +180,61 @@ def test_float_seeds_are_refused():
             make_generator(seed)
 
 
-def _count_grids(monkeypatch) -> list[tuple[str, int]]:
-    """(window, N) of every Fisher grid computed from now on."""
-    grids = []
-    shared = phasekit.fisher._fisher_grids
-
-    def counted(windows, grid_size):
-        grids.extend((w.kind, w.n_points) for w in windows)
-        return shared(windows, grid_size)
-
-    monkeypatch.setattr(phasekit.fisher, "_fisher_grids", counted)
-    return grids
-
-
-def test_crb_curve_computes_one_grid_per_window_and_n(monkeypatch):
-    grids = _count_grids(monkeypatch)
+def test_crb_curve_computes_one_grid_per_window_and_n(grids):
     run_crb_curve(ExperimentSpec(kind="crb-curve", n_points=(64, 128, 256), n_shots=(1,),
                                  windows=("rect", "cosine", "bartlett"), trials=1))
     assert grids == [(w, n) for n in (64, 128, 256) for w in ("rect", "cosine", "bartlett")]
 
 
-def test_rmse_run_computes_one_grid_per_window_and_n(monkeypatch):
-    grids = _count_grids(monkeypatch)
+def test_rmse_run_computes_one_grid_per_window_and_n(grids):
     run_rmse_vs_n(ExperimentSpec(
         kind="rmse-vs-n", n_points=(64, 128), n_shots=(4, 8), trials=3,
         estimators=("df", "mean-cosine", "aml", "mean-rect", "mean-bartlett")))
     assert grids == [(w, n) for n in (64, 128) for w in ("rect", "cosine", "bartlett")]
+
+
+def test_a_repeated_run_computes_no_grid(grids):
+    spec = small_spec(trials=5)
+    first = table_to_csv(run_experiment(spec))
+    assert grids == [("rect", 64), ("cosine", 64)]
+    grids.clear()
+    assert table_to_csv(run_experiment(spec)) == first
+    assert grids == []
+
+
+def test_rmse_run_and_crb_curve_share_their_prices(grids):
+    curve = ExperimentSpec(kind="crb-curve", n_points=(1024,), n_shots=(1, 10, 1000),
+                           windows=("rect", "cosine", "bartlett"), trials=1)
+    cold = table_to_csv(run_crb_curve(curve))
+    phasekit.experiments._PRICES.clear()
+    run_rmse_vs_shots(ExperimentSpec(kind="rmse-vs-shots", n_points=(1024,), n_shots=(4,),
+                                     estimators=("mean-cosine", "mean-bartlett"), trials=2))
+    grids.clear()
+    assert table_to_csv(run_crb_curve(curve)) == cold
+    assert grids == [("rect", 1024)]
+
+
+def test_another_crb_grid_size_is_another_price(grids):
+    # The Bartlett window's FI varies within a cell, so its price moves with the grid.
+    spec = ExperimentSpec(kind="crb-curve", n_points=(128,), n_shots=(1,),
+                          windows=("bartlett",), trials=1)
+    default = run_crb_curve(spec).rows
+    coarse = run_crb_curve(replace(spec, crb_grid_size=64)).rows
+    assert grids == [("bartlett", 128), ("bartlett", 128)]
+    assert coarse[0].sqrt_crb != default[0].sqrt_crb
+    assert run_crb_curve(spec).rows == default
+    assert len(grids) == 2
+
+
+def test_a_failed_pricing_stores_nothing(monkeypatch):
+    def degenerate(windows, n_shots, phase_grid_size):
+        raise ValueError("200 of 256 grid phases have degenerate FI")
+
+    monkeypatch.setattr(phasekit.experiments, "_avg_sqrt_crbs", degenerate)
+    with pytest.raises(ValueError, match="degenerate FI"):
+        run_crb_curve(ExperimentSpec(kind="crb-curve", n_points=(64,), n_shots=(1,),
+                                     trials=1))
+    assert phasekit.experiments._PRICES == {}
 
 
 def test_json_emission_shape():

@@ -135,6 +135,17 @@ def test_bound_arguments_are_checked():
         avg_sqrt_crb(w, 0)
     with pytest.raises(ValueError, match="phase_grid_size must be >= 16"):
         avg_sqrt_crb(w, 1, 15)
+    for n_shots in (2.5, 3.0, True, np.float64(3.0), "3"):
+        with pytest.raises(ValueError, match="n_shots must be an integer"):
+            crb(w, 0.1, n_shots)
+        with pytest.raises(ValueError, match="n_shots must be an integer"):
+            avg_sqrt_crb(w, n_shots)
+    for grid_size in (16.0, np.float32(64.0), False, None):
+        with pytest.raises(ValueError, match="phase_grid_size must be an integer"):
+            avg_sqrt_crb(w, 1, grid_size)
+    # A numpy integer is an integer, and prices the same bytes.
+    assert crb(w, 0.1, np.int64(3)) == crb(w, 0.1, 3)
+    assert avg_sqrt_crb(w, np.uint16(3), np.int32(64)) == avg_sqrt_crb(w, 3, 64)
 
 
 def test_grid_never_on_grid():

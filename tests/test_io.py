@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import phasekit.checks
 import phasekit.io
 from phasekit.io import (
     format_value,
@@ -30,8 +31,8 @@ def test_floats_have_17_significant_digits():
 
 
 def test_one_integer_rule_for_files_specs_and_configs():
-    assert all(phasekit.io._is_int(v) for v in (3, -3, np.int64(3), np.uint16(3)))
-    assert not any(phasekit.io._is_int(v) for v in (True, np.bool_(True), 3.0, "3", None))
+    assert all(phasekit.checks._is_int(v) for v in (3, -3, np.int64(3), np.uint16(3)))
+    assert not any(phasekit.checks._is_int(v) for v in (True, np.bool_(True), 3.0, "3", None))
 
 
 def test_csv_has_header_and_lf_endings(tmp_path):

@@ -136,6 +136,10 @@ def test_sample_requires_positive_shots():
     d = distribution(make_rectangular(8), 0.3)
     with pytest.raises(ValueError):
         sample(d, 0, seed=1)
+    for n_shots in (2.5, 3.0, True, "3"):
+        with pytest.raises(ValueError, match="n_shots must be an integer"):
+            sample(d, n_shots, 1)
+    assert sample(d, np.int64(5), 1).outcomes.tolist() == sample(d, 5, 1).outcomes.tolist()
 
 
 def test_histogram_counts():
@@ -181,6 +185,20 @@ def test_record_length_is_stored_as_a_python_int():
     assert json.loads(sample_set_to_json(samples))["n_points"] == 4
     with pytest.raises(TypeError):
         SampleSet(4.0, [1, 2])
+
+
+def test_sample_set_offset_is_stored_as_a_python_float():
+    samples = SampleSet(4, [1, 2], offset=np.float32(0.5))
+    assert type(samples.offset) is float and samples.offset == 0.5
+    assert json.loads(sample_set_to_json(samples))["offset"] == 0.5
+    assert type(SampleSet(4, [1], offset=np.int64(1)).offset) is float
+    for offset, message in (("x", "offset must be a number"), (None, "offset must be a number"),
+                            (True, "offset must be a number"),
+                            (np.nan, "offset nan is not finite"),
+                            (-np.inf, "offset -inf is not finite"),
+                            (10 ** 400, "offset inf is not finite")):
+        with pytest.raises(ValueError, match=message):
+            SampleSet(4, [1, 2], offset=offset)
 
 
 @pytest.mark.parametrize("probs, message", [
