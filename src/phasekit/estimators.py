@@ -42,6 +42,9 @@ GRID_RULE_CONSTANT = 8.0
 # grid at io.MAX_SHOTS shots, ceil(8*sqrt(10**7)) = 25299.
 MAX_GRID_POINTS = 2 ** 15 + 1
 
+# What np.sinc divides by in place of a zero pi*x, so that sinc(0) is 1.0.
+_EPS = np.finfo(np.float64).eps
+
 
 @dataclass(frozen=True)
 class EstimatorConfig:
@@ -364,13 +367,50 @@ def _top_bins(counts: np.ndarray, bins_kept: int):
 
 def _objective(positions, bins, counts, width, n_points, sinc_floor):
     """Objective at (T, G) bin positions N*phi/(2*pi), from each row's first
-    width[t] kept bins and counts (as returned by _top_bins)."""
+    width[t] kept bins and counts (as returned by _top_bins).
+
+    Each group's terms are computed in place.  Harness positions lie
+    within one cell of a bin in [0, N); any position within [-N/2, N] keeps
+    delta + N/2 inside [-N, 2N), where _mod_in_place needs no np.mod.
+    """
+    half = n_points / 2.0
+    in_range = bool(positions.min(initial=0.0) >= -half
+                    and positions.max(initial=0.0) <= n_points)
     scores = np.empty(positions.shape)
     for k in np.unique(width).tolist():
         rows = np.flatnonzero(width == k)
-        delta = positions[rows, :, None] - bins[rows, None, :k]
-        delta = np.mod(delta + n_points / 2.0, n_points) - n_points / 2.0
-        mag = np.abs(np.sinc(delta))
-        scores[rows] = np.matmul(np.log(np.maximum(mag, sinc_floor)),
-                                 counts[rows, :k, None])[:, :, 0]
+        x = np.subtract(positions[rows, :, None], bins[rows, None, :k])
+        x += half
+        _mod_in_place(x, n_points, in_range)
+        x -= half
+        mag = _sinc_in_place(x)
+        np.abs(mag, out=mag)
+        np.maximum(mag, sinc_floor, out=mag)
+        np.log(mag, out=mag)
+        scores[rows] = np.matmul(mag, counts[rows, :k, None])[:, :, 0]
     return scores
+
+
+def _mod_in_place(x, n_points, in_range):
+    """Overwrite x with np.mod(x, N); for x in [-N, 2N) (in_range), as x + N
+    below 0 and x - N from N on, masks taken first.  That equals np.mod
+    except at -0.0, which np.mod makes +0.0: fmod is exact, so np.mod is x
+    on [0, N), the same rounded x + N below 0, and the exact x - N
+    (Sterbenz) from N on."""
+    if not in_range:
+        np.mod(x, n_points, out=x)
+        return
+    below, above = x < 0.0, x >= n_points
+    np.add(x, n_points, out=x, where=below)
+    np.subtract(x, n_points, out=x, where=above)
+
+
+def _sinc_in_place(x):
+    """np.sinc(x) value for value, by np.sinc's own arithmetic: sin(pi*x) /
+    (pi*x), with eps in place of a zero pi*x, so sinc(0) is 1.0.  x is
+    overwritten by that divisor."""
+    x *= np.pi
+    np.copyto(x, _EPS, where=x == 0.0)
+    out = np.sin(x)
+    out /= x
+    return out

@@ -34,12 +34,16 @@ same bytes as running its trials one at a time, because:
   block draws one (T, 1 + N_s) matrix with every stream unchanged (one
   column more for a sample mean, below);
 * distributions, inverse-CDF sampling and histograms are row-wise numpy
-  operations whose rows equal the single-trial results (row-wise FFT,
+  operations whose rows equal the single-trial results (row-wise FFT, the
+  rect closed form evaluated in place in the same order of operations,
   model.sample_rows, the one sampler behind model.sample, with a row-wise
-  cumsum and one searchsorted per row);
+  cumsum and each row's own searchsorted method);
 * the AML objective is contracted with the counts once per group of rows
   with the same number K of nonzero kept bins, so every product is the
-  same (G, K) @ (K,) BLAS call as for one histogram (estimators.aml_rows);
+  same (G, K) @ (K,) BLAS call as for one histogram (estimators.aml_rows).
+  Its terms are computed in place: the displacement wrap is the exact
+  piecewise form of np.mod (add or subtract N) over the range the harness
+  reaches, and the sinc is np.sinc's own arithmetic;
 * ties resolve as before: stable argsort for the kept bins, first-index
   argmax and argmin for the grid point and the DF pair.
 
@@ -346,7 +350,7 @@ def _crb_rows(spec: ExperimentSpec) -> list[CrbRow]:
         for window_id, one_shot in zip(spec.windows, _one_shot_prices(spec, spec.windows, n)):
             for n_shots in spec.n_shots:
                 x = float(n) if vary_n else float(n_shots)
-                rows.append(CrbRow(x, window_id, one_shot / np.sqrt(n_shots)))
+                rows.append(CrbRow(x, window_id, float(one_shot / np.sqrt(n_shots))))
     return rows
 
 
@@ -412,10 +416,14 @@ def _block_rows(n: int, n_shots: int, estimator: str) -> int:
     One block's tracemalloc peak per row (seeds 5-7) against its charge:
 
         shape                          rows  peak/row, B   charge, B
-        df, N=128, N_s=30               128         7592        7936
-        mean-cosine, N=1024, N_s=1000    14        51482       73376
-        aml, N=64, N_s=1000               9  78044-94673      106544
-        aml, N=4096, N_s=30               4       201342      230144
+        df, N=128, N_s=30               128    4939-5078        7936
+        mean-cosine, N=1024, N_s=1000    14        51481       73376
+        aml, N=64, N_s=1000               9  45158-48470      106544
+        aml, N=4096, N_s=30               4       103018      230144
+
+    The aml and df charges were fitted before the rect distribution and the
+    objective ran in place (peaks 7592, 78044-94673 and 201342 B per row),
+    and now overstate them.
 
     A row draws N_s to k words, depending on the phase policy and the
     estimator, and a draw of at most CLOSED_FORM_MAX_WORDS words comes from

@@ -14,14 +14,13 @@ enters the statistics only through phi + delta.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .angles import TWO_PI
-from .checks import _check_count, _is_real
+from .checks import _check_count, _finite_float
 from .rng import make_generator
 from .windows import WindowVector
 
@@ -45,6 +44,8 @@ class PhaseDistribution:
         p = np.asarray(self.probs, dtype=np.float64)
         if p.shape != (self.n_points,):
             raise ValueError("probs must have length n_points")
+        if not np.all(np.isfinite(p)):
+            raise ValueError("probabilities must be finite")
         total = float(p.sum())
         if abs(total - 1.0) > PROB_SUM_TOL:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
@@ -53,6 +54,8 @@ class PhaseDistribution:
         p.setflags(write=False)
         object.__setattr__(self, "probs", p)
         object.__setattr__(self, "n_points", p.shape[0])  # a Python int, as JSON needs
+        for name in ("phase", "offset"):
+            object.__setattr__(self, name, _finite_float(getattr(self, name), name))
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,17 +73,8 @@ class SampleSet:
             raise ValueError("outcomes outside [0, n_points)")
         y.setflags(write=False)
         object.__setattr__(self, "outcomes", y)
-        # A finite real, stored as a Python float, as JSON needs; an integer
-        # beyond the float range is not finite.
-        if not _is_real(self.offset):
-            raise ValueError("offset must be a number")
-        try:
-            offset = float(self.offset)
-        except OverflowError:
-            offset = math.inf
-        if not math.isfinite(offset):
-            raise ValueError(f"offset {offset!r} is not finite")
-        object.__setattr__(self, "offset", offset)
+        # A finite real, stored as a Python float, as JSON needs.
+        object.__setattr__(self, "offset", _finite_float(self.offset, "offset"))
 
     def __len__(self):
         return self.outcomes.size
@@ -109,8 +103,9 @@ class Histogram:
 
 def distribution(window: WindowVector, phase: float, offset: float = 0.0) -> PhaseDistribution:
     """Exact outcome distribution for a window at effective phase phase + offset."""
-    if not np.isfinite(phase) or not np.isfinite(offset):
-        raise ValueError("phase and offset must be finite")
+    # Checked before the sum; the sum keeps the caller's types.
+    _finite_float(phase, "phase")
+    _finite_float(offset, "offset")
     probs = distribution_rows(window, np.array([phase + offset]))[0]
     return PhaseDistribution(window.n_points, phase, offset, probs)
 
@@ -126,12 +121,21 @@ def distribution_rows(window: WindowVector, effective: np.ndarray) -> np.ndarray
 
 
 def _rect_probs(n: int, effective: np.ndarray) -> np.ndarray:
-    half = 0.5 * (effective[:, None] - TWO_PI * np.arange(n) / n)
+    """sin(n*h)**2 / ((n*n*s)*s), s = sin(h), in place and in this order (it
+    fixes the bytes); s is 1 and the result 1 on the grid."""
+    half = np.subtract(effective[:, None], TWO_PI * np.arange(n) / n)
+    half *= 0.5
     s = np.sin(half)
-    on_grid = np.abs(s) < _SINGULARITY_EPS
-    denom = np.where(on_grid, 1.0, s)
-    probs = np.sin(n * half) ** 2 / (n * n * denom * denom)
-    probs[on_grid] = 1.0
+    work = np.abs(s)
+    on_grid = work < _SINGULARITY_EPS
+    np.copyto(s, 1.0, where=on_grid)
+    half *= n
+    probs = np.sin(half, out=half)
+    np.square(probs, out=probs)
+    np.multiply(s, n * n, out=work)
+    work *= s
+    probs /= work
+    np.copyto(probs, 1.0, where=on_grid)
     return probs
 
 
@@ -160,12 +164,12 @@ def sample_rows(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     the uniforms u[t] (row-normalized cumsum, one searchsorted per row)."""
     cdf = np.cumsum(probs, axis=1)
     last = cdf[:, -1:].copy()
-    if np.any(last <= 0.0):
+    if not np.all(last > 0.0):
         raise ValueError("degenerate distribution: no positive probability mass")
     cdf /= last
     outcomes = np.empty(u.shape, dtype=np.int64)
     for row_cdf, row_u, row_out in zip(cdf, u, outcomes):
-        row_out[:] = np.searchsorted(row_cdf, row_u, side="right")
+        row_out[:] = row_cdf.searchsorted(row_u, "right")
     np.minimum(outcomes, cdf.shape[1] - 1, out=outcomes)
     return outcomes
 

@@ -121,6 +121,13 @@ def test_crb_curve_rows():
     assert rect[100.0] == pytest.approx(rect[1.0] / 10, rel=1e-12)
 
 
+def test_both_row_types_store_sqrt_crb_as_a_python_float():
+    crb = run_crb_curve(ExperimentSpec(kind="crb-curve", n_points=(16,), n_shots=(1, 7),
+                                       windows=("rect", "cosine"), trials=1))
+    rmse = run_experiment(small_spec(trials=5))
+    assert {type(row.sqrt_crb) for row in crb.rows + rmse.rows} == {float}
+
+
 def test_run_experiment_dispatch():
     spec = small_spec(trials=20)
     assert run_experiment(spec).rows

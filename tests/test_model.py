@@ -96,6 +96,14 @@ def test_distribution_rejects_nonfinite():
         distribution(make_rectangular(8), 0.0, np.inf)
 
 
+@pytest.mark.parametrize("phase, offset, message", [
+    ("x", 0.0, "phase must be a number"), (None, 0.0, "phase must be a number"),
+    (0.0, "0.5", "offset must be a number"), (10 ** 400, 0.0, "phase inf is not finite")])
+def test_distribution_rejects_what_is_not_a_finite_real(phase, offset, message):
+    with pytest.raises(ValueError, match=message):
+        distribution(make_rectangular(8), phase, offset)
+
+
 def test_sampling_point_mass():
     d = distribution(make_rectangular(8), TWO_PI * 3 / 8)
     assert sample(d, 10, seed=123).outcomes.tolist() == [3] * 10
@@ -205,13 +213,41 @@ def test_sample_set_offset_is_stored_as_a_python_float():
     ([0.5, 0.5, 0.0], "probs must have length n_points"),
     ([0.5, 0.5, 0.5, 0.0], "probabilities sum to 1.5, not 1"),
     ([0.6, 0.5, -0.1, 0.0], "negative probability beyond roundoff"),
+    # A NaN sum passes abs(total - 1) > tol, so the sum check alone lets it in.
+    ([np.nan] * 4, "probabilities must be finite"),
+    ([0.25, np.inf, 0.25, 0.25], "probabilities must be finite"),
+    ([0.25, -np.inf, 0.25, 0.25], "probabilities must be finite"),
 ])
 def test_phase_distribution_validates(probs, message):
     with pytest.raises(ValueError, match=message):
         PhaseDistribution(4, 0.0, 0.0, np.array(probs))
 
 
+def test_phase_distribution_stores_phase_and_offset_as_python_floats():
+    dist = PhaseDistribution(4, np.float32(0.5), np.int64(1), np.full(4, 0.25))
+    assert (type(dist.phase), type(dist.offset)) == (float, float)
+    assert (dist.phase, dist.offset) == (0.5, 1.0)
+    assert type(distribution(make_rectangular(8), np.float64(0.3)).phase) is float
+    for name in ("phase", "offset"):
+        for value, message in (("x", f"{name} must be a number"),
+                               (None, f"{name} must be a number"),
+                               (True, f"{name} must be a number"),
+                               (np.nan, f"{name} nan is not finite"),
+                               (-np.inf, f"{name} -inf is not finite"),
+                               (10 ** 400, f"{name} inf is not finite")):
+            args = {"phase": 0.0, "offset": 0.0, name: value}
+            with pytest.raises(ValueError, match=message):
+                PhaseDistribution(4, args["phase"], args["offset"], np.full(4, 0.25))
+
+
 def test_sampler_rejects_a_row_without_mass():
     probs = np.array([[0.5, 0.5, 0.0], [0.0, 0.0, 0.0]])
+    with pytest.raises(ValueError, match="no positive probability mass"):
+        sample_rows(probs, np.full((2, 3), 0.5))
+
+
+def test_sampler_rejects_a_nan_row():
+    # A NaN total is not <= 0, so only a positive-mass check catches it.
+    probs = np.array([[0.5, 0.5, 0.0], [0.5, np.nan, 0.5]])
     with pytest.raises(ValueError, match="no positive probability mass"):
         sample_rows(probs, np.full((2, 3), 0.5))
