@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .angles import TWO_PI, circ_distance, circ_midpoint, wrap_two_pi
-from .checks import _is_int, _is_real
+from .checks import _finite_float, _is_int, _is_real
 from .model import Histogram, SampleSet, histogram_rows
 
 # Offsets within this of 0 resp. pi/N identify the two sample sets of the
@@ -99,6 +99,9 @@ DEFAULT_CONFIG = EstimatorConfig()
 
 def split_shot_counts(n_shots: int) -> tuple[int, int]:
     """Shot split for the dual-frequency estimator: first set gets ceil(N_s/2)."""
+    if not _is_int(n_shots):
+        raise ValueError("n_shots must be an integer")
+    n_shots = int(n_shots)
     if n_shots < 2:
         raise ValueError("dual-frequency estimation needs at least 2 shots")
     first = (n_shots + 1) // 2
@@ -181,6 +184,9 @@ def aml_objective(
     Only the config.bins_kept highest-count bins contribute.  The bin
     displacement N*(phase + offset)/(2*pi) - k is wrapped to [-N/2, N/2).
     """
+    # Checked before the sum; the sum keeps the caller's types.
+    _finite_float(phase, "phase")
+    _finite_float(offset, "offset")
     bins, counts, width = _top_bins(hist.counts[None, :], config.bins_kept)
     position = hist.n_points * (phase + offset) / TWO_PI
     return float(_objective(np.array([[position]]), bins, counts, width,

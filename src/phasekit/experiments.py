@@ -11,7 +11,7 @@ start before any work is done: a list field that is not a tuple, list or
 array, a count, seed or index that is not an integer (a bool is not), a
 non-bool allow_any_n, a fixed phase that is not a finite number, an
 empty estimator list (window list for a CRB curve), an unknown window for
-a CRB curve, a CRB grid below 16 or above MAX_CRB_GRID_SIZE phases, more
+a CRB curve, a CRB grid below 16 or above fisher.MAX_PHASE_GRID phases, more
 than MAX_TRIALS trials, N above io.MAX_RECORD_LENGTH, N_s above
 io.MAX_SHOTS, a scatter run over more than one N, N_s or estimator, df
 with fewer than 2 shots, a cell-policy cell_index outside [0, N) for some
@@ -48,11 +48,10 @@ same bytes as running its trials one at a time, because:
   argmax and argmin for the grid point and the DF pair.
 
 A block holds about BLOCK_BYTES of arrays, so memory does not grow with
-the trial count.  _block_rows charges each row for the arrays its
-estimator builds (fitted to tracemalloc peaks; see there).  It also caps
-a block that may draw from the closed form, N_s <= rng.CLOSED_FORM_MAX_WORDS,
-at 2**12 // (N_s + 2) rows, since rng.uniform_rows draws a whole block in
-one pass and keeps no budget of its own.
+the trial count.  _block_rows charges each row the largest of its stages:
+the draw, whose footprint rng._draw_words states, since rng.uniform_rows
+draws a whole block in one pass, and the arrays its estimator builds
+(fitted to tracemalloc peaks; see there).
 
 Every CRB column and crb-curve row divides a one-shot price by sqrt(N_s):
 the average sqrt-CRB of a window at N, a pure function of (window, N,
@@ -83,10 +82,10 @@ from .estimators import (
     dual_frequency_rows,
     split_shot_counts,
 )
-from .fisher import DEFAULT_PHASE_GRID, _avg_sqrt_crbs
+from .fisher import DEFAULT_PHASE_GRID, _avg_sqrt_crbs, _check_grid_size
 from .io import MAX_RECORD_LENGTH, MAX_SHOTS
 from .model import distribution_rows, histogram_rows, sample_rows
-from .rng import CLOSED_FORM_MAX_WORDS, derive_seed, uniform_rows
+from .rng import _draw_words, derive_seed, uniform_rows
 from .windows import make_window
 
 EXPERIMENT_KINDS = ("rmse-vs-shots", "rmse-vs-n", "scatter", "crb-curve")
@@ -108,10 +107,8 @@ BUILTIN_WINDOWS = ("rect", "cosine", "bartlett")
 # Memory budget of one block of trials; see _block_rows.
 BLOCK_BYTES = 1 << 20
 
-# Upper bounds on what a spec can size: per-trial result arrays, and the
-# phase grid of each CRB price (fisher.DEFAULT_PHASE_GRID by default).
+# Upper bound on the per-trial result arrays a spec can size.
 MAX_TRIALS = 10 ** 6
-MAX_CRB_GRID_SIZE = 2 ** 16
 
 # One-shot price of each (window, N, crb_grid_size) computed in this process;
 # see _one_shot_prices.  An entry is one float, and none is ever evicted.
@@ -201,10 +198,7 @@ class ExperimentSpec:
                              "a cell of every N")
         if self.n_jobs < 1:
             raise ValueError("n_jobs must be >= 1")
-        if self.crb_grid_size < 16:
-            raise ValueError("crb_grid_size must be >= 16")
-        if self.crb_grid_size > MAX_CRB_GRID_SIZE:
-            raise ValueError(f"crb_grid_size must be <= {MAX_CRB_GRID_SIZE}")
+        _check_grid_size(self.crb_grid_size, "crb_grid_size")
         # Only a crb-curve run prices windows; every other kind runs estimators.
         # An empty list of either would run nothing and return an empty table.
         if self.kind == "crb-curve":
@@ -394,54 +388,53 @@ def _collect_trials(spec: ExperimentSpec, estimator: str, n: int, n_shots: int):
 def _block_rows(n: int, n_shots: int, estimator: str) -> int:
     """Trials per block such that the block's arrays stay near BLOCK_BYTES.
 
-    A row draws at most k = N_s + 2 words (the phase, the shots, a sample
-    mean's guess).  It is charged, in 8-byte words, the shot arrays that
-    stay live plus the larger of two stages that peak at different times:
+    A row draws k = N_s to N_s + 2 uniforms, by the phase policy and the
+    estimator (the phase, the shots, a sample mean's guess), and holds
+    them to the end.  It is charged, in 8-byte words, the largest of three
+    stages that peak at different times:
 
-        sample mean:  2k + max(7N, 2k)
-        aml, df:      3k + max(7N, 3N + 5 * G * K)
+        draw:          rng._draw_words(k), the uniforms included
+        distribution:  k + 5.25N
+        objective:     k + 3N + G * (6 + 2.25K)     (aml and df)
 
-    * 2k: the uniforms and the outcomes; a mean's unit vectors are the
-      other 2k.  3k: the uniforms, the outcomes and the histogram's flat
-      index, or the per-seed draw's three (T, k) arrays when k > 64;
-    * 7N: the distribution, 6.1N for rect with df's first histogram live
-      beside it (an FFT window's takes about 5.3N);
-    * 3N + 5GK: the histograms, the kept-bin order and the objective's
-      (rows, G, K) tensors on the per-set grid G = resolve_grid_points(s),
-      s = ceil(N_s/2) for df and N_s for aml.  Rows are grouped by their
-      number of nonzero kept bins, and the largest group holds about s/16
-      kept bins per row (0.9 at s = 15 or 30, 1.6 at 50, 4.5 at 100, 7 at
-      1000), so K = min(bins_kept, N, max(1, s // 16)).
+    * 5.25N: an FFT window's distribution takes 5N.  The rect closed form
+      takes 3.125N, or 4.125N with df's first histogram live beside it;
+      one coefficient keeps every shape within the budget.  Sampling, the
+      histograms and the circular mean hold less than the larger of this
+      stage and the draw;
+    * 3N + G * (6 + 2.25K): the histograms and the argsort behind the kept
+      bins, the (rows, G) positions, scores and products, and the
+      objective's (rows, G, K) terms with their wrap masks, on the per-set
+      grid G = resolve_grid_points(s), s = ceil(N_s/2) for df and N_s for
+      aml.  Rows are grouped by their number of nonzero kept bins, and the
+      largest group holds about s/16 kept bins per row (0.7-1.0 at s <= 30,
+      1.7 at 50, 4.2 at 100, 7 at 1000), so K = min(bins_kept, N,
+      max(1, s // 16)).
 
     One block's tracemalloc peak per row (seeds 5-7) against its charge:
 
         shape                          rows  peak/row, B   charge, B
-        df, N=128, N_s=30               128    4939-5078        7936
-        mean-cosine, N=1024, N_s=1000    14        51481       73376
-        aml, N=64, N_s=1000               9  45158-48470      106544
-        aml, N=4096, N_s=30               4       103018      230144
+        df, N=128, N_s=30               186    4928-5042        5632
+        mean-cosine, N=1024, N_s=1000    20        49044       51024
+        mean-rect, N=2, N_s=62          240         4176        4352
+        aml, N=64, N_s=1000              18        42302       58128
+        aml, N=4096, N_s=30               6       102903      172288
 
-    The aml and df charges were fitted before the rect distribution and the
-    objective ran in place (peaks 7592, 78044-94673 and 201342 B per row),
-    and now overstate them.
-
-    A row draws N_s to k words, depending on the phase policy and the
-    estimator, and a draw of at most CLOSED_FORM_MAX_WORDS words comes from
-    the closed form, which holds about 8k words per row at once.  So a block
-    of N_s <= CLOSED_FORM_MAX_WORDS shots also stays within 2**12 // k rows.
+    Over 5 estimators, N from 2 to 4096 and N_s from 1 to 1000, under the
+    uniform and the fixed phase policy, one block peaks at 0.45 to 1.03
+    BLOCK_BYTES (seed 5).
     """
     k = n_shots + 2
-    if estimator.startswith("mean-"):
-        words = 2 * k + max(7 * n, 2 * k)
-    else:
+    # The closed form's footprint exceeds the per-seed loop's, so the
+    # largest of the three possible draws is charged.
+    draw = max(map(_draw_words, range(n_shots, k + 1)))
+    stage = 5.25 * n
+    if not estimator.startswith("mean-"):
         per_set = (n_shots + 1) // 2 if estimator == "df" else n_shots
         n_grid = DEFAULT_CONFIG.resolve_grid_points(per_set)
         kept = min(DEFAULT_CONFIG.bins_kept, n, max(1, per_set // 16))
-        words = 3 * k + max(7 * n, 3 * n + 5 * n_grid * kept)
-    rows = max(1, BLOCK_BYTES // (8 * words))
-    if n_shots <= CLOSED_FORM_MAX_WORDS:
-        rows = min(rows, 2 ** 12 // k)
-    return rows
+        stage = max(stage, 3 * n + n_grid * (6 + 2.25 * kept))
+    return max(1, int(BLOCK_BYTES // (8 * max(draw, k + stage))))
 
 
 def _trial_block(spec: ExperimentSpec, estimator: str, window, n: int, n_shots: int,

@@ -31,7 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from .angles import TWO_PI
-from .checks import _check_count
+from .checks import _check_count, _finite_float
 from .windows import WindowVector
 
 # Outcomes with |s_y|^2 / N below this contribute nothing in the limit and
@@ -43,14 +43,17 @@ FI_FLOOR = 1e-12
 
 DEFAULT_PHASE_GRID = 256
 
+# Largest phase grid of one price; a grid of G phases allocates G floats per
+# window, and the grid is computed whole.
+MAX_PHASE_GRID = 2 ** 16
+
 # Elements of one (B, N) block of phases; see the module docstring.
 FI_BLOCK_ELEMENTS = 1 << 12
 
 
 def fisher_information(window: WindowVector, phase: float) -> float:
     """Single-shot Fisher information of the phase under the given window."""
-    if not np.isfinite(phase):
-        raise ValueError("phase must be finite")
+    phase = _finite_float(phase, "phase")
     return float(_fisher_rows([window.weights], np.array([phase]))[0, 0])
 
 
@@ -83,7 +86,7 @@ def avg_sqrt_crb(
 def _avg_sqrt_crbs(windows: list[WindowVector], n_shots: int,
                    phase_grid_size: int) -> list[float]:
     """avg_sqrt_crb of each window, all of one record length, from one shared grid."""
-    _check_count(phase_grid_size, "phase_grid_size", 16)
+    _check_grid_size(phase_grid_size, "phase_grid_size")
     _check_count(n_shots, "n_shots", 1)
     prices = []
     for fis in _fisher_grids(windows, phase_grid_size):
@@ -100,7 +103,15 @@ def fisher_information_grid(window: WindowVector, grid_size: int = DEFAULT_PHASE
 
     One cell suffices because FI has period 2*pi/N in the phase.
     """
+    _check_grid_size(grid_size, "grid_size")
     return _fisher_grids([window], grid_size)[0]
+
+
+def _check_grid_size(value, name: str) -> None:
+    """Raise ValueError unless value is an integer in [16, MAX_PHASE_GRID]."""
+    _check_count(value, name, 16)
+    if value > MAX_PHASE_GRID:
+        raise ValueError(f"{name} must be <= {MAX_PHASE_GRID}")
 
 
 def _fisher_grids(windows: list[WindowVector], grid_size: int) -> np.ndarray:

@@ -68,7 +68,13 @@ class SampleSet:
 
     def __post_init__(self):
         object.__setattr__(self, "n_points", operator.index(self.n_points))
-        y = np.asarray(self.outcomes, dtype=np.int64)
+        if self.n_points < 2:
+            raise ValueError("n_points must be >= 2")
+        y = np.asarray(self.outcomes)
+        # An empty list is a float array; any other float would be truncated.
+        if y.size and not np.issubdtype(y.dtype, np.integer):
+            raise ValueError("outcomes must be integers")
+        y = np.asarray(y, dtype=np.int64)
         if y.size and (y.min() < 0 or y.max() >= self.n_points):
             raise ValueError("outcomes outside [0, n_points)")
         y.setflags(write=False)

@@ -33,10 +33,9 @@ paths:
   failed, reads np.random.PCG64(seed).random_raw(k) seed by seed.  This
   plain loop is also the test oracle.
 
-uniform_rows keeps no memory budget of its own: the closed form draws the
-whole block in one pass, about 8k words per row at once, so the caller
-bounds T (experiments._block_rows caps a block of N_s <= CLOSED_FORM_MAX_WORDS
-shots, whose rows draw at most k = N_s + 2 words, at 2**12 // k rows).
+uniform_rows keeps no memory budget of its own: it draws all T rows in one
+pass, and _draw_words(k) states what one row holds at the peak, so the
+caller sizes T from that (experiments._block_rows does).
 
 The first call checks one closed-form stream of CLOSED_FORM_MAX_WORDS
 words against np.random.PCG64; should a numpy release break that, every
@@ -58,9 +57,7 @@ _DOUBLE_SHIFT = np.uint64(11)
 _DOUBLE_SCALE = 2.0 ** -53
 
 # Longest stream computed in closed form, in 64-bit words; longer ones are
-# read from one np.random.PCG64 per seed.  experiments._block_rows caps a
-# closed-form block at 2**12 // k rows, which
-# test_block_budget_bounds_the_closed_form_draw checks for every estimator.
+# read from one np.random.PCG64 per seed.
 CLOSED_FORM_MAX_WORDS = 64
 
 # numpy's SeedSequence constants (numpy/random/bit_generator.pyx).
@@ -107,20 +104,23 @@ def derive_seed(master_seed: int, *parts):
     absorption.  The same (master_seed, parts) always yields the same
     seed on every platform.  A part may also be an integer array, for
     example a block of trial indices; the result is then the uint64 array
-    of the seeds for each entry, otherwise a Python int.
+    of the seeds for each entry, otherwise a Python int.  A float seed,
+    part or array raises TypeError rather than being truncated.
     """
     # As a Python int first: a numpy signed seed masked as is overflows
-    # (np.int64(-1)); operator.index still refuses a float.
+    # (np.int64(-1)); operator.index refuses a float.
     state = np.array([operator.index(master_seed) & _MASK64], dtype=np.uint64)
     batched = False
     for part in parts:
         if isinstance(part, str):
             value = np.uint64(fnv1a64(part))
         elif isinstance(part, np.ndarray):
+            if not np.issubdtype(part.dtype, np.integer):
+                raise TypeError(f"seed part arrays must be integer, not {part.dtype}")
             value = part.astype(np.uint64)
             batched = True
         else:
-            value = np.uint64(int(part) & _MASK64)
+            value = np.uint64(operator.index(part) & _MASK64)
         state = _splitmix64(state ^ value)
     return state if batched else int(state[0])
 
@@ -140,6 +140,20 @@ def uniform_rows(seeds: np.ndarray, k: int) -> np.ndarray:
     if k <= CLOSED_FORM_MAX_WORDS and _streams_match_numpy():
         return _uniform_rows_vectorized(seeds, k)
     return _to_double(_raw_rows_loop(seeds, k))
+
+
+def _draw_words(k: int) -> int:
+    """8-byte words per row that uniform_rows(seeds, k) holds at its peak, the
+    (T, k) result included, at T >= 128 rows (tracemalloc): the closed
+    form's 128-bit products take 8k + 9 to 8k + 16, or 31 of seed state at
+    k <= 2, so 8k + 32 bounds both; the per-seed loop's raw words, their
+    shifted copy and the doubles take 3k, and numpy's cast buffer at most
+    k more.  Charging the closed form for every k <= CLOSED_FORM_MAX_WORDS
+    also covers a failed first-use check, since the loop then holds less.
+    """
+    if k <= CLOSED_FORM_MAX_WORDS:
+        return 8 * k + 32
+    return 4 * k + 8
 
 
 def _to_double(raw: np.ndarray) -> np.ndarray:

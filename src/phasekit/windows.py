@@ -49,7 +49,7 @@ class WindowVector:
 
 def make_rectangular(n_points: int) -> WindowVector:
     """Flat window, every weight 1/sqrt(N)."""
-    _check_length(n_points)
+    n_points = _check_length(n_points)
     w = np.full(n_points, 1.0 / np.sqrt(n_points))
     return WindowVector(n_points, w, kind="rect")
 
@@ -60,7 +60,7 @@ def make_cosine(n_points: int) -> WindowVector:
     The first weight is exactly zero under this indexing; the vector is
     unit-norm because sum_y sin^2(pi*y/N) = N/2.
     """
-    _check_length(n_points)
+    n_points = _check_length(n_points)
     y = np.arange(n_points)
     w = np.sqrt(2.0 / n_points) * np.sin(np.pi * y / n_points)
     return WindowVector(n_points, w, kind="cosine")
@@ -72,7 +72,7 @@ def make_bartlett(n_points: int) -> WindowVector:
     Undefined at n_points = 2, where both endpoints are zero and nothing
     is left to normalize.
     """
-    _check_length(n_points)
+    n_points = _check_length(n_points)
     if n_points == 2:
         raise ValueError("triangular window is degenerate at n_points=2")
     y = np.arange(n_points)
@@ -128,6 +128,8 @@ def _normalized(w: np.ndarray) -> np.ndarray:
     return w / norm
 
 
-def _check_length(n_points: int):
+def _check_length(n_points: int) -> int:
+    """n_points as a Python int: np.sqrt of a numpy int8 is a float16."""
     if not _is_int(n_points) or n_points < 2:
         raise ValueError("record length must be an integer >= 2")
+    return int(n_points)

@@ -75,8 +75,17 @@ def test_grid_rule_is_odd_and_grows():
 def test_split_shot_counts():
     assert split_shot_counts(30) == (15, 15)
     assert split_shot_counts(7) == (4, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="needs at least 2 shots"):
         split_shot_counts(1)
+    # The integer rule: a float was split as (1.0, 1.5), and a uint8 count
+    # overflowed in ceil(N_s/2).
+    for bad in (2.5, 30.0, np.float64(30.0), True, "30"):
+        with pytest.raises(ValueError, match="n_shots must be an integer"):
+            split_shot_counts(bad)
+    for count in (np.uint8(255), np.int64(7)):
+        first, second = split_shot_counts(count)
+        assert (first, second) == split_shot_counts(int(count))
+        assert type(first) is int and type(second) is int
 
 
 # --- circular sample mean ------------------------------------------------
@@ -155,6 +164,20 @@ def test_objective_two_bin_midpoint():
     h = hist_from_counts([0, 0, 7, 7, 0, 0, 0, 0])
     value = aml_objective(h, TWO_PI * 2.5 / 8, 0.0)
     assert value == pytest.approx(14 * np.log(2 / np.pi), rel=1e-12)
+
+
+@pytest.mark.parametrize("phase, offset, message", [
+    (np.nan, 0.0, "phase nan is not finite"),
+    (np.inf, 0.0, "phase inf is not finite"),
+    (0.3, -np.inf, "offset -inf is not finite"),
+    ("x", 0.0, "phase must be a number"),
+    (True, 0.0, "phase must be a number"),
+    (0.3, None, "offset must be a number"),
+])
+def test_objective_refuses_a_phase_that_is_not_a_finite_number(phase, offset, message):
+    h = hist_from_counts([0, 0, 0, 20, 0, 0, 0, 0])
+    with pytest.raises(ValueError, match=message):
+        aml_objective(h, phase, offset)
 
 
 def test_objective_keeps_top_bins_only():

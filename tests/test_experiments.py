@@ -32,7 +32,7 @@ from phasekit.experiments import (
 )
 from phasekit.io import table_to_csv, table_to_json
 from phasekit.model import distribution, histogram, sample
-from phasekit.rng import CLOSED_FORM_MAX_WORDS, derive_seed, make_generator, splitmix64
+from phasekit.rng import derive_seed, make_generator, splitmix64
 from phasekit.windows import make_window
 
 
@@ -185,6 +185,11 @@ def test_float_seeds_are_refused():
             derive_seed(seed, "df")
         with pytest.raises(TypeError):
             make_generator(seed)
+    # A part is refused too, rather than truncated: derive_seed(1, 2.5) was
+    # derive_seed(1, 2).
+    for part in (2.5, 2.0, np.float64(2.0), np.arange(3.0), np.array([0.5, 1.5])):
+        with pytest.raises(TypeError):
+            derive_seed(1, "df", part)
 
 
 def test_crb_curve_computes_one_grid_per_window_and_n(grids):
@@ -303,41 +308,30 @@ def test_blocks_equal_trials_run_one_by_one(estimator, n, n_shots, seed, guesses
     assert guessed == guesses
 
 
-def test_block_budget_bounds_the_closed_form_draw():
-    """A block's closed-form draw stays within 2**12 words, for every estimator.
-
-    uniform_rows draws the (T, k) words of a whole block in one pass, so
-    _block_rows is the only bound on its temporaries.  k is N_s plus 0, 1
-    or 2 extra draws (the phase, and a sample mean's guess).  Record lengths
-    are checked one by one up to 2**14; beyond that one trial's arrays take
-    more than half of BLOCK_BYTES, so a block is a single trial, which is
-    checked around every power of two up to 2**20.
-    """
-    beyond = [2**p + d for p in range(14, 21) for d in (-1, 0, 1) if 2**p + d <= 2**20]
-    worst = 0
-    for estimator in ESTIMATOR_WINDOWS:
-        for n_shots in range(1, CLOSED_FORM_MAX_WORDS + 1):
-            rows = max(_block_rows(n, n_shots, estimator) for n in range(2, 2**14 + 1))
-            assert all(_block_rows(n, n_shots, estimator) == 1 for n in beyond)
-            for extra in (0, 1, 2):
-                if n_shots + extra <= CLOSED_FORM_MAX_WORDS:
-                    worst = max(worst, rows * (n_shots + extra))
-    assert worst <= 2**12
+# df-cell's and the taper cells' shapes, a grid over N and N_s, the
+# closed-form corners, where a row draws 62 to 66 words from either rng path,
+# and two fixed-policy shapes, whose rows draw no phase: aml's tightest, and
+# a sample mean whose 64 words come from the closed form though N_s + 2 = 65
+# would not.
+_BUDGET_SHAPES = [("df", 128, 30, "uniform"), ("mean-cosine", 1024, 1000, "uniform"),
+                  ("mean-bartlett", 1024, 1000, "uniform")] + [
+    (estimator, n, n_shots, "uniform") for estimator in ("df", "aml", "mean-rect", "mean-cosine")
+    for n in (2, 8, 64, 1024, 4096) for n_shots in (2, 30, 1000)] + [
+    (estimator, n, n_shots, "uniform") for estimator in ("df", "aml", "mean-rect", "mean-cosine")
+    for n in (2, 8) for n_shots in (62, 63, 64)] + [
+    ("aml", 16, 30, "fixed"), ("mean-rect", 2, 63, "fixed")]
 
 
-# df-cell's and the taper cells' shapes, then a grid over N and N_s.
-_BUDGET_SHAPES = [("df", 128, 30), ("mean-cosine", 1024, 1000), ("mean-bartlett", 1024, 1000)] + [
-    (estimator, n, n_shots) for estimator in ("df", "aml", "mean-rect", "mean-cosine")
-    for n in (2, 8, 64, 1024, 4096) for n_shots in (2, 30, 1000)]
-
-
-@pytest.mark.parametrize("estimator, n, n_shots", _BUDGET_SHAPES)
-def test_block_peak_stays_within_the_budget(estimator, n, n_shots):
+@pytest.mark.parametrize("estimator, n, n_shots, policy", [
+    pytest.param(*shape, id="-".join(map(str, shape[:3 if shape[3] == "uniform" else 4])))
+    for shape in _BUDGET_SHAPES])
+def test_block_peak_stays_within_the_budget(estimator, n, n_shots, policy):
     """One block of _block_rows trials peaks at no more than 1.25 * BLOCK_BYTES
     of traced allocations, unless one trial alone is the block."""
     rows = _block_rows(n, n_shots, estimator)
     spec = ExperimentSpec(kind="scatter", n_points=(n,), n_shots=(n_shots,),
-                          estimators=(estimator,), trials=rows, master_seed=5)
+                          estimators=(estimator,), trials=rows, master_seed=5, phase_policy=policy,
+                          fixed_phases=(0.1, 1.3, 2.9) if policy == "fixed" else ())
     window = make_window(ESTIMATOR_WINDOWS[estimator], n)
     # The first block runs the stream check and fills numpy's caches.
     _trial_block(spec, estimator, window, n, n_shots, 0, rows)

@@ -127,8 +127,11 @@ def test_avg_sqrt_crb_rejects_degenerate_window():
 
 def test_bound_arguments_are_checked():
     w = make_rectangular(16)
-    with pytest.raises(ValueError, match="phase must be finite"):
-        fisher_information(w, np.nan)
+    for phase, message in ((np.nan, "phase nan is not finite"),
+                           (np.inf, "phase inf is not finite"),
+                           (True, "phase must be a number"), ("x", "phase must be a number")):
+        with pytest.raises(ValueError, match=message):
+            fisher_information(w, phase)
     with pytest.raises(ValueError, match="n_shots must be >= 1"):
         crb(w, 0.3, 0)
     with pytest.raises(ValueError, match="n_shots must be >= 1"):
@@ -143,6 +146,17 @@ def test_bound_arguments_are_checked():
     for grid_size in (16.0, np.float32(64.0), False, None):
         with pytest.raises(ValueError, match="phase_grid_size must be an integer"):
             avg_sqrt_crb(w, 1, grid_size)
+    # The grid is validated before it is allocated, by one rule for both
+    # public grids: 0 returned an empty grid, and 2.5 and -1 reached numpy.
+    for grid_size, message in ((2.5, "must be an integer"), (True, "must be an integer"),
+                               (0, "must be >= 16"), (-1, "must be >= 16"),
+                               (2**16 + 1, "must be <= 65536")):
+        with pytest.raises(ValueError, match="grid_size " + message):
+            fisher_information_grid(w, grid_size)
+        with pytest.raises(ValueError, match="phase_grid_size " + message):
+            avg_sqrt_crb(w, 1, grid_size)
+    assert fisher_information_grid(w, np.int16(16)).tobytes() == \
+        fisher_information_grid(w, 16).tobytes()
     # A numpy integer is an integer, and prices the same bytes.
     assert crb(w, 0.1, np.int64(3)) == crb(w, 0.1, 3)
     assert avg_sqrt_crb(w, np.uint16(3), np.int32(64)) == avg_sqrt_crb(w, 3, 64)

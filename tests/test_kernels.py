@@ -12,6 +12,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +67,23 @@ def test_uniform_rows_equal_pcg64(k):
     rows = uniform_rows(seeds, k)
     assert rows.shape == (len(seeds), k)
     assert np.array_equal(rows, _as_double(_pcg64_raw(seeds, k)))
+
+
+@pytest.mark.parametrize("k", [1, 31, CLOSED_FORM_MAX_WORDS, CLOSED_FORM_MAX_WORDS + 1, 1001])
+@pytest.mark.parametrize("rows", [128, 1024])
+def test_draw_words_bound_the_uniform_rows_peak(k, rows):
+    """experiments._block_rows sizes a block from rng._draw_words: it must
+    bound what uniform_rows holds per row, on either path."""
+    seeds = _seeds(rows - len(BOUNDARY_SEEDS), seed=k)
+    uniform_rows(seeds, k)  # the first-use check runs outside the trace
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        uniform_rows(seeds, k)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak / rows <= 8 * rng._draw_words(k), (peak / rows, rng._draw_words(k))
 
 
 @pytest.mark.parametrize("k", [1, 31, CLOSED_FORM_MAX_WORDS + 1])

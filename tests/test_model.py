@@ -174,6 +174,16 @@ def test_sample_set_validates_range():
         SampleSet(8, np.array([8]))
     with pytest.raises(ValueError):
         SampleSet(8, np.array([-1]))
+    # A float outcome was truncated ([1.7] stored [1]); a record length
+    # below 2 was accepted.
+    for outcomes in ([1.7], [1.0], np.array([2.0, 3.0]), [True]):
+        with pytest.raises(ValueError, match="outcomes must be integers"):
+            SampleSet(4, outcomes)
+    for n_points in (-3, 0, 1):
+        with pytest.raises(ValueError, match="n_points must be >= 2"):
+            SampleSet(n_points, [])
+    assert len(SampleSet(4, [])) == 0
+    assert SampleSet(4, np.array([3], dtype=np.uint8)).outcomes.tolist() == [3]
 
 
 def test_histogram_validates():

@@ -69,6 +69,18 @@ def test_short_lengths_rejected(maker):
     assert type(maker(np.int64(4)).n_points) is int
 
 
+@pytest.mark.parametrize("maker", [make_rectangular, make_cosine, make_bartlett])
+@pytest.mark.parametrize("int_type", [np.int8, np.uint8, np.int16, np.uint16, np.int32,
+                                      np.uint32, np.int64, np.uint64])
+def test_numpy_integer_lengths_make_the_python_int_window(maker, int_type):
+    # np.sqrt of an int8 is a float16: make_window("rect", np.int8(8)) was
+    # "not unit-norm".
+    window = maker(int_type(8))
+    assert window.weights.tobytes() == maker(8).weights.tobytes()
+    assert type(window.n_points) is int
+    assert make_window(window.kind, int_type(8)).weights.tobytes() == window.weights.tobytes()
+
+
 @pytest.mark.parametrize("n, weights, message", [
     (3, [0.5] * 4, "weights must be a vector of length 3"),
     (1, [1.0], "record length must be at least 2"),
