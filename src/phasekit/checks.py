@@ -1,5 +1,8 @@
-"""Type predicates of every boundary: files, specs, configs and the count
-arguments of the public functions."""
+"""The rules of every boundary: files, specs, configs, stored arrays and
+counts.  _check_count is the one integer-range rule of every record length,
+shot count, trial count and grid size, and the bounds below hold for every
+file, command-line argument and call, so none sizes an allocation beyond them.
+"""
 
 from __future__ import annotations
 
@@ -7,6 +10,9 @@ import math
 import numbers
 
 import numpy as np
+
+MAX_RECORD_LENGTH = 2 ** 20
+MAX_SHOTS = 10 ** 7
 
 
 def _is_int(value) -> bool:
@@ -33,9 +39,21 @@ def _finite_float(value, name: str) -> float:
     return result
 
 
-def _check_count(value, name: str, least: int) -> None:
-    """Raise ValueError unless value is an integer of at least least."""
+def _check_count(value, name: str, least: int, most: int | None = None) -> int:
+    """value as a Python int; ValueError unless it is an integer in
+    [least, most] (no upper bound when most is None)."""
     if not _is_int(value):
         raise ValueError(f"{name} must be an integer")
+    value = int(value)
     if value < least:
         raise ValueError(f"{name} must be >= {least}")
+    if most is not None and value > most:
+        raise ValueError(f"{name} must be <= {most}")
+    return value
+
+
+def _frozen(values, dtype) -> np.ndarray:
+    """A read-only copy of values as dtype; the caller's array stays writable."""
+    array = np.array(values, dtype=dtype)
+    array.setflags(write=False)
+    return array

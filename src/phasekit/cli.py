@@ -9,8 +9,8 @@ only the format it emits.  Exit codes: 0 success, 1 runtime error
 (including a malformed input file), 2 argument error (including a value
 that ExperimentSpec or EstimatorConfig rejects, a non-integer length
 entry, more than one length for window, dist or sample, a phase that is
-not finite in radians, a size beyond MAX_QUBITS, io.MAX_RECORD_LENGTH or
-io.MAX_SHOTS, --threads outside [1, CPUs], a custom window whose
+not finite in radians, a size beyond MAX_QUBITS, checks.MAX_RECORD_LENGTH
+or checks.MAX_SHOTS, --threads outside [1, CPUs], a custom window whose
 --weights-csv length differs from the record length, an --input count
 that the estimator does not take, and --plot-data with a kind or with a
 record length other than 128).  crb and experiment build their
@@ -29,6 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .angles import TWO_PI, wrap_two_pi
+from .checks import MAX_RECORD_LENGTH, MAX_SHOTS, _check_count
 from .estimators import (
     DEFAULT_CONFIG,
     EstimatorConfig,
@@ -46,8 +47,6 @@ from .experiments import (
 )
 from .fisher import DEFAULT_PHASE_GRID
 from .io import (
-    MAX_RECORD_LENGTH,
-    MAX_SHOTS,
     load_weights_csv,
     read_sample_set,
     sample_set_to_json,
@@ -212,8 +211,7 @@ def _resolve_n_list(args) -> list[int]:
         return [2 ** q for q in qubits]
     lengths = _int_list(args.record_length, "--record-length")
     for n in lengths:
-        if not 2 <= n <= MAX_RECORD_LENGTH:
-            raise CliError(f"record length must be in [2, {MAX_RECORD_LENGTH}]")
+        _validated(_check_count, value=n, name="record length", least=2, most=MAX_RECORD_LENGTH)
         if n & (n - 1) != 0 and not args.allow_any_n:
             raise CliError(f"record length {n} is not a power of two (use --allow-any-n)")
     return lengths

@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .angles import TWO_PI, circ_distance, circ_midpoint, wrap_two_pi
-from .checks import _finite_float, _is_int, _is_real
+from .checks import MAX_RECORD_LENGTH, MAX_SHOTS, _check_count, _finite_float, _is_real
 from .model import Histogram, SampleSet, histogram_rows
 
 # Offsets within this of 0 resp. pi/N identify the two sample sets of the
@@ -39,7 +39,7 @@ _OFFSET_TOL = 1e-9
 GRID_RULE_CONSTANT = 8.0
 
 # Largest explicit refinement grid.  It stays above the default rule's
-# grid at io.MAX_SHOTS shots, ceil(8*sqrt(10**7)) = 25299.
+# grid at checks.MAX_SHOTS shots, ceil(8*sqrt(10**7)) = 25299.
 MAX_GRID_POINTS = 2 ** 15 + 1
 
 # What np.sinc divides by in place of a zero pi*x, so that sinc(0) is 1.0.
@@ -51,7 +51,8 @@ class EstimatorConfig:
     """Tuning knobs shared by the grid-search estimators.
 
     bins_kept:    number of highest-count histogram bins entering the
-                  objective (ties broken toward the smaller index).
+                  objective (ties broken toward the smaller index), in
+                  [2, MAX_RECORD_LENGTH].
     grid_points:  explicit odd grid size in [3, MAX_GRID_POINTS] for the
                   refinement search, or None for the default rule
                   max(9, ceil(8*sqrt(N_s))) forced odd.
@@ -69,19 +70,14 @@ class EstimatorConfig:
 
     def __post_init__(self):
         # Counts are stored as Python ints: N * N_g in a numpy int32 overflows.
-        if not _is_int(self.bins_kept):
-            raise ValueError("bins_kept must be an integer")
-        object.__setattr__(self, "bins_kept", int(self.bins_kept))
-        if self.bins_kept < 2:
-            raise ValueError("bins_kept must be >= 2")
+        # No record length has more bins than MAX_RECORD_LENGTH to keep.
+        object.__setattr__(self, "bins_kept",
+                           _check_count(self.bins_kept, "bins_kept", 2, MAX_RECORD_LENGTH))
         if self.grid_points is not None:
-            if not _is_int(self.grid_points):
-                raise ValueError("grid_points must be an integer or None")
-            object.__setattr__(self, "grid_points", int(self.grid_points))
-            if self.grid_points < 3 or self.grid_points % 2 == 0:
+            grid_points = _check_count(self.grid_points, "grid_points", 3, MAX_GRID_POINTS)
+            if grid_points % 2 == 0:
                 raise ValueError("grid_points must be odd and >= 3")
-            if self.grid_points > MAX_GRID_POINTS:
-                raise ValueError(f"grid_points must be <= {MAX_GRID_POINTS}")
+            object.__setattr__(self, "grid_points", grid_points)
         if not _is_real(self.sinc_floor):
             raise ValueError("sinc_floor must be a number")
         if not 0.0 < self.sinc_floor < 1.0:
@@ -99,9 +95,7 @@ DEFAULT_CONFIG = EstimatorConfig()
 
 def split_shot_counts(n_shots: int) -> tuple[int, int]:
     """Shot split for the dual-frequency estimator: first set gets ceil(N_s/2)."""
-    if not _is_int(n_shots):
-        raise ValueError("n_shots must be an integer")
-    n_shots = int(n_shots)
+    n_shots = _check_count(n_shots, "n_shots", 1, MAX_SHOTS)
     if n_shots < 2:
         raise ValueError("dual-frequency estimation needs at least 2 shots")
     first = (n_shots + 1) // 2

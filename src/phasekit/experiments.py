@@ -8,12 +8,13 @@ memory and is never serialized, because it varies run to run.
 ExperimentSpec stores each list field as a tuple of Python ints, strs or
 floats, and kind and phase_policy as a str.  It rejects a run that cannot
 start before any work is done: a list field that is not a tuple, list or
-array, a count, seed or index that is not an integer (a bool is not), a
+array, a seed or index that is not an integer (a bool is not), a count
+outside its range by the one rule of checks (trials in [0, MAX_TRIALS],
+n_jobs >= 1, crb_grid_size in [16, fisher.MAX_PHASE_GRID], each N in
+[2, checks.MAX_RECORD_LENGTH], each N_s in [1, checks.MAX_SHOTS]), a
 non-bool allow_any_n, a fixed phase that is not a finite number, an
 empty estimator list (window list for a CRB curve), an unknown window for
-a CRB curve, a CRB grid below 16 or above fisher.MAX_PHASE_GRID phases, more
-than MAX_TRIALS trials, N above io.MAX_RECORD_LENGTH, N_s above
-io.MAX_SHOTS, a scatter run over more than one N, N_s or estimator, df
+a CRB curve, a scatter run over more than one N, N_s or estimator, df
 with fewer than 2 shots, a cell-policy cell_index outside [0, N) for some
 N, or an RMSE kind of no trials.
 
@@ -74,7 +75,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .angles import TWO_PI, circ_signed_error, wrap_two_pi
-from .checks import _is_int, _is_real
+from .checks import MAX_RECORD_LENGTH, MAX_SHOTS, _check_count, _is_int, _is_real
 from .estimators import (
     DEFAULT_CONFIG,
     aml_rows,
@@ -82,8 +83,7 @@ from .estimators import (
     dual_frequency_rows,
     split_shot_counts,
 )
-from .fisher import DEFAULT_PHASE_GRID, _avg_sqrt_crbs, _check_grid_size
-from .io import MAX_RECORD_LENGTH, MAX_SHOTS
+from .fisher import DEFAULT_PHASE_GRID, MAX_PHASE_GRID, _avg_sqrt_crbs
 from .model import distribution_rows, histogram_rows, sample_rows
 from .rng import _draw_words, derive_seed, uniform_rows
 from .windows import make_window
@@ -149,11 +149,14 @@ class ExperimentSpec:
             if not all(is_entry(v) for v in values):
                 raise ValueError(f"every entry of {name} must be {what}")
             object.__setattr__(self, name, tuple(convert(v) for v in values))
-        for name in ("trials", "master_seed", "crb_grid_size", "cell_index", "n_jobs"):
+        for name in ("master_seed", "cell_index"):
             value = getattr(self, name)
             if not _is_int(value):
                 raise ValueError(f"{name} must be an integer")
             object.__setattr__(self, name, int(value))
+        for name, least, most in (("trials", 0, MAX_TRIALS), ("n_jobs", 1, None),
+                                  ("crb_grid_size", 16, MAX_PHASE_GRID)):
+            object.__setattr__(self, name, _check_count(getattr(self, name), name, least, most))
         # An np.str_ is a str; anything else fails its name check below.
         for name in ("kind", "phase_policy"):
             value = getattr(self, name)
@@ -165,14 +168,8 @@ class ExperimentSpec:
             raise ValueError("n_points and n_shots lists must be nonempty")
         if not np.all(np.isfinite(self.fixed_phases)):
             raise ValueError("fixed_phases must be finite")
-        if min(self.n_shots) < 1:
-            raise ValueError("every shot count must be >= 1")
-        if max(self.n_shots) > MAX_SHOTS:
-            raise ValueError(f"every shot count must be <= {MAX_SHOTS}")
-        if self.trials < 0:
-            raise ValueError("trials must be nonnegative")
-        if self.trials > MAX_TRIALS:
-            raise ValueError(f"trials must be <= {MAX_TRIALS}")
+        for n_shots in self.n_shots:
+            _check_count(n_shots, "every shot count", 1, MAX_SHOTS)
         # A scatter run of no trials is its header; an RMSE has no value.
         if self.kind in ("rmse-vs-shots", "rmse-vs-n") and self.trials < 1:
             raise ValueError("RMSE experiments need at least one trial")
@@ -184,10 +181,7 @@ class ExperimentSpec:
             if est not in ESTIMATOR_WINDOWS:
                 raise ValueError(f"unknown estimator {est!r}")
         for n in self.n_points:
-            if n < 2:
-                raise ValueError("record length must be >= 2")
-            if n > MAX_RECORD_LENGTH:
-                raise ValueError(f"record length must be <= {MAX_RECORD_LENGTH}")
+            _check_count(n, "record length", 2, MAX_RECORD_LENGTH)
             if not self.allow_any_n and n & (n - 1) != 0:
                 raise ValueError(
                     f"record length {n} is not a power of two (set allow_any_n to override)"
@@ -196,9 +190,6 @@ class ExperimentSpec:
         if self.phase_policy == "cell" and not 0 <= self.cell_index < min(self.n_points):
             raise ValueError(f"cell_index must be in [0, {min(self.n_points)}), "
                              "a cell of every N")
-        if self.n_jobs < 1:
-            raise ValueError("n_jobs must be >= 1")
-        _check_grid_size(self.crb_grid_size, "crb_grid_size")
         # Only a crb-curve run prices windows; every other kind runs estimators.
         # An empty list of either would run nothing and return an empty table.
         if self.kind == "crb-curve":

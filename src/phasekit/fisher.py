@@ -31,7 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from .angles import TWO_PI
-from .checks import _check_count, _finite_float
+from .checks import MAX_SHOTS, _check_count, _finite_float
 from .windows import WindowVector
 
 # Outcomes with |s_y|^2 / N below this contribute nothing in the limit and
@@ -59,7 +59,7 @@ def fisher_information(window: WindowVector, phase: float) -> float:
 
 def crb(window: WindowVector, phase: float, n_shots: int) -> float:
     """Cramer-Rao bound 1/(N_s * FI) on the phase MSE; inf when FI degenerates."""
-    _check_count(n_shots, "n_shots", 1)
+    n_shots = _check_count(n_shots, "n_shots", 1, MAX_SHOTS)
     fi = fisher_information(window, phase)
     if fi < FI_FLOOR:
         return float("inf")
@@ -86,8 +86,8 @@ def avg_sqrt_crb(
 def _avg_sqrt_crbs(windows: list[WindowVector], n_shots: int,
                    phase_grid_size: int) -> list[float]:
     """avg_sqrt_crb of each window, all of one record length, from one shared grid."""
-    _check_grid_size(phase_grid_size, "phase_grid_size")
-    _check_count(n_shots, "n_shots", 1)
+    phase_grid_size = _check_count(phase_grid_size, "phase_grid_size", 16, MAX_PHASE_GRID)
+    n_shots = _check_count(n_shots, "n_shots", 1, MAX_SHOTS)
     prices = []
     for fis in _fisher_grids(windows, phase_grid_size):
         kept = fis[fis >= FI_FLOOR]
@@ -103,15 +103,8 @@ def fisher_information_grid(window: WindowVector, grid_size: int = DEFAULT_PHASE
 
     One cell suffices because FI has period 2*pi/N in the phase.
     """
-    _check_grid_size(grid_size, "grid_size")
+    grid_size = _check_count(grid_size, "grid_size", 16, MAX_PHASE_GRID)
     return _fisher_grids([window], grid_size)[0]
-
-
-def _check_grid_size(value, name: str) -> None:
-    """Raise ValueError unless value is an integer in [16, MAX_PHASE_GRID]."""
-    _check_count(value, name, 16)
-    if value > MAX_PHASE_GRID:
-        raise ValueError(f"{name} must be <= {MAX_PHASE_GRID}")
 
 
 def _fisher_grids(windows: list[WindowVector], grid_size: int) -> np.ndarray:

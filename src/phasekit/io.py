@@ -22,9 +22,10 @@ Readers:
 
 Each reader returns a value or raises ValueError, whatever the file holds.
 A CSV is parsed row by row as it is read, into arrays rather than a list
-of rows, up to its MAX_RECORD_LENGTH + 2nd row and no further, and
-record lengths above MAX_RECORD_LENGTH and shot or outcome totals above
-MAX_SHOTS are rejected, so no file sizes an allocation beyond them.
+of rows, up to its MAX_RECORD_LENGTH + 2nd row and no further.  Under
+the bounds of checks, re-exported here, a row count or an n_points (by
+checks._check_count) lies in [2, MAX_RECORD_LENGTH], and a shot or
+outcome total is at most MAX_SHOTS, so no file sizes an allocation beyond them.
 """
 
 from __future__ import annotations
@@ -38,13 +39,8 @@ from dataclasses import asdict, is_dataclass
 
 import numpy as np
 
-from .checks import _is_int
+from .checks import MAX_RECORD_LENGTH, MAX_SHOTS, _check_count, _is_int
 from .model import Histogram, SampleSet
-
-# The largest record length and shot total that a file or a command-line
-# argument may ask for, so that no input sizes an allocation beyond them.
-MAX_RECORD_LENGTH = 2 ** 20
-MAX_SHOTS = 10 ** 7
 
 Y_VALUE = ["y", "value"]
 
@@ -116,7 +112,7 @@ def _read_csv(path, what: str, parse):
         raise ValueError(f"{what}: {exc}") from None
 
 
-def _check_count(n: int, what: str, unit: str):
+def _check_rows(n: int, what: str, unit: str):
     if n > MAX_RECORD_LENGTH:
         raise ValueError(f"{what}: more than {MAX_RECORD_LENGTH} {unit}")
     if n < 2:
@@ -174,7 +170,7 @@ def read_histogram_csv(path) -> Histogram:
         return _parse_y_values(rows, "histogram CSV", "count")
 
     values = _read_csv(path, "histogram CSV", parse)
-    _check_count(len(values), "histogram CSV", "rows")
+    _check_rows(len(values), "histogram CSV", "rows")
     bad = np.flatnonzero(~((values == np.floor(values)) & (values >= 0)
                            & (values <= MAX_SHOTS)))
     if bad.size:
@@ -197,7 +193,7 @@ def load_weights_csv(path) -> np.ndarray:
         return _parse_column(first, rows)
 
     weights = _read_csv(path, "weights CSV", parse)
-    _check_count(len(weights), "weights CSV", "weights")
+    _check_rows(len(weights), "weights CSV", "weights")
     if not np.all(np.isfinite(weights)):
         raise ValueError("weights CSV: weights must be finite")
     return weights
@@ -247,21 +243,18 @@ def read_sample_set_json(path) -> SampleSet:
             payload = json.load(fh)
     except RecursionError:
         raise ValueError("sample-set JSON: nested too deeply") from None
-    if not isinstance(payload, dict) or not {"n_points", "outcomes"} <= payload.keys():
-        raise ValueError("sample-set JSON: expected an object with n_points and outcomes")
-    n = payload["n_points"]
-    if not _is_int(n) or not 2 <= n <= MAX_RECORD_LENGTH:
-        raise ValueError(
-            f"sample-set JSON: n_points must be an integer in [2, {MAX_RECORD_LENGTH}]")
-    outcomes = payload["outcomes"]
-    if not isinstance(outcomes, list) or not all(_is_int(y) for y in outcomes):
-        raise ValueError("sample-set JSON: outcomes must be integers")
-    if len(outcomes) > MAX_SHOTS:
-        raise ValueError(f"sample-set JSON: more than {MAX_SHOTS} outcomes")
-    if not all(0 <= y < n for y in outcomes):
-        raise ValueError(f"sample-set JSON: outcomes outside [0, {n})")
-    # SampleSet checks the offset: a finite real.
     try:
+        if not isinstance(payload, dict) or not {"n_points", "outcomes"} <= payload.keys():
+            raise ValueError("expected an object with n_points and outcomes")
+        n = _check_count(payload["n_points"], "n_points", 2, MAX_RECORD_LENGTH)
+        outcomes = payload["outcomes"]
+        if not isinstance(outcomes, list) or not all(_is_int(y) for y in outcomes):
+            raise ValueError("outcomes must be integers")
+        if len(outcomes) > MAX_SHOTS:
+            raise ValueError(f"more than {MAX_SHOTS} outcomes")
+        if not all(0 <= y < n for y in outcomes):
+            raise ValueError(f"outcomes outside [0, {n})")
+        # SampleSet checks the offset: a finite real.
         return SampleSet(n, np.asarray(outcomes, dtype=np.int64),
                          offset=payload.get("offset", 0.0))
     except ValueError as exc:

@@ -10,17 +10,21 @@ general windows are evaluated with an FFT, which is the same sum computed
 exactly.  The optional offset delta models a half-cell frequency shift of
 the register (implemented physically by per-qubit phase rotations); it
 enters the statistics only through phi + delta.
+
+Counts follow checks._check_count: n_points in [2, MAX_RECORD_LENGTH], a
+histogram's total in [0, MAX_SHOTS] (at most MAX_SHOTS outcomes make a
+sample set) and sample's n_shots in [1, MAX_SHOTS].
+Each value type keeps a read-only copy of its array, not the caller's.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .angles import TWO_PI
-from .checks import _check_count, _finite_float
+from .checks import MAX_RECORD_LENGTH, MAX_SHOTS, _check_count, _finite_float, _frozen
 from .rng import make_generator
 from .windows import WindowVector
 
@@ -41,8 +45,9 @@ class PhaseDistribution:
     probs: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.probs, dtype=np.float64)
-        if p.shape != (self.n_points,):
+        n = _check_count(self.n_points, "n_points", 2, MAX_RECORD_LENGTH)
+        p = _frozen(self.probs, np.float64)
+        if p.shape != (n,):
             raise ValueError("probs must have length n_points")
         if not np.all(np.isfinite(p)):
             raise ValueError("probabilities must be finite")
@@ -51,9 +56,8 @@ class PhaseDistribution:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
         if p.min() < -1e-15:
             raise ValueError("negative probability beyond roundoff")
-        p.setflags(write=False)
         object.__setattr__(self, "probs", p)
-        object.__setattr__(self, "n_points", p.shape[0])  # a Python int, as JSON needs
+        object.__setattr__(self, "n_points", n)
         for name in ("phase", "offset"):
             object.__setattr__(self, name, _finite_float(getattr(self, name), name))
 
@@ -67,17 +71,17 @@ class SampleSet:
     offset: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "n_points", operator.index(self.n_points))
-        if self.n_points < 2:
-            raise ValueError("n_points must be >= 2")
+        n = _check_count(self.n_points, "n_points", 2, MAX_RECORD_LENGTH)
         y = np.asarray(self.outcomes)
         # An empty list is a float array; any other float would be truncated.
         if y.size and not np.issubdtype(y.dtype, np.integer):
             raise ValueError("outcomes must be integers")
-        y = np.asarray(y, dtype=np.int64)
-        if y.size and (y.min() < 0 or y.max() >= self.n_points):
+        if y.size > MAX_SHOTS:  # a histogram of them could not hold the total
+            raise ValueError(f"more than {MAX_SHOTS} outcomes")
+        y = _frozen(y, np.int64)
+        if y.size and (y.min() < 0 or y.max() >= n):
             raise ValueError("outcomes outside [0, n_points)")
-        y.setflags(write=False)
+        object.__setattr__(self, "n_points", n)
         object.__setattr__(self, "outcomes", y)
         # A finite real, stored as a Python float, as JSON needs.
         object.__setattr__(self, "offset", _finite_float(self.offset, "offset"))
@@ -95,16 +99,22 @@ class Histogram:
     total: int
 
     def __post_init__(self):
-        z = np.asarray(self.counts, dtype=np.int64)
-        if z.shape != (self.n_points,):
+        n = _check_count(self.n_points, "n_points", 2, MAX_RECORD_LENGTH)
+        # The AML grid is sized from the total.
+        total = _check_count(self.total, "total", 0, MAX_SHOTS)
+        z = np.asarray(self.counts)
+        if z.shape != (n,):
             raise ValueError("counts must have length n_points")
+        if z.dtype.kind not in "iuf" or not np.all(np.isfinite(z) & (z == np.floor(z))):
+            raise ValueError("counts must be integers")
         if z.min() < 0:
             raise ValueError("counts must be nonnegative")
-        if int(z.sum()) != self.total:
+        # Counts of at most MAX_SHOTS sum exactly in any of these dtypes.
+        if z.max() > total or int(z.sum()) != total:
             raise ValueError("counts do not sum to total")
-        z.setflags(write=False)
-        object.__setattr__(self, "counts", z)
-        object.__setattr__(self, "n_points", z.shape[0])
+        object.__setattr__(self, "counts", _frozen(z, np.int64))
+        object.__setattr__(self, "n_points", n)
+        object.__setattr__(self, "total", total)
 
 
 def distribution(window: WindowVector, phase: float, offset: float = 0.0) -> PhaseDistribution:
@@ -117,13 +127,11 @@ def distribution(window: WindowVector, phase: float, offset: float = 0.0) -> Pha
 
 
 def distribution_rows(window: WindowVector, effective: np.ndarray) -> np.ndarray:
-    """(T, N) outcome probabilities, one row per effective phase, clipped at 0."""
-    n = window.n_points
+    """(T, N) outcome probabilities, one row per effective phase; each is
+    >= +0.0 by construction (a square over a positive N^2 s^2, or |fft|^2 / N)."""
     if window.kind == "rect":
-        probs = _rect_probs(n, effective)
-    else:
-        probs = _window_probs(window.weights, effective)
-    return np.maximum(probs, 0.0, out=probs)
+        return _rect_probs(window.n_points, effective)
+    return _window_probs(window.weights, effective)
 
 
 def _rect_probs(n: int, effective: np.ndarray) -> np.ndarray:
@@ -158,7 +166,7 @@ def sample(dist: PhaseDistribution, n_shots: int, seed) -> SampleSet:
     seed is an integer, or a np.random.Generator whose stream the draw
     continues (so several sample sets can share one stream).
     """
-    _check_count(n_shots, "n_shots", 1)
+    n_shots = _check_count(n_shots, "n_shots", 1, MAX_SHOTS)
     rng = seed if isinstance(seed, np.random.Generator) else make_generator(seed)
     probs = np.maximum(dist.probs, 0.0)[None, :]
     outcomes = sample_rows(probs, rng.random(n_shots)[None, :])[0]

@@ -42,9 +42,9 @@ words against np.random.PCG64; should a numpy release break that, every
 call falls back to the per-seed loop.
 """
 
-import operator
-
 import numpy as np
+
+from .checks import _is_int
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
@@ -104,12 +104,10 @@ def derive_seed(master_seed: int, *parts):
     absorption.  The same (master_seed, parts) always yields the same
     seed on every platform.  A part may also be an integer array, for
     example a block of trial indices; the result is then the uint64 array
-    of the seeds for each entry, otherwise a Python int.  A float seed,
-    part or array raises TypeError rather than being truncated.
+    of the seeds for each entry, otherwise a Python int.  A float or bool
+    seed, part or array raises TypeError rather than being truncated.
     """
-    # As a Python int first: a numpy signed seed masked as is overflows
-    # (np.int64(-1)); operator.index refuses a float.
-    state = np.array([operator.index(master_seed) & _MASK64], dtype=np.uint64)
+    state = np.array([_seed64(master_seed)], dtype=np.uint64)
     batched = False
     for part in parts:
         if isinstance(part, str):
@@ -120,14 +118,22 @@ def derive_seed(master_seed: int, *parts):
             value = part.astype(np.uint64)
             batched = True
         else:
-            value = np.uint64(operator.index(part) & _MASK64)
+            value = np.uint64(_seed64(part))
         state = _splitmix64(state ^ value)
     return state if batched else int(state[0])
 
 
 def make_generator(seed: int) -> np.random.Generator:
     """numpy Generator over PCG64 seeded with a 64-bit integer."""
-    return np.random.Generator(np.random.PCG64(operator.index(seed) & _MASK64))
+    return np.random.Generator(np.random.PCG64(_seed64(seed)))
+
+
+def _seed64(value) -> int:
+    """The low 64 bits of an integer seed, masked as a Python int (np.int64(-1)
+    masked as is overflows); TypeError for a float or bool."""
+    if not _is_int(value):
+        raise TypeError(f"a seed must be an integer, not {type(value).__name__}")
+    return int(value) & _MASK64
 
 
 def uniform_rows(seeds: np.ndarray, k: int) -> np.ndarray:

@@ -4,6 +4,9 @@ A window is a unit-norm real vector of length N.  The flat (rectangular)
 window reproduces plain readout statistics; tapered windows trade mainlobe
 width against sidelobe level, which is what reshapes the outcome
 distribution of off-grid phases.
+
+Every record length is an integer in [2, checks.MAX_RECORD_LENGTH], stored
+as a Python int, and a WindowVector keeps a read-only copy of its weights.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import _is_int
+from .checks import MAX_RECORD_LENGTH, _check_count, _frozen
 
 NORM_TOL = 1e-12
 
@@ -31,25 +34,24 @@ class WindowVector:
     kind: str = "custom"
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
-        if w.ndim != 1 or w.shape[0] != self.n_points:
-            raise ValueError(f"weights must be a vector of length {self.n_points}")
-        if self.n_points < 2:
-            raise ValueError("record length must be at least 2")
+        # A Python int, as JSON needs.
+        n = _check_count(self.n_points, "record length", 2, MAX_RECORD_LENGTH)
+        w = _frozen(self.weights, np.float64)
+        if w.shape != (n,):
+            raise ValueError(f"weights must be a vector of length {n}")
         if not np.all(np.isfinite(w)):
             raise ValueError("window weights must be finite")
         with np.errstate(over="ignore"):
             norm = float(np.linalg.norm(w))
         if abs(norm - 1.0) > NORM_TOL:
             raise ValueError(f"window is not unit-norm: ||w|| = {norm!r}")
-        w.setflags(write=False)
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "n_points", w.shape[0])  # a Python int, as JSON needs
+        object.__setattr__(self, "n_points", n)
 
 
 def make_rectangular(n_points: int) -> WindowVector:
     """Flat window, every weight 1/sqrt(N)."""
-    n_points = _check_length(n_points)
+    n_points = _check_count(n_points, "record length", 2, MAX_RECORD_LENGTH)
     w = np.full(n_points, 1.0 / np.sqrt(n_points))
     return WindowVector(n_points, w, kind="rect")
 
@@ -60,7 +62,7 @@ def make_cosine(n_points: int) -> WindowVector:
     The first weight is exactly zero under this indexing; the vector is
     unit-norm because sum_y sin^2(pi*y/N) = N/2.
     """
-    n_points = _check_length(n_points)
+    n_points = _check_count(n_points, "record length", 2, MAX_RECORD_LENGTH)
     y = np.arange(n_points)
     w = np.sqrt(2.0 / n_points) * np.sin(np.pi * y / n_points)
     return WindowVector(n_points, w, kind="cosine")
@@ -72,7 +74,7 @@ def make_bartlett(n_points: int) -> WindowVector:
     Undefined at n_points = 2, where both endpoints are zero and nothing
     is left to normalize.
     """
-    n_points = _check_length(n_points)
+    n_points = _check_count(n_points, "record length", 2, MAX_RECORD_LENGTH)
     if n_points == 2:
         raise ValueError("triangular window is degenerate at n_points=2")
     y = np.arange(n_points)
@@ -126,10 +128,3 @@ def _normalized(w: np.ndarray) -> np.ndarray:
         w = w / largest
         norm = np.linalg.norm(w)
     return w / norm
-
-
-def _check_length(n_points: int) -> int:
-    """n_points as a Python int: np.sqrt of a numpy int8 is a float16."""
-    if not _is_int(n_points) or n_points < 2:
-        raise ValueError("record length must be an integer >= 2")
-    return int(n_points)

@@ -179,7 +179,7 @@ def test_randomized_commands_echo_seed(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, message", [
     (["rmse-vs-n", "--qubits", "7.5"], "--qubits must be comma-separated integers"),
-    (["rmse-vs-shots", "--qubits", "3", "--trials", "-1"], "trials must be nonnegative"),
+    (["rmse-vs-shots", "--qubits", "3", "--trials", "-1"], "trials must be >= 0"),
     (["--plot-data", "--qubits", "7", "--trials", "1000001"], "trials must be <= 1000000"),
     (["--plot-data", "--qubits", "abc"], "--qubits must be comma-separated integers"),
     (["--plot-data", "--qubits", "8"],
@@ -456,14 +456,11 @@ def test_malformed_histogram_csv_is_rejected(tmp_path, capsys, rows, message):
     ('{"n_points": 8, "offset": 0.0, "outcomes": 3}', "outcomes must be integers"),
     ('{"n_points": 8, "offset": 0.0}', "expected an object with n_points and outcomes"),
     ('[1, 2]', "expected an object with n_points and outcomes"),
-    ('{"n_points": [4], "offset": 0.0, "outcomes": [1]}',
-     "n_points must be an integer in [2, 1048576]"),
-    ('{"n_points": 1, "offset": 0.0, "outcomes": [0]}',
-     "n_points must be an integer in [2, 1048576]"),
-    ('{"n_points": true, "offset": 0.0, "outcomes": [0]}',
-     "n_points must be an integer in [2, 1048576]"),
+    ('{"n_points": [4], "offset": 0.0, "outcomes": [1]}', "n_points must be an integer"),
+    ('{"n_points": 1, "offset": 0.0, "outcomes": [0]}', "n_points must be >= 2"),
+    ('{"n_points": true, "offset": 0.0, "outcomes": [0]}', "n_points must be an integer"),
     ('{"n_points": 2097152, "offset": 0.0, "outcomes": [0]}',
-     "n_points must be an integer in [2, 1048576]"),
+     "n_points must be <= 1048576"),
     ('{"n_points": 8, "offset": null, "outcomes": [1]}', "offset must be a number"),
     ('{"n_points": 8, "offset": "0.5", "outcomes": [1]}', "offset must be a number"),
     pytest.param('{"n_points": 8, "offset": 1' + "0" * 400 + ', "outcomes": [1]}',
@@ -482,9 +479,9 @@ def test_malformed_sample_set_json_is_rejected(tmp_path, capsys, payload, messag
 
 @pytest.mark.parametrize("argv, message", [
     (["experiment", "rmse-vs-shots", "--qubits", "4", "--trials", "-1"],
-     "trials must be nonnegative"),
+     "trials must be >= 0"),
     (["experiment", "--plot-data", "--qubits", "7", "--trials", "-1"],
-     "trials must be nonnegative"),
+     "trials must be >= 0"),
     (["estimate", "--estimator", "aml", "--input", "unread.json", "--bins-kept", "1"],
      "bins_kept must be >= 2"),
     (["estimate", "--estimator", "aml", "--input", "unread.json", "--grid-points", "4"],
@@ -509,9 +506,9 @@ def test_malformed_sample_set_json_is_rejected(tmp_path, capsys, payload, messag
     (["experiment", "rmse-vs-n", "--qubits", "21", "--trials", "5"],
      "--qubits must be in [1, 20]"),
     (["window", "--record-length", "1048577", "--allow-any-n"],
-     "record length must be in [2, 1048576]"),
+     "record length must be <= 1048576"),
     (["experiment", "rmse-vs-n", "--record-length", "64,2097152", "--trials", "5"],
-     "record length must be in [2, 1048576]"),
+     "record length must be <= 1048576"),
     (["sample", "--qubits", "4", "--phase-frac", "0.1", "--shots", "10000001"],
      "--shots must be in [1, 10000000]"),
     (["sample", "--qubits", "4", "--phase-frac", "0.1", "--shots", "0"],

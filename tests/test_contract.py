@@ -1,7 +1,8 @@
 """The public contract that internal refactors must not move.
 
-Pins the names exported by the package, every subcommand's option strings
-and the fields of the two user-built config types.  A change here is an API
+Pins the names exported by the package, every subcommand's option strings,
+the fields of the two user-built config types and the bounds of the
+count rule.  A change here is an API
 or CLI change and is made on purpose, together with README.
 """
 
@@ -10,6 +11,12 @@ import types
 from dataclasses import fields
 
 import phasekit
+import phasekit.checks
+import phasekit.cli
+import phasekit.estimators
+import phasekit.experiments
+import phasekit.fisher
+import phasekit.io
 from phasekit.cli import _build_parser
 from phasekit.estimators import EstimatorConfig
 from phasekit.experiments import ExperimentSpec
@@ -71,3 +78,15 @@ def test_cli_options_are_pinned():
 def test_config_fields_are_pinned():
     assert [f.name for f in fields(ExperimentSpec)] == SPEC_FIELDS
     assert [f.name for f in fields(EstimatorConfig)] == CONFIG_FIELDS
+
+
+def test_count_bounds_are_pinned():
+    assert phasekit.checks.MAX_RECORD_LENGTH == 2 ** 20
+    assert phasekit.checks.MAX_SHOTS == 10 ** 7
+    assert phasekit.experiments.MAX_TRIALS == 10 ** 6
+    assert phasekit.fisher.MAX_PHASE_GRID == 2 ** 16
+    assert phasekit.estimators.MAX_GRID_POINTS == 2 ** 15 + 1
+    # One bound, re-exported rather than redefined, so that it cannot fork.
+    for module in (phasekit.io, phasekit.cli):
+        assert module.MAX_RECORD_LENGTH is phasekit.checks.MAX_RECORD_LENGTH
+        assert module.MAX_SHOTS is phasekit.checks.MAX_SHOTS

@@ -49,7 +49,7 @@ def test_config_validation():
     # floor is a real number.
     for kwargs, message in [(dict(bins_kept=2.5), "bins_kept must be an integer"),
                             (dict(bins_kept=True), "bins_kept must be an integer"),
-                            (dict(grid_points=3.0), "grid_points must be an integer or None"),
+                            (dict(grid_points=3.0), "grid_points must be an integer"),
                             (dict(sinc_floor="x"), "sinc_floor must be a number"),
                             (dict(sinc_floor=True), "sinc_floor must be a number")]:
         with pytest.raises(ValueError, match=message):

@@ -180,14 +180,16 @@ def test_numpy_integer_seeds_act_as_the_equal_python_int(seed):
 
 
 def test_float_seeds_are_refused():
-    for seed in (7.0, np.float64(7.0)):
+    # A bool is no seed either: derive_seed(1, True) returned derive_seed(1, 1).
+    for seed in (7.0, np.float64(7.0), True, np.True_):
         with pytest.raises(TypeError):
             derive_seed(seed, "df")
         with pytest.raises(TypeError):
             make_generator(seed)
     # A part is refused too, rather than truncated: derive_seed(1, 2.5) was
     # derive_seed(1, 2).
-    for part in (2.5, 2.0, np.float64(2.0), np.arange(3.0), np.array([0.5, 1.5])):
+    for part in (2.5, 2.0, np.float64(2.0), np.arange(3.0), np.array([0.5, 1.5]), True,
+                 np.True_, np.array([True, False])):
         with pytest.raises(TypeError):
             derive_seed(1, "df", part)
 

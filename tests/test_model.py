@@ -15,7 +15,13 @@ from phasekit.model import (
     sample,
     sample_rows,
 )
-from phasekit.windows import make_bartlett, make_cosine, make_rectangular, make_window
+from phasekit.windows import (
+    WindowVector,
+    make_bartlett,
+    make_cosine,
+    make_rectangular,
+    make_window,
+)
 
 
 def direct_sum_prob(weights, phase, y):
@@ -183,6 +189,9 @@ def test_sample_set_validates_range():
         with pytest.raises(ValueError, match="n_points must be >= 2"):
             SampleSet(n_points, [])
     assert len(SampleSet(4, [])) == 0
+    # More outcomes than a Histogram total may hold (a view: no allocation).
+    with pytest.raises(ValueError, match="more than 10000000 outcomes"):
+        SampleSet(4, np.broadcast_to(np.int64(0), (10**7 + 1,)))
     assert SampleSet(4, np.array([3], dtype=np.uint8)).outcomes.tolist() == [3]
 
 
@@ -195,13 +204,53 @@ def test_histogram_validates():
         Histogram(4, np.array([1, 1, 1]), 3)
 
 
+def test_histogram_counts_are_integer_values():
+    # A fractional count was truncated: [0.5, 0.5, 0, 0] stored zeros.
+    for counts in ([0.5, 0.5, 0, 0], [1.5, 0.5, 0, 0], [np.nan, 0, 0, 0],
+                   [np.inf, 0, 0, 0], ["1", "0", "0", "0"], [True, False, False, False]):
+        with pytest.raises(ValueError, match="counts must be integers"):
+            Histogram(4, counts, 1)
+    # Integral floats are counts, as read_histogram_csv reads them.
+    hist = Histogram(4, [2.0, 0.0, 1.0, 0.0], 3)
+    assert hist.counts.dtype == np.int64 and hist.counts.tolist() == [2, 0, 1, 0]
+    # A count beyond the total cannot sum to it, whatever int64 would make of it.
+    for counts in ([1e30, 0, 0, 0], np.array([2**64 - 1, 1, 0, 0], dtype=np.uint64)):
+        with pytest.raises(ValueError, match="counts do not sum to total"):
+            Histogram(4, counts, 3)
+
+
+def test_histogram_total_is_a_bounded_count():
+    # A float total was stored as is: Histogram(4, [1, 1, 1, 1], 4.0).total == 4.0.
+    for total, message in ((4.0, "total must be an integer"), (True, "total must be an integer"),
+                           (-1, "total must be >= 0"), (10**7 + 1, "total must be <= 10000000")):
+        with pytest.raises(ValueError, match=message):
+            Histogram(4, [1, 1, 1, 1], total)
+    hist = Histogram(4, [1, 1, 1, 1], np.int64(4))
+    assert type(hist.total) is int and hist.total == 4
+
+
+@pytest.mark.parametrize("build, caller, field", [
+    (lambda a: WindowVector(4, a), np.full(4, 0.5), "weights"),
+    (lambda a: PhaseDistribution(4, 0.0, 0.0, a), np.full(4, 0.25), "probs"),
+    (lambda a: SampleSet(4, a), np.array([1, 2]), "outcomes"),
+    (lambda a: Histogram(4, a, 4), np.ones(4, dtype=np.int64), "counts"),
+], ids=["WindowVector", "PhaseDistribution", "SampleSet", "Histogram"])
+def test_value_types_store_a_read_only_copy(build, caller, field):
+    # The caller's array, already of the stored dtype, was frozen in place:
+    # a = np.array([1, 2]); SampleSet(4, a); a[0] = 3 raised.
+    stored = getattr(build(caller), field)
+    caller[0] = caller[1]
+    assert not stored.flags.writeable and not np.shares_memory(stored, caller)
+    with pytest.raises(ValueError, match="read-only"):
+        stored[0] = 0
+
 def test_record_length_is_stored_as_a_python_int():
     samples = SampleSet(np.int64(4), [1, 2])
     hist = Histogram(np.int64(4), np.array([0, 1, 1, 0]), 2)
     dist = PhaseDistribution(np.uint16(4), 0.0, 0.0, np.full(4, 0.25))
     assert {type(x.n_points) for x in (samples, hist, dist)} == {int}
     assert json.loads(sample_set_to_json(samples))["n_points"] == 4
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match="n_points must be an integer"):
         SampleSet(4.0, [1, 2])
 
 
