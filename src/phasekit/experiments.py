@@ -298,10 +298,8 @@ def fit_loglog_slope(table, x_field: str, where: dict | None = None) -> float:
 
 def _rmse_rows(spec: ExperimentSpec) -> list[ExperimentRow]:
     rows = []
-    # The windows behind the estimators, in first-use order.
-    window_ids = list(dict.fromkeys(ESTIMATOR_WINDOWS[e] for e in spec.estimators))
     for n in spec.n_points:
-        prices = dict(zip(window_ids, _one_shot_prices(spec, window_ids, n)))
+        prices = _one_shot_prices(spec, [ESTIMATOR_WINDOWS[e] for e in spec.estimators], n)
         for n_shots in spec.n_shots:
             for estimator in spec.estimators:
                 start = time.perf_counter()
@@ -332,25 +330,26 @@ def _crb_rows(spec: ExperimentSpec) -> list[CrbRow]:
     vary_n = len(spec.n_points) > 1 and len(spec.n_shots) == 1
     rows = []
     for n in spec.n_points:
-        for window_id, one_shot in zip(spec.windows, _one_shot_prices(spec, spec.windows, n)):
+        prices = _one_shot_prices(spec, spec.windows, n)
+        for window_id in spec.windows:
             for n_shots in spec.n_shots:
                 x = float(n) if vary_n else float(n_shots)
-                rows.append(CrbRow(x, window_id, float(one_shot / np.sqrt(n_shots))))
+                rows.append(CrbRow(x, window_id, float(prices[window_id] / np.sqrt(n_shots))))
     return rows
 
 
-def _one_shot_prices(spec: ExperimentSpec, window_ids, n: int) -> list[float]:
-    """One-shot average sqrt-CRB of each window at N, in the order asked.
+def _one_shot_prices(spec: ExperimentSpec, window_ids, n: int) -> dict[str, float]:
+    """{window_id: one-shot average sqrt-CRB at N} of the windows asked.
 
-    The windows not yet in _PRICES are priced in one call that shares each
-    block's phase ramp, and stored; a pricing that raises stores nothing.
+    The windows not yet in _PRICES are priced in first-use order by one
+    call, and stored; a pricing that raises stores nothing.
     """
-    keys = [(window_id, n, spec.crb_grid_size) for window_id in window_ids]
-    missing = list(dict.fromkeys(key for key in keys if key not in _PRICES))
+    keys = {window_id: (window_id, n, spec.crb_grid_size) for window_id in window_ids}
+    missing = [key for key in keys.values() if key not in _PRICES]
     if missing:
         windows = [make_window(window_id, n) for window_id, _, _ in missing]
         _PRICES.update(zip(missing, _avg_sqrt_crbs(windows, 1, spec.crb_grid_size)))
-    return [_PRICES[key] for key in keys]
+    return {window_id: _PRICES[key] for window_id, key in keys.items()}
 
 
 # Row type and row builder of each experiment kind.
@@ -421,7 +420,7 @@ def _block_rows(n: int, n_shots: int, estimator: str) -> int:
     draw = max(map(_draw_words, range(n_shots, k + 1)))
     stage = 5.25 * n
     if not estimator.startswith("mean-"):
-        per_set = (n_shots + 1) // 2 if estimator == "df" else n_shots
+        per_set = split_shot_counts(n_shots)[0] if estimator == "df" else n_shots
         n_grid = DEFAULT_CONFIG.resolve_grid_points(per_set)
         kept = min(DEFAULT_CONFIG.bins_kept, n, max(1, per_set // 16))
         stage = max(stage, 3 * n + n_grid * (6 + 2.25 * kept))

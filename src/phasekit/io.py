@@ -250,8 +250,6 @@ def read_sample_set_json(path) -> SampleSet:
         outcomes = payload["outcomes"]
         if not isinstance(outcomes, list) or not all(_is_int(y) for y in outcomes):
             raise ValueError("outcomes must be integers")
-        if len(outcomes) > MAX_SHOTS:
-            raise ValueError(f"more than {MAX_SHOTS} outcomes")
         if not all(0 <= y < n for y in outcomes):
             raise ValueError(f"outcomes outside [0, {n})")
         # SampleSet checks the offset: a finite real.

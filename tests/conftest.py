@@ -23,11 +23,11 @@ def _cold_crb_prices():
 def grids(monkeypatch) -> list[tuple[str, int]]:
     """(window, N) of every Fisher grid computed during the test."""
     computed = []
-    shared = phasekit.fisher._fisher_grids
+    shared = phasekit.fisher._fisher
 
-    def counted(windows, grid_size):
+    def counted(windows, phases):
         computed.extend((w.kind, w.n_points) for w in windows)
-        return shared(windows, grid_size)
+        return shared(windows, phases)
 
-    monkeypatch.setattr(phasekit.fisher, "_fisher_grids", counted)
+    monkeypatch.setattr(phasekit.fisher, "_fisher", counted)
     return computed

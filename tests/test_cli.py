@@ -157,7 +157,7 @@ def test_non_finite_phase_is_one_usage_error_line(command, phase, message, capsy
 
 
 def test_sample_set_json_beyond_the_outcome_bound_is_rejected(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(phasekit.io, "MAX_SHOTS", 3)
+    monkeypatch.setattr(phasekit.model, "MAX_SHOTS", 3)
     path = tmp_path / "s.json"
     estimate = ["estimate", "--estimator", "mean", "--input", str(path)]
     path.write_text('{"n_points": 8, "outcomes": [1, 2, 2]}')

@@ -2,9 +2,15 @@ import numpy as np
 import pytest
 
 from phasekit.angles import TWO_PI
-from phasekit.fisher import avg_sqrt_crb, crb, fisher_information, fisher_information_grid
+from phasekit.fisher import (
+    NEGLIGIBLE_PROB,
+    avg_sqrt_crb,
+    crb,
+    fisher_information,
+    fisher_information_grid,
+)
 from phasekit.model import distribution
-from phasekit.windows import make_cosine, make_custom, make_rectangular
+from phasekit.windows import make_bartlett, make_cosine, make_custom, make_rectangular
 
 # avg_sqrt_crb for the flat window at N=128, one shot, G=256: frozen from a
 # finite-difference run of the likelihood derivative (independent oracle).
@@ -166,3 +172,35 @@ def test_grid_never_on_grid():
     fis = fisher_information_grid(make_rectangular(512), 256)
     assert fis.min() > 0.0
     assert fis.shape == (256,)
+
+
+def closed_form_fisher(window):
+    """4 * sum_n p_n (n - m)^2 with p = w^2 and m = sum_n n p_n, computed centred:
+    the FI of a window with real weights symmetric about a centre, at every
+    off-grid phase."""
+    p = window.weights ** 2
+    n = np.arange(window.n_points)
+    return 4.0 * np.sum(p * (n - np.sum(n * p)) ** 2)
+
+
+@pytest.mark.parametrize("make", [make_rectangular, make_cosine, make_bartlett])
+@pytest.mark.parametrize("n", [4, 8, 16, 64, 128, 256, 1024, 4096])
+def test_builtin_grid_equals_the_closed_form(make, n):
+    window = make(n)
+    fi = closed_form_fisher(window)
+    relative = np.abs(fisher_information_grid(window, 256) - fi) / fi
+    # A phase at which an outcome falls below NEGLIGIBLE_PROB undercounts FI
+    # by the skipped outcomes' share; every other phase agrees to rounding.
+    phases = TWO_PI / n * (np.arange(256) + 0.5) / 256
+    s = n * np.fft.ifft(window.weights * np.exp((-1j * phases)[:, None] * np.arange(n)), axis=1)
+    whole = np.all(np.abs(s) ** 2 / n >= NEGLIGIBLE_PROB, axis=1)
+    assert relative[whole].max(initial=0.0) <= 1e-14
+    assert relative.max() <= 3e-6
+    assert avg_sqrt_crb(window, 1) == pytest.approx(1 / np.sqrt(fi), rel=2e-8)
+
+
+@pytest.mark.parametrize("window", [make_cosine(2), make_bartlett(3)], ids=["cosine-2", "bartlett-3"])
+def test_zero_variance_window_has_degenerate_fisher_information(window):
+    assert closed_form_fisher(window) == 0.0
+    with pytest.raises(ValueError, match="degenerate FI"):
+        avg_sqrt_crb(window, 1)

@@ -167,7 +167,7 @@ def _full_rows(window, grid_size: int) -> int:
 @pytest.mark.parametrize("n", [3, 64, 100, 1024, 4096])
 def test_shared_ramp_grid_equals_each_windows_own_grid(n, grid_size):
     windows = [_window(kind, n) for kind in ("rect", "cosine", "bartlett", "custom")]
-    grids = fisher._fisher_grids(windows, grid_size)
+    grids = fisher._fisher(windows, fisher._cell_phases(n, grid_size))
     assert grids.shape == (len(windows), grid_size)
     for window, row in zip(windows, grids):
         assert row.tobytes() == fisher_information_grid(window, grid_size).tobytes()
@@ -189,7 +189,7 @@ def test_shared_ramp_prices_equal_each_windows_own_price():
 
 def test_shared_ramp_grid_needs_one_record_length():
     with pytest.raises(ValueError, match="differ in record length"):
-        fisher._fisher_grids([make_rectangular(64), make_cosine(128)], 16)
+        fisher._fisher([make_rectangular(64), make_cosine(128)], fisher._cell_phases(64, 16))
     with pytest.raises(ValueError, match="differ in record length"):
         fisher._avg_sqrt_crbs([make_rectangular(64), make_cosine(128)], 1, 16)
 
