@@ -14,6 +14,12 @@ import numpy as np
 MAX_RECORD_LENGTH = 2 ** 20
 MAX_SHOTS = 10 ** 7
 
+# Largest magnitude of a phase or offset, in radians, that enters a
+# computation: the largest power of two whose double spacing (2^-18 rad)
+# still resolves one cell 2*pi/N at N = MAX_RECORD_LENGTH (6.0e-6 rad).
+# Beyond it a phase no longer names a cell; near 1e308, n * phase overflows.
+MAX_PHASE = 2.0 ** 34
+
 
 def _is_int(value) -> bool:
     """A Python or numpy integer, never a bool: files, specs and configs alike."""
@@ -36,6 +42,15 @@ def _finite_float(value, name: str) -> float:
         result = math.inf
     if not math.isfinite(result):
         raise ValueError(f"{name} {result!r} is not finite")
+    return result
+
+
+def _bounded_phase(value, name: str) -> float:
+    """value as a Python float; ValueError unless it is a finite real of
+    magnitude at most MAX_PHASE."""
+    result = _finite_float(value, name)
+    if abs(result) > MAX_PHASE:
+        raise ValueError(f"{name} must lie in [-2**34, 2**34]")
     return result
 
 

@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .angles import TWO_PI, circ_distance, circ_midpoint, wrap_two_pi
-from .checks import MAX_RECORD_LENGTH, MAX_SHOTS, _check_count, _finite_float, _is_real
+from .checks import MAX_RECORD_LENGTH, MAX_SHOTS, _bounded_phase, _check_count, _is_real
 from .model import Histogram, SampleSet, histogram_rows
 
 # Offsets within this of 0 resp. pi/N identify the two sample sets of the
@@ -179,8 +179,8 @@ def aml_objective(
     displacement N*(phase + offset)/(2*pi) - k is wrapped to [-N/2, N/2).
     """
     # Checked before the sum; the sum keeps the caller's types.
-    _finite_float(phase, "phase")
-    _finite_float(offset, "offset")
+    _bounded_phase(phase, "phase")
+    _bounded_phase(offset, "offset")
     bins, counts, width = _top_bins(hist.counts[None, :], config.bins_kept)
     position = hist.n_points * (phase + offset) / TWO_PI
     return float(_objective(np.array([[position]]), bins, counts, width,

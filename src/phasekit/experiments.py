@@ -12,11 +12,12 @@ array, a seed or index that is not an integer (a bool is not), a count
 outside its range by the one rule of checks (trials in [0, MAX_TRIALS],
 n_jobs >= 1, crb_grid_size in [16, fisher.MAX_PHASE_GRID], each N in
 [2, checks.MAX_RECORD_LENGTH], each N_s in [1, checks.MAX_SHOTS]), a
-non-bool allow_any_n, a fixed phase that is not a finite number, an
-empty estimator list (window list for a CRB curve), an unknown window for
-a CRB curve, a scatter run over more than one N, N_s or estimator, df
-with fewer than 2 shots, a cell-policy cell_index outside [0, N) for some
-N, or an RMSE kind of no trials.
+non-bool allow_any_n, a fixed phase that is not a finite number of
+magnitude at most checks.MAX_PHASE, an empty estimator list (window list
+for a CRB curve), an unknown window for a CRB curve, a scatter run over
+more than one N, N_s or estimator, df with fewer than 2 shots, a
+cell-policy cell_index outside [0, N) for some N, or an RMSE kind of no
+trials.
 
 Every trial draws its own generator from a seed derived as
 derive_seed(master_seed, kind, estimator, N, N_s, trial_index), so tables
@@ -75,7 +76,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .angles import TWO_PI, circ_signed_error, wrap_two_pi
-from .checks import MAX_RECORD_LENGTH, MAX_SHOTS, _check_count, _is_int, _is_real
+from .checks import MAX_PHASE, MAX_RECORD_LENGTH, MAX_SHOTS, _check_count, _is_int, _is_real
 from .estimators import (
     DEFAULT_CONFIG,
     aml_rows,
@@ -86,9 +87,7 @@ from .estimators import (
 from .fisher import DEFAULT_PHASE_GRID, MAX_PHASE_GRID, _avg_sqrt_crbs
 from .model import distribution_rows, histogram_rows, sample_rows
 from .rng import _draw_words, derive_seed, uniform_rows
-from .windows import make_window
-
-EXPERIMENT_KINDS = ("rmse-vs-shots", "rmse-vs-n", "scatter", "crb-curve")
+from .windows import BUILTIN_WINDOWS, make_window
 
 # Data window backing each estimator; the same window prices its CRB column.
 ESTIMATOR_WINDOWS = {
@@ -100,9 +99,6 @@ ESTIMATOR_WINDOWS = {
 }
 
 PHASE_POLICIES = ("uniform", "cell", "fixed")
-
-# Windows a crb-curve run can price.
-BUILTIN_WINDOWS = ("rect", "cosine", "bartlett")
 
 # Memory budget of one block of trials; see _block_rows.
 BLOCK_BYTES = 1 << 20
@@ -168,10 +164,12 @@ class ExperimentSpec:
             raise ValueError("n_points and n_shots lists must be nonempty")
         if not np.all(np.isfinite(self.fixed_phases)):
             raise ValueError("fixed_phases must be finite")
+        if not np.all(np.abs(self.fixed_phases) <= MAX_PHASE):
+            raise ValueError("fixed_phases must lie in [-2**34, 2**34]")
         for n_shots in self.n_shots:
             _check_count(n_shots, "every shot count", 1, MAX_SHOTS)
         # A scatter run of no trials is its header; an RMSE has no value.
-        if self.kind in ("rmse-vs-shots", "rmse-vs-n") and self.trials < 1:
+        if _KINDS[self.kind][1] is _rmse_rows and self.trials < 1:
             raise ValueError("RMSE experiments need at least one trial")
         if self.phase_policy not in PHASE_POLICIES:
             raise ValueError(f"unknown phase policy {self.phase_policy!r}")
@@ -352,13 +350,15 @@ def _one_shot_prices(spec: ExperimentSpec, window_ids, n: int) -> dict[str, floa
     return {window_id: _PRICES[key] for window_id, key in keys.items()}
 
 
-# Row type and row builder of each experiment kind.
+# Row type and row builder of each experiment kind; its keys, in this order,
+# are EXPERIMENT_KINDS and the CLI's choices.
 _KINDS = {
     "rmse-vs-shots": (ExperimentRow, _rmse_rows),
     "rmse-vs-n": (ExperimentRow, _rmse_rows),
     "scatter": (ScatterRow, _scatter_rows),
     "crb-curve": (CrbRow, _crb_rows),
 }
+EXPERIMENT_KINDS = tuple(_KINDS)
 
 
 def _collect_trials(spec: ExperimentSpec, estimator: str, n: int, n_shots: int):

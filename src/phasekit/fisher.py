@@ -31,7 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from .angles import TWO_PI
-from .checks import MAX_SHOTS, _check_count, _finite_float
+from .checks import MAX_SHOTS, _bounded_phase, _check_count
 from .windows import WindowVector
 
 # Outcomes with |s_y|^2 / N below this are skipped.  They are not worthless:
@@ -54,7 +54,7 @@ FI_BLOCK_ELEMENTS = 1 << 12
 
 def fisher_information(window: WindowVector, phase: float) -> float:
     """Single-shot Fisher information of the phase under the given window."""
-    phase = _finite_float(phase, "phase")
+    phase = _bounded_phase(phase, "phase")
     return float(_fisher([window], np.array([phase]))[0, 0])
 
 

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angles import TWO_PI
-from .checks import MAX_RECORD_LENGTH, MAX_SHOTS, _check_count, _finite_float, _frozen
+from .checks import (MAX_RECORD_LENGTH, MAX_SHOTS, _bounded_phase, _check_count, _finite_float,
+                     _frozen)
 from .rng import make_generator
 from .windows import WindowVector
 
@@ -73,6 +74,8 @@ class SampleSet:
     def __post_init__(self):
         n = _check_count(self.n_points, "n_points", 2, MAX_RECORD_LENGTH)
         y = np.asarray(self.outcomes)
+        if y.ndim != 1:  # a scalar or a nested list has no outcome order
+            raise ValueError("outcomes must be a one-dimensional sequence")
         # An empty list is a float array; any other float would be truncated.
         if y.size and not np.issubdtype(y.dtype, np.integer):
             raise ValueError("outcomes must be integers")
@@ -120,8 +123,8 @@ class Histogram:
 def distribution(window: WindowVector, phase: float, offset: float = 0.0) -> PhaseDistribution:
     """Exact outcome distribution for a window at effective phase phase + offset."""
     # Checked before the sum; the sum keeps the caller's types.
-    _finite_float(phase, "phase")
-    _finite_float(offset, "offset")
+    _bounded_phase(phase, "phase")
+    _bounded_phase(offset, "offset")
     probs = distribution_rows(window, np.array([phase + offset]))[0]
     return PhaseDistribution(window.n_points, phase, offset, probs)
 

@@ -19,8 +19,6 @@ from .checks import MAX_RECORD_LENGTH, _check_count, _frozen
 
 NORM_TOL = 1e-12
 
-WINDOW_KINDS = ("rect", "cosine", "bartlett", "custom")
-
 # Below this norm the sum of squares of the weights loses digits to underflow.
 _RESCALE_BELOW = 2.0 ** -500
 
@@ -41,6 +39,11 @@ class WindowVector:
             raise ValueError(f"weights must be a vector of length {n}")
         if not np.all(np.isfinite(w)):
             raise ValueError("window weights must be finite")
+        if not isinstance(self.kind, str) or self.kind not in WINDOW_KINDS:
+            raise ValueError(f"unknown window kind {self.kind!r}; expected one of {WINDOW_KINDS}")
+        # The one label a computation reads: distribution prices "rect" by the flat closed form.
+        if self.kind == "rect" and not np.all(w == w[0]):
+            raise ValueError("a rect window's weights must all be equal")
         with np.errstate(over="ignore"):
             norm = float(np.linalg.norm(w))
         if abs(norm - 1.0) > NORM_TOL:
@@ -94,23 +97,23 @@ def make_custom(weights) -> WindowVector:
 
 
 def make_window(kind: str, n_points: int | None = None, weights=None) -> WindowVector:
-    """Construct a window by string identifier.
-
-    "rect" | "cosine" | "bartlett" need n_points; "custom" needs weights.
-    """
+    """The window of a kind: a built-in one needs n_points, "custom" needs weights."""
     if kind == "custom":
         if weights is None:
             raise ValueError("custom window requires explicit weights")
         return make_custom(weights)
     if n_points is None:
         raise ValueError(f"window kind {kind!r} requires n_points")
-    if kind == "rect":
-        return make_rectangular(n_points)
-    if kind == "cosine":
-        return make_cosine(n_points)
-    if kind == "bartlett":
-        return make_bartlett(n_points)
+    for name, maker in _MAKERS.items():
+        if kind == name:
+            return maker(n_points)
     raise ValueError(f"unknown window kind {kind!r}; expected one of {WINDOW_KINDS}")
+
+
+# The built-in windows, each kind's maker: the one list of their names.
+_MAKERS = {"rect": make_rectangular, "cosine": make_cosine, "bartlett": make_bartlett}
+BUILTIN_WINDOWS = tuple(_MAKERS)
+WINDOW_KINDS = BUILTIN_WINDOWS + ("custom",)
 
 
 def _normalized(w: np.ndarray) -> np.ndarray:

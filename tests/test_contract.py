@@ -1,8 +1,8 @@
 """The public contract that internal refactors must not move.
 
 Pins the names exported by the package, every subcommand's option strings,
-the fields of the two user-built config types and the bounds of the
-count rule.  A change here is an API
+the fields of the two user-built config types, the bounds of the count
+rule and of a phase, and the tables of window and experiment kinds.  A change here is an API
 or CLI change and is made on purpose, together with README.
 """
 
@@ -17,6 +17,7 @@ import phasekit.estimators
 import phasekit.experiments
 import phasekit.fisher
 import phasekit.io
+import phasekit.windows
 from phasekit.cli import _build_parser
 from phasekit.estimators import EstimatorConfig
 from phasekit.experiments import ExperimentSpec
@@ -90,3 +91,16 @@ def test_count_bounds_are_pinned():
     for module in (phasekit.io, phasekit.cli):
         assert module.MAX_RECORD_LENGTH is phasekit.checks.MAX_RECORD_LENGTH
         assert module.MAX_SHOTS is phasekit.checks.MAX_SHOTS
+
+
+def test_phase_bound_is_pinned():
+    assert phasekit.checks.MAX_PHASE == 2.0 ** 34
+
+
+def test_kind_tables_are_pinned():
+    assert phasekit.windows.WINDOW_KINDS == ("rect", "cosine", "bartlett", "custom")
+    # One table of built-in windows, imported rather than restated.
+    assert phasekit.experiments.BUILTIN_WINDOWS is phasekit.windows.BUILTIN_WINDOWS
+    # The order of the CLI's experiment kind choices.
+    assert phasekit.experiments.EXPERIMENT_KINDS == (
+        "rmse-vs-shots", "rmse-vs-n", "scatter", "crb-curve")

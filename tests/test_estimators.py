@@ -180,6 +180,18 @@ def test_objective_refuses_a_phase_that_is_not_a_finite_number(phase, offset, me
         aml_objective(h, phase, offset)
 
 
+@pytest.mark.parametrize("value", [np.nextafter(2.0 ** 34, np.inf), -2 ** 35, 1e20, 1e308])
+def test_objective_bounds_phase_and_offset(value):
+    # aml_objective(h, 1e308) returned nan.
+    h = hist_from_counts([0, 0, 0, 20, 0, 0, 0, 0])
+    with pytest.raises(ValueError, match=r"phase must lie in \[-2\*\*34, 2\*\*34\]"):
+        aml_objective(h, value)
+    with pytest.raises(ValueError, match=r"offset must lie in \[-2\*\*34, 2\*\*34\]"):
+        aml_objective(h, 0.3, value)
+    for bound in (2.0 ** 34, -2.0 ** 34):
+        assert np.isfinite(aml_objective(h, bound)) and np.isfinite(aml_objective(h, 0.3, bound))
+
+
 def test_objective_keeps_top_bins_only():
     counts = np.zeros(32, dtype=np.int64)
     counts[:10] = [100, 90, 80, 70, 60, 50, 40, 30, 20, 10]

@@ -425,6 +425,19 @@ def test_spec_rejects_runs_that_cannot_start(overrides, message):
         small_spec(**overrides)
 
 
+def test_spec_bounds_fixed_phases():
+    # At 1e20 every trial of every estimator had the same error, -1.8956; at
+    # 1e308 the run warned, then failed with "degenerate distribution".
+    for phases in ((1e20,), (0.5, np.nextafter(2.0 ** 34, np.inf)), (-1e308,), (-2 ** 35,)):
+        with pytest.raises(ValueError, match=r"fixed_phases must lie in \[-2\*\*34, 2\*\*34\]"):
+            small_spec(phase_policy="fixed", fixed_phases=phases)
+    # Finiteness is checked first, with its own message.
+    with pytest.raises(ValueError, match="fixed_phases must be finite"):
+        small_spec(phase_policy="fixed", fixed_phases=(1e308, float("nan")))
+    spec = small_spec(phase_policy="fixed", fixed_phases=(2.0 ** 34, -2 ** 34, 1e8))
+    assert spec.fixed_phases == (2.0 ** 34, -2.0 ** 34, 1e8)
+
+
 def test_spec_accepts_numpy_integers():
     spec = small_spec(trials=20)
     as_numpy = small_spec(n_points=(np.int64(64),), n_shots=(np.int32(8), np.uint16(16)),

@@ -131,6 +131,21 @@ def test_avg_sqrt_crb_rejects_degenerate_window():
         avg_sqrt_crb(flat_info, 10)
 
 
+@pytest.mark.parametrize("phase", [np.nextafter(2.0 ** 34, np.inf), -2 ** 35, 1e20, 1e308])
+def test_fisher_information_bounds_the_phase(phase):
+    # At 1e308, fisher_information warned twice and returned 0.0, and crb inf.
+    w = make_rectangular(8)
+    with pytest.raises(ValueError, match=r"phase must lie in \[-2\*\*34, 2\*\*34\]"):
+        fisher_information(w, phase)
+    with pytest.raises(ValueError, match=r"phase must lie in \[-2\*\*34, 2\*\*34\]"):
+        crb(w, phase, 3)
+
+
+def test_fisher_information_accepts_phases_up_to_the_bound():
+    for phase in (2.0 ** 34, -2.0 ** 34, 1e8):
+        assert np.isfinite(fisher_information(make_cosine(8), phase))
+
+
 def test_bound_arguments_are_checked():
     w = make_rectangular(16)
     for phase, message in ((np.nan, "phase nan is not finite"),

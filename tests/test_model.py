@@ -110,6 +110,27 @@ def test_distribution_rejects_what_is_not_a_finite_real(phase, offset, message):
         distribution(make_rectangular(8), phase, offset)
 
 
+# Beyond checks.MAX_PHASE = 2**34 rad: the next double, an int, and values
+# that gave warnings, NaN or a garbage distribution.
+BEYOND_THE_PHASE_BOUND = [np.nextafter(2.0 ** 34, np.inf), -2 ** 35, 1e20, -1e20, 1e308]
+
+
+@pytest.mark.parametrize("value", BEYOND_THE_PHASE_BOUND)
+def test_distribution_bounds_phase_and_offset(value):
+    # distribution(make_rectangular(8), 1e308) warned before its ValueError.
+    for window in (make_rectangular(8), make_cosine(8)):
+        with pytest.raises(ValueError, match=r"phase must lie in \[-2\*\*34, 2\*\*34\]"):
+            distribution(window, value)
+        with pytest.raises(ValueError, match=r"offset must lie in \[-2\*\*34, 2\*\*34\]"):
+            distribution(window, 0.5, value)
+
+
+def test_distribution_accepts_phases_up_to_the_bound():
+    for value in (2.0 ** 34, -2.0 ** 34, 1e8):
+        assert distribution(make_cosine(8), value).phase == value
+        assert distribution(make_cosine(8), 0.5, value).offset == value
+
+
 def test_sampling_point_mass():
     d = distribution(make_rectangular(8), TWO_PI * 3 / 8)
     assert sample(d, 10, seed=123).outcomes.tolist() == [3] * 10
@@ -193,6 +214,16 @@ def test_sample_set_validates_range():
     with pytest.raises(ValueError, match="more than 10000000 outcomes"):
         SampleSet(4, np.broadcast_to(np.int64(0), (10**7 + 1,)))
     assert SampleSet(4, np.array([3], dtype=np.uint8)).outcomes.tolist() == [3]
+
+
+def test_sample_set_outcomes_are_one_dimensional():
+    # [[1, 2], [3, 0]] was accepted: circular_sample_mean of it raised numpy's
+    # "truth value ... is ambiguous", and its JSON failed to read back.  A bare
+    # 3 made a set of length 1 whose histogram raised IndexError.
+    for outcomes in ([[1, 2], [3, 0]], 3, np.int64(3), [[]], np.zeros((0, 2), dtype=np.int64)):
+        with pytest.raises(ValueError, match="outcomes must be a one-dimensional sequence"):
+            SampleSet(4, outcomes)
+    assert SampleSet(4, []).outcomes.shape == (0,)
 
 
 def test_histogram_validates():
