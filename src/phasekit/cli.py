@@ -9,13 +9,13 @@ only the format it emits.  Exit codes: 0 success, 1 runtime error
 (including a malformed input file), 2 argument error (including a value
 that ExperimentSpec or EstimatorConfig rejects, a non-integer length
 entry, more than one length for window, dist or sample, a phase that is
-not finite in radians, a size beyond MAX_QUBITS, checks.MAX_RECORD_LENGTH
-or checks.MAX_SHOTS, --threads outside [1, CPUs], a custom window whose
---weights-csv length differs from the record length, an --input count
-that the estimator does not take, and --plot-data with a kind or with a
-record length other than 128).  crb and experiment build their
-ExperimentSpec through one function, and every file goes through
-io.save_text.
+not finite in radians or beyond checks.MAX_PHASE, a size beyond
+MAX_QUBITS, checks.MAX_RECORD_LENGTH or checks.MAX_SHOTS, --threads
+outside [1, CPUs], a custom window whose --weights-csv length differs
+from the record length, an --input count that the estimator does not
+take, and --plot-data with a kind or with a record length other than
+128).  crb and experiment build their ExperimentSpec through one
+function, and every file goes through io.save_text.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .angles import TWO_PI, wrap_two_pi
-from .checks import MAX_RECORD_LENGTH, MAX_SHOTS, _check_count
+from .checks import MAX_PHASE, MAX_RECORD_LENGTH, MAX_SHOTS, _check_count
 from .estimators import (
     DEFAULT_CONFIG,
     EstimatorConfig,
@@ -107,8 +107,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_length_args(p)
     _add_window_args(p)
     _add_phase_args(p)
-    p.add_argument("--offset-half-cell", action="store_true",
-                   help="apply the pi/N frequency offset")
     _add_output_args(p)
     p.set_defaults(func=_cmd_dist)
 
@@ -116,7 +114,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_length_args(p)
     _add_window_args(p)
     _add_phase_args(p)
-    p.add_argument("--offset-half-cell", action="store_true")
     p.add_argument("--shots", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     _add_output_args(p, default_format="json")
@@ -193,6 +190,8 @@ def _add_phase_args(p):
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--phase-frac", type=float, help="phase as a fraction of 2*pi")
     group.add_argument("--phase-rad", type=float, help="phase in radians")
+    p.add_argument("--offset-half-cell", action="store_true",
+                   help="apply the pi/N frequency offset")
 
 
 def _add_output_args(p, default_format: str | None = "csv"):
@@ -246,15 +245,19 @@ def _check_threads(args):
         raise CliError(f"--threads must be in [1, {limit}] (the number of CPUs)")
 
 
-def _resolve_phase(args) -> float:
-    # Checked before wrapping: np.mod of inf or nan warns and gives nan.
+def _resolve_phase(args, n: int) -> tuple[float, float]:
+    """The wrapped phase and the --offset-half-cell offset at record length n."""
+    # Checked before wrapping: np.mod of inf or nan warns and gives nan.  The
+    # bound is the library's: beyond it a double no longer names a cell.
     if args.phase_frac is not None:
         flag, phase = "--phase-frac", TWO_PI * args.phase_frac
     else:
         flag, phase = "--phase-rad", args.phase_rad
     if not np.isfinite(phase):
         raise CliError(f"{flag} must give a finite phase")
-    return wrap_two_pi(phase)
+    if abs(phase) > MAX_PHASE:
+        raise CliError(f"{flag} must give a phase in [-2**34, 2**34] rad")
+    return wrap_two_pi(phase), np.pi / n if args.offset_half_cell else 0.0
 
 
 def _resolve_window(args):
@@ -294,8 +297,7 @@ def _cmd_window(args) -> int:
 
 def _cmd_dist(args) -> int:
     window = _resolve_window(args)
-    offset = np.pi / window.n_points if args.offset_half_cell else 0.0
-    dist = distribution(window, _resolve_phase(args), offset)
+    dist = distribution(window, *_resolve_phase(args, window.n_points))
     spec = {"n_points": window.n_points, "window": window.kind, "phase": dist.phase,
             "offset": dist.offset}
     return _emit(args, write_values(dist.probs, spec, args.format))
@@ -303,10 +305,9 @@ def _cmd_dist(args) -> int:
 
 def _cmd_sample(args) -> int:
     window = _resolve_window(args)
-    offset = np.pi / window.n_points if args.offset_half_cell else 0.0
     if not 1 <= args.shots <= MAX_SHOTS:
         raise CliError(f"--shots must be in [1, {MAX_SHOTS}]")
-    phase = _resolve_phase(args)
+    phase, offset = _resolve_phase(args, window.n_points)
     print(f"seed: {args.seed}", file=sys.stderr)
     dist = distribution(window, phase, offset)
     draws = sample(dist, args.shots, args.seed)

@@ -18,9 +18,7 @@ complex temporaries stay near 64 KiB whatever the grid size (larger
 blocks cost resident memory and buy no speed).  A block's phase ramp
 exp(-j*phi_i*n) does not depend on the window: it is computed once, and
 each window multiplies it by its weights before its two row-wise
-length-N inverse FFTs.  Rows that keep every outcome are summed whole,
-one np.sum along the rows; a row that drops some outcomes is summed over
-its kept ones alone.  Either way each row is one pairwise summation over
+length-N inverse FFTs.  Each phase is then one pairwise summation over
 its kept outcomes in order, so a grid of several windows, the grid of
 one window and the scalar fisher_information, its one-row case, all give
 the bytes of a per-phase computation.
@@ -134,12 +132,9 @@ def _fisher(windows: list[WindowVector], phases: np.ndarray) -> np.ndarray:
             keep = f_scaled / n >= NEGLIGIBLE_PROB
             imag = np.imag(np.conj(s) * v)
             terms = imag * imag / np.where(keep, f_scaled, 1.0)
-            # One pairwise sum per row over its kept outcomes, in order, as for
-            # a single phase: whole rows in one call, the others one masked row
-            # at a time (a row that keeps nothing sums to 0.0).
-            full = keep.all(axis=1)
-            row[full] = np.sum(terms[full], axis=1)
-            for i in np.flatnonzero(~full):
+            # One pairwise sum per phase over its kept outcomes, in order (a
+            # phase that keeps nothing sums to 0.0).
+            for i in range(len(row)):
                 row[i] = np.sum(terms[i][keep[i]])
             row *= 4.0 / n
     return fis

@@ -1,13 +1,17 @@
 import csv
+import io
 import json
+import math
 import os
 import subprocess
 import sys
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import phasekit
 import phasekit.io
@@ -154,6 +158,44 @@ def test_non_finite_phase_is_one_usage_error_line(command, phase, message, capsy
         assert dispatch([*command, "--qubits", "3", *phase]) == 2
     assert caught == []
     assert capsys.readouterr().err == f"usage error: {message}\n"
+
+
+@pytest.mark.parametrize("command", [["dist"], ["sample", "--shots", "5"]])
+@pytest.mark.parametrize("flag, beyond, within", [
+    ("--phase-rad", [1e20, -float(np.nextafter(2.0 ** 34, np.inf))], [2.0 ** 34, -2.0 ** 34]),
+    ("--phase-frac", [3e9, -1e300], [2.7e9, -2.7e9]),
+])
+def test_phase_beyond_the_library_bound_is_one_usage_error_line(command, flag, beyond, within,
+                                                                capsys):
+    # checks.MAX_PHASE = 2**34 rad bounds the phase in radians before it is wrapped.
+    for value in beyond:
+        assert dispatch([*command, "--qubits", "3", f"{flag}={value!r}"]) == 2
+        assert capsys.readouterr().err == \
+            f"usage error: {flag} must give a phase in [-2**34, 2**34] rad\n"
+    for value in within:
+        assert dispatch([*command, "--qubits", "3", f"{flag}={value!r}"]) == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(command=st.sampled_from([["dist"], ["sample", "--shots", "3"]]),
+       flag=st.sampled_from(["--phase-rad", "--phase-frac"]), value=st.floats(),
+       qubits=st.integers(1, 6), offset=st.booleans())
+def test_phase_grammar(command, flag, value, qubits, offset):
+    """Any float for either phase flag: exit 2 with one usage line exactly
+    when the phase in radians is not finite or beyond 2**34, else exit 0."""
+    phase = value if flag == "--phase-rad" else TWO_PI * value
+    rejected = not math.isfinite(phase) or abs(phase) > 2.0 ** 34
+    argv = [*command, "--qubits", str(qubits), f"{flag}={value!r}"]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, redirect_stdout(out), \
+            redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = dispatch(argv + ["--offset-half-cell"] * offset)
+    assert caught == []
+    assert code == (2 if rejected else 0)
+    if rejected:
+        assert err.getvalue().startswith("usage error: ") and err.getvalue().count("\n") == 1
+    assert "nan" not in out.getvalue() and "inf" not in out.getvalue()
 
 
 def test_sample_set_json_beyond_the_outcome_bound_is_rejected(tmp_path, capsys, monkeypatch):

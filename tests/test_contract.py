@@ -95,6 +95,7 @@ def test_count_bounds_are_pinned():
 
 def test_phase_bound_is_pinned():
     assert phasekit.checks.MAX_PHASE == 2.0 ** 34
+    assert phasekit.cli.MAX_PHASE is phasekit.checks.MAX_PHASE
 
 
 def test_kind_tables_are_pinned():

@@ -4,13 +4,17 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from phasekit.angles import TWO_PI
+from phasekit.angles import TWO_PI, wrap_two_pi
 from phasekit.io import sample_set_to_json
 from phasekit.model import (
+    RECT_CLOSED_FORM_MAX_N,
     Histogram,
     PhaseDistribution,
     SampleSet,
+    _rect_probs,
+    _window_probs,
     distribution,
+    distribution_rows,
     histogram,
     sample,
     sample_rows,
@@ -129,6 +133,37 @@ def test_distribution_accepts_phases_up_to_the_bound():
     for value in (2.0 ** 34, -2.0 ** 34, 1e8):
         assert distribution(make_cosine(8), value).phase == value
         assert distribution(make_cosine(8), 0.5, value).offset == value
+
+
+@pytest.mark.parametrize("n, phase", [
+    (8, 2.0 ** 34), (8, -2.0 ** 34), (64, 1e6), (64, -7.25), (4096, 2.0 ** 34),
+    (2 ** 20, 100.0)])
+def test_rect_takes_its_phase_reduced_into_one_turn(n, phase):
+    # Unreduced, each phase makes the closed form's sum miss 1 by more than
+    # PROB_SUM_TOL (2*pi*y/N is subtracted from it).
+    rect, reduced = make_rectangular(n), wrap_two_pi(phase)
+    d = distribution(rect, phase)
+    assert abs(d.probs.sum() - 1.0) < 1e-12
+    assert d.probs.tobytes() == distribution(rect, reduced).probs.tobytes()
+    assert np.max(np.abs(d.probs - distribution(make_custom_rect(n), reduced).probs)) < 1e-10
+
+
+def test_long_rect_records_take_the_fft():
+    # The closed form's error grows with N: it sums to 0.9999999998280554 at
+    # this phase at 2**20, and to 1.000000000323017 1.9e-9 rad off the grid
+    # at 2**15 (its limit 1), both beyond PROB_SUM_TOL.
+    for n, phase in ((2 ** 20, 4.583562073612696), (2 ** 15, TWO_PI * 7 / 2 ** 15 + 1.9e-9)):
+        assert abs(distribution(make_rectangular(n), phase).probs.sum() - 1.0) < 1e-14
+    rng = np.random.default_rng(4)
+    for n in (128, RECT_CLOSED_FORM_MAX_N, 2 * RECT_CLOSED_FORM_MAX_N):
+        rect = make_rectangular(n)
+        # Uniform and cell phases, offset or not, lie in [0, 2*pi + pi/N]
+        # and reach either form unreduced.
+        effective = np.array([0.0, TWO_PI - 1e-12, TWO_PI + np.pi / n, *rng.uniform(0, TWO_PI, 3)])
+        rows = distribution_rows(rect, effective).tobytes()
+        closed = n <= RECT_CLOSED_FORM_MAX_N
+        expected = _rect_probs(n, effective) if closed else _window_probs(rect.weights, effective)
+        assert rows == expected.tobytes()
 
 
 def test_sampling_point_mass():
