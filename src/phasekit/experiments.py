@@ -36,8 +36,9 @@ same bytes as running its trials one at a time, because:
   block draws one (T, 1 + N_s) matrix with every stream unchanged (one
   column more for a sample mean, below);
 * distributions, inverse-CDF sampling and histograms are row-wise numpy
-  operations whose rows equal the single-trial results (row-wise FFT, the
-  rect closed form evaluated in place in the same order of operations,
+  operations whose rows equal the single-trial results (row-wise FFT and
+  the rect closed form, each evaluated in place in the same order of
+  operations,
   model.sample_rows, the one sampler behind model.sample, with a row-wise
   cumsum and each row's own searchsorted method);
 * the AML objective is contracted with the counts once per group of rows
@@ -387,9 +388,12 @@ def _block_rows(n: int, n_shots: int, estimator: str) -> int:
         distribution:  k + 5.25N
         objective:     k + 3N + G * (6 + 2.25K)     (aml and df)
 
-    * 5.25N: an FFT window's distribution takes 5N.  The rect closed form
-      takes 3.125N, or 4.125N with df's first histogram live beside it;
-      one coefficient keeps every shape within the budget.  Sampling, the
+    * 5.25N: the rect closed form takes 3.125N, or 4.125N with df's first
+      histogram live beside it.  An FFT window's distribution, built in
+      one complex buffer, takes about 3.2N (5N before it ran in place).
+      It keeps the same charge: at N=1024, blocks of 30 and 41 rows ran
+      the taper cells no faster than 20-row blocks, beyond the noise.
+      One coefficient keeps every shape within the budget.  Sampling, the
       histograms and the circular mean hold less than the larger of this
       stage and the draw;
     * 3N + G * (6 + 2.25K): the histograms and the argsort behind the kept
@@ -405,9 +409,10 @@ def _block_rows(n: int, n_shots: int, estimator: str) -> int:
 
         shape                          rows  peak/row, B   charge, B
         df, N=128, N_s=30               186    4928-5042        5632
-        mean-cosine, N=1024, N_s=1000    20        49044       51024
+        mean-cosine, N=1024, N_s=1000    20  38887-38895       51024
+        mean-cosine, N=4096, N_s=1000     5       113302      180048
         mean-rect, N=2, N_s=62          240         4176        4352
-        aml, N=64, N_s=1000              18        42302       58128
+        aml, N=64, N_s=1000              18  42304-42307       58128
         aml, N=4096, N_s=30               6       102903      172288
 
     Over 5 estimators, N from 2 to 4096 and N_s from 1 to 1000, under the

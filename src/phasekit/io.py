@@ -87,10 +87,15 @@ def table_to_json(table) -> str:
 
 
 def write_values(values, spec=None, fmt: str = "csv") -> str:
-    """A y,value listing of values: CSV rows, or JSON rows under spec."""
-    rows = list(enumerate(values))
+    """A y,value listing of values: CSV rows, or JSON rows under spec.
+
+    The values are read as Python numbers, which format_value and float()
+    print as their numpy scalars.  The CSV rows are rendered directly:
+    neither field ever needs quoting, so they are the bytes of write_csv."""
+    rows = enumerate(np.asarray(values).tolist())
     if fmt == "csv":
-        return write_csv(Y_VALUE, rows)
+        return "".join([",".join(Y_VALUE) + "\n",
+                        *(f"{y},{format_value(v)}\n" for y, v in rows)])
     return write_json(spec, [{"y": y, "value": float(v)} for y, v in rows])
 
 

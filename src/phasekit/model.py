@@ -172,10 +172,18 @@ def _rect_probs(n: int, effective: np.ndarray) -> np.ndarray:
 
 
 def _window_probs(weights: np.ndarray, effective: np.ndarray) -> np.ndarray:
+    """|fft(weights * exp(1j * effective * n))|**2 / N per row, in one complex
+    buffer: each step is the ufunc, with the operand order, of that
+    expression, so the bytes are the same."""
     n = weights.shape[0]
-    ramp = weights * np.exp(1j * effective[:, None] * np.arange(n))
+    ramp = np.multiply(1j * effective[:, None], np.arange(n))
+    np.exp(ramp, out=ramp)
+    np.multiply(weights, ramp, out=ramp)
     # fft[y] = sum_n ramp_n * exp(-2j*pi*n*y/N), exactly the amplitude sum
-    return np.abs(np.fft.fft(ramp, axis=1)) ** 2 / n
+    probs = np.abs(np.fft.fft(ramp, axis=1, out=ramp))
+    np.square(probs, out=probs)
+    probs /= n
+    return probs
 
 
 def sample(dist: PhaseDistribution, n_shots: int, seed) -> SampleSet:

@@ -29,17 +29,25 @@ paths:
   each stream is then A_j * s + C_j * inc mod 2**128 (constants built
   once at import with Python ints), multiplied through 32-bit limbs on
   uint64 and turned into output words by PCG64's XSL-RR step;
-* every longer stream, and every call once the first-use check has
-  failed, reads np.random.PCG64(seed).random_raw(k) seed by seed.  This
-  plain loop is also the test oracle.
+* for every longer stream, the replayed state.  The same SeedSequence
+  replay gives each seed's (state, inc); one np.random.PCG64 is set to
+  each pair in turn through one reused state dict, and
+  np.random.Generator.random writes that row's doubles straight into the
+  (T, k) result.  This saves building one SeedSequence per seed.
+
+Every call once the first-use check has failed reads
+np.random.PCG64(seed).random_raw(k) seed by seed.  This plain loop is also
+the test oracle.
 
 uniform_rows keeps no memory budget of its own: it draws all T rows in one
 pass, and _draw_words(k) states what one row holds at the peak, so the
 caller sizes T from that (experiments._block_rows does).
 
 The first call checks one closed-form stream of CLOSED_FORM_MAX_WORDS
-words against np.random.PCG64; should a numpy release break that, every
-call falls back to the per-seed loop.
+words and one replayed-state stream of CLOSED_FORM_MAX_WORDS + 1 words
+against np.random.PCG64; should a numpy release break either (its
+seeding, its stream or its state setter), every call falls back to the
+per-seed loop.
 """
 
 import numpy as np
@@ -57,7 +65,7 @@ _DOUBLE_SHIFT = np.uint64(11)
 _DOUBLE_SCALE = 2.0 ** -53
 
 # Longest stream computed in closed form, in 64-bit words; longer ones are
-# read from one np.random.PCG64 per seed.
+# drawn from the replayed state of each seed.
 CLOSED_FORM_MAX_WORDS = 64
 
 # numpy's SeedSequence constants (numpy/random/bit_generator.pyx).
@@ -140,22 +148,27 @@ def uniform_rows(seeds: np.ndarray, k: int) -> np.ndarray:
     """(T, k) matrix whose row t is make_generator(seeds[t]).random(k).
 
     Up to CLOSED_FORM_MAX_WORDS, the raw PCG64 words are computed for the
-    whole block (see the module docstring); longer rows come from one
-    np.random.PCG64 per seed.  Both are converted as numpy converts them.
+    whole block and converted as numpy converts them; longer rows are drawn
+    by numpy from the replayed state of each seed (see the module
+    docstring).
     """
-    if k <= CLOSED_FORM_MAX_WORDS and _streams_match_numpy():
+    if not _streams_match_numpy():
+        return _to_double(_raw_rows_loop(seeds, k))
+    if k <= CLOSED_FORM_MAX_WORDS:
         return _uniform_rows_vectorized(seeds, k)
-    return _to_double(_raw_rows_loop(seeds, k))
+    return _replayed_rows(seeds, k)
 
 
 def _draw_words(k: int) -> int:
     """8-byte words per row that uniform_rows(seeds, k) holds at its peak, the
     (T, k) result included, at T >= 128 rows (tracemalloc): the closed
     form's 128-bit products take 8k + 9 to 8k + 16, or 31 of seed state at
-    k <= 2, so 8k + 32 bounds both; the per-seed loop's raw words, their
-    shifted copy and the doubles take 3k, and numpy's cast buffer at most
-    k more.  Charging the closed form for every k <= CLOSED_FORM_MAX_WORDS
-    also covers a failed first-use check, since the loop then holds less.
+    k <= 2, so 8k + 32 bounds both.  Beyond it, the replayed state holds
+    the k doubles plus 29-32 words of seed state and its Python ints;
+    the per-seed loop that a failed first-use check falls back to holds
+    more: its raw words, their shifted copy and the doubles take 3k, and
+    numpy's cast buffer at most k more.  So each length is charged the
+    larger of its two paths, and a failed check never outgrows the charge.
     """
     if k <= CLOSED_FORM_MAX_WORDS:
         return 8 * k + 32
@@ -174,16 +187,38 @@ def _raw_rows_loop(seeds: np.ndarray, k: int) -> np.ndarray:
     return raw
 
 
+def _replayed_rows(seeds: np.ndarray, k: int) -> np.ndarray:
+    """(T, k) doubles of any length: one PCG64 is set, through one state
+    dict, to each seed's replayed (state, inc) in turn, and Generator.random
+    draws the row straight into the result."""
+    rows = np.empty((len(seeds), k))
+    state, inc = _seeded(np.asarray(seeds, dtype=np.uint64))
+    bits = np.random.PCG64(0)
+    draw = np.random.Generator(bits).random
+    full = bits.state
+    pair = full["state"]
+    for row, s_hi, s_lo, i_hi, i_lo in zip(rows, *state.tolist(), *inc.tolist()):
+        pair["state"] = s_hi << 64 | s_lo
+        pair["inc"] = i_hi << 64 | i_lo
+        bits.state = full
+        draw(out=row)
+    return rows
+
+
 _streams_checked: bool | None = None
 
 
 def _streams_match_numpy() -> bool:
-    """Whether the closed form reproduces np.random.PCG64 (checked once)."""
+    """Whether the closed form, at CLOSED_FORM_MAX_WORDS words, and the
+    replayed state, at one word more, reproduce np.random.PCG64 (checked
+    once)."""
     global _streams_checked
     if _streams_checked is None:
-        seed, k = np.array([_MASK64], dtype=np.uint64), CLOSED_FORM_MAX_WORDS
-        _streams_checked = np.array_equal(_uniform_rows_vectorized(seed, k),
-                                          _to_double(_raw_rows_loop(seed, k)))
+        seed = np.array([_MASK64], dtype=np.uint64)
+        _streams_checked = all(
+            np.array_equal(path(seed, k), _to_double(_raw_rows_loop(seed, k)))
+            for path, k in ((_uniform_rows_vectorized, CLOSED_FORM_MAX_WORDS),
+                            (_replayed_rows, CLOSED_FORM_MAX_WORDS + 1)))
     return _streams_checked
 
 

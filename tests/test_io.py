@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -41,6 +43,25 @@ def test_csv_has_header_and_lf_endings(tmp_path):
     save_text(text, path)
     assert text == "y,value\n0,0.5\n1,0.25\n"
     assert "\r" not in path.read_bytes().decode()
+
+
+def _csv_writer_listing(values) -> str:
+    # A y,value listing as csv.writer renders it.
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["y", "value"])
+    for y, v in enumerate(values):
+        writer.writerow([format_value(y), format_value(v)])
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("values", [
+    np.array([0.0, -0.0, 5e-324, 1e308, -1e308, 0.1, 1.0, np.pi]),
+    np.array([0, 3, 500, 0, 10**7], dtype=np.int64),
+    make_cosine(64).weights,
+])
+def test_value_listing_equals_the_csv_writer(values):
+    assert write_values(values) == _csv_writer_listing(values)
 
 
 def test_distribution_csv_roundtrip_values():

@@ -4,8 +4,8 @@ uniform_rows replays numpy's SeedSequence -> PCG64 seeding and stream on
 uint64 arrays; the Fisher grid runs blocks of phases through row-wise
 FFTs; the circular mean looks shot vectors up in a table; the AML
 objective wraps without np.mod and takes its sinc in place; the rect
-closed form runs in place.  Each must give exactly the bytes of the plain
-computation it replaces.
+closed form runs in place, and the FFT distribution in one complex buffer.
+Each must give exactly the bytes of the plain computation it replaces.
 """
 
 import hashlib
@@ -30,7 +30,7 @@ from phasekit.estimators import (
 )
 from phasekit.experiments import ExperimentSpec, run_experiment
 from phasekit.io import table_to_csv
-from phasekit.model import Histogram, _rect_probs
+from phasekit.model import Histogram, _rect_probs, _window_probs
 from phasekit.fisher import NEGLIGIBLE_PROB, fisher_information, fisher_information_grid
 from phasekit.rng import CLOSED_FORM_MAX_WORDS, uniform_rows
 from phasekit.windows import make_bartlett, make_cosine, make_custom, make_rectangular
@@ -101,13 +101,32 @@ def test_failed_first_use_check_falls_back_to_the_loop(monkeypatch):
     assert rng._streams_checked is False
 
 
+def test_failed_replayed_state_check_falls_back_to_the_loop(monkeypatch):
+    # A numpy whose PCG64 state setter no longer reproduces its seeding.
+    seeds = _seeds(50)
+    k = CLOSED_FORM_MAX_WORDS + 1
+    expected = _as_double(_pcg64_raw(seeds, k))
+    monkeypatch.setattr(rng, "_streams_checked", None)
+    monkeypatch.setattr(rng, "_replayed_rows", lambda seeds, k: np.zeros((len(seeds), k)))
+    assert np.array_equal(uniform_rows(seeds, k), expected)
+    assert rng._streams_checked is False
+
+
+@pytest.mark.parametrize("k", [CLOSED_FORM_MAX_WORDS + 1, 1001, 3001])
+def test_long_streams_from_the_replayed_state_equal_pcg64(k):
+    seeds = _seeds(100, seed=k)
+    expected = _as_double(_pcg64_raw(seeds, k))
+    assert np.array_equal(rng._replayed_rows(seeds, k), expected)
+    assert np.array_equal(uniform_rows(seeds, k), expected)
+
+
 @pytest.mark.parametrize("k", [CLOSED_FORM_MAX_WORDS + 1, 1001])
-def test_longer_streams_use_one_pcg64_per_seed(monkeypatch, k):
-    # Beyond the closed form there is no vectorized seeding at all.
+def test_failed_first_use_check_keeps_long_streams_on_the_loop(monkeypatch, k):
     def no_seeding(seeds):
-        raise AssertionError("vectorized seeding used beyond the closed form")
+        raise AssertionError("replayed seeding used after a failed first-use check")
 
     seeds = _seeds(50, seed=k)
+    monkeypatch.setattr(rng, "_streams_checked", False)
     monkeypatch.setattr(rng, "_seeded", no_seeding)
     assert np.array_equal(uniform_rows(seeds, k), _as_double(_pcg64_raw(seeds, k)))
 
@@ -262,6 +281,28 @@ def _rect_probs_oracle(n: int, effective: np.ndarray) -> np.ndarray:
     probs = np.sin(n * half) ** 2 / (n * n * denom * denom)
     probs[on_grid] = 1.0
     return probs
+
+
+def _window_probs_oracle(weights: np.ndarray, effective: np.ndarray) -> np.ndarray:
+    # The FFT distribution as written before it ran in one buffer.
+    n = weights.shape[0]
+    ramp = weights * np.exp(1j * effective[:, None] * np.arange(n))
+    return np.abs(np.fft.fft(ramp, axis=1)) ** 2 / n
+
+
+# Rect records above model.RECT_CLOSED_FORM_MAX_N (2**12) take the FFT too.
+@pytest.mark.parametrize("kind, n", [("cosine", 1024), ("bartlett", 1024), ("custom", 300),
+                                     ("rect", 2 ** 13)])
+@pytest.mark.parametrize("effective", [[0.0], [1e-9], [-1e-9], [TWO_PI - 1e-12], [2.0 ** 34],
+                                       [-(2.0 ** 34)], "block"])
+def test_in_place_window_probs_equal_the_fft_expression(kind, n, effective):
+    if effective == "block":
+        effective = np.random.default_rng(n).random(37) * TWO_PI
+    effective = np.asarray(effective, dtype=float)
+    weights = _window(kind, n).weights
+    probs = _window_probs(weights, effective)
+    expected = _window_probs_oracle(weights, effective)
+    assert probs.view(np.uint64).tobytes() == expected.view(np.uint64).tobytes()
 
 
 @pytest.mark.parametrize("n", [2, 3, 8, 100, 128, 1024, 4096])
