@@ -12,10 +12,11 @@ entry, more than one length for window, dist or sample, a phase that is
 not finite in radians or beyond checks.MAX_PHASE, a size beyond
 MAX_QUBITS, checks.MAX_RECORD_LENGTH or checks.MAX_SHOTS, --threads
 outside [1, CPUs], a custom window whose --weights-csv length differs
-from the record length, an --input count that the estimator does not
-take, and --plot-data with a kind or with a record length other than
-128).  crb and experiment build their ExperimentSpec through one
-function, and every file goes through io.save_text.
+from the record length, --weights-csv without --window custom, an --input
+count that the estimator does not take, and --plot-data with a kind or
+with a record length other than 128).  crb and experiment build their
+ExperimentSpec through one function, and every file goes through
+io.save_text.
 """
 
 from __future__ import annotations
@@ -63,6 +64,9 @@ from .windows import WINDOW_KINDS, make_window
 THREADS_ENV = "PHASEKIT_THREADS"
 
 MAX_QUBITS = MAX_RECORD_LENGTH.bit_length() - 1
+
+# The header of the bundle's fig3.csv, the one table the CLI builds itself.
+FIG3_COLUMNS = ["n_shots", "window", "sqrt_crb", "rmse_sample_mean"]
 
 
 class CliError(Exception):
@@ -264,6 +268,8 @@ def _resolve_window(args):
     n, *more = _resolve_n_list(args)
     if more:
         raise CliError(f"{args.command} takes one record length")
+    if args.weights_csv is not None and args.window != "custom":
+        raise CliError("--weights-csv needs --window custom")
     if args.window == "custom":
         if not args.weights_csv:
             raise CliError("--window custom requires --weights-csv")
@@ -423,8 +429,7 @@ def _emit_plot_bundle(args, spec: ExperimentSpec) -> int:
         (int(r.x), r.window, r.sqrt_crb, rmse_by_key.get((r.window, int(r.x)), ""))
         for r in crb_table.rows
     ]
-    save_text(write_csv(["n_shots", "window", "sqrt_crb", "rmse_sample_mean"], fig3_rows),
-              out_dir / "fig3.csv")
+    save_text(write_csv(FIG3_COLUMNS, fig3_rows), out_dir / "fig3.csv")
 
     # fig4 / fig7: estimator error scatter across one cell at N = 100
     for name, estimator in (("fig4.csv", "aml"), ("fig7.csv", "df")):

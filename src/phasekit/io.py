@@ -7,11 +7,12 @@ and "rows" keys; a table's columns, in CSV and JSON alike, are the ones
 its `columns` property names.  A sample set is its own JSON object
 (n_points, offset, outcomes).
 
-Renderers return text and write nothing: table_to_csv and table_to_json
-for tables, write_values for a y,value listing (window weights, a
-distribution, a histogram) in CSV or JSON, sample_set_to_json for a
-sample set, and write_csv and write_json beneath them.  save_text(text,
-path) is the one function that writes a file.
+Renderers return text and write nothing.  write_csv is the one CSV
+renderer and write_json the one table JSON renderer: table_to_csv and
+table_to_json give them a table's rows through one projection onto its
+columns, and write_values gives them a y,value listing (window weights, a
+distribution, a histogram).  sample_set_to_json renders a sample set.
+save_text(text, path) is the one function that writes a file.
 
 Readers:
   read_histogram_csv    y,value CSV of integer counts
@@ -20,7 +21,8 @@ Readers:
   load_weights_csv      custom window weights: y,value CSV, or one column
                         with an optional header
 
-Each reader returns a value or raises ValueError, whatever the file holds.
+Each reader returns a value or raises ValueError, whatever the file holds;
+it reads the file as UTF-8, and its error names the format.
 A CSV is parsed row by row as it is read, into arrays rather than a list
 of rows, up to its MAX_RECORD_LENGTH + 2nd row and no further.  Under
 the bounds of checks, re-exported here, a row count or an n_points (by
@@ -32,7 +34,6 @@ from __future__ import annotations
 
 import array
 import csv
-import io as _io
 import itertools
 import json
 from dataclasses import asdict, is_dataclass
@@ -58,15 +59,12 @@ def save_text(text: str, path) -> None:
 
 
 def write_csv(header, rows) -> str:
-    """Render rows (sequences or dataclasses) as CSV."""
-    buf = _io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        if is_dataclass(row):
-            row = [getattr(row, name) for name in header]
-        writer.writerow([format_value(v) for v in row])
-    return buf.getvalue()
+    """CSV text of the header and rows, each value as format_value prints it.
+    Nothing is quoted, and nothing needs to be: no name or number phasekit writes
+    holds a comma, a double quote, CR or LF, and no row is one empty field."""
+    lines = [",".join(header)]
+    lines += [",".join(map(format_value, row)) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def write_json(spec, rows) -> str:
@@ -76,26 +74,29 @@ def write_json(spec, rows) -> str:
     return json.dumps({"spec": spec, "rows": rows}, indent=2) + "\n"
 
 
+def _table_rows(table) -> list[list]:
+    """Each row of a table as its values under table.columns, in order."""
+    columns = table.columns
+    return [[getattr(row, c) for c in columns] for row in table.rows]
+
+
 def table_to_csv(table) -> str:
-    return write_csv(table.columns, table.rows)
+    return write_csv(table.columns, _table_rows(table))
 
 
 def table_to_json(table) -> str:
     columns = table.columns
-    rows = [{c: getattr(r, c) for c in columns} for r in table.rows]
-    return write_json(table.spec, rows)
+    return write_json(table.spec, [dict(zip(columns, row)) for row in _table_rows(table)])
 
 
 def write_values(values, spec=None, fmt: str = "csv") -> str:
     """A y,value listing of values: CSV rows, or JSON rows under spec.
 
     The values are read as Python numbers, which format_value and float()
-    print as their numpy scalars.  The CSV rows are rendered directly:
-    neither field ever needs quoting, so they are the bytes of write_csv."""
+    print as their numpy scalars."""
     rows = enumerate(np.asarray(values).tolist())
     if fmt == "csv":
-        return "".join([",".join(Y_VALUE) + "\n",
-                        *(f"{y},{format_value(v)}\n" for y, v in rows)])
+        return write_csv(Y_VALUE, rows)
     return write_json(spec, [{"y": y, "value": float(v)} for y, v in rows])
 
 
@@ -105,7 +106,7 @@ def _read_csv(path, what: str, parse):
     row MAX_RECORD_LENGTH + 2 (a header, the largest record, and one row more
     to tell that it is too long)."""
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             rows = itertools.islice(csv.reader(fh), MAX_RECORD_LENGTH + 2)
             try:
                 return parse(next(rows, []), rows)
@@ -113,7 +114,7 @@ def _read_csv(path, what: str, parse):
                 # A malformed row up to the bound outranks parse's own error.
                 for _ in rows:
                     pass
-    except csv.Error as exc:
+    except (csv.Error, UnicodeDecodeError) as exc:
         raise ValueError(f"{what}: {exc}") from None
 
 
@@ -244,11 +245,8 @@ def read_sample_set_json(path) -> SampleSet:
     """Sample set from JSON: n_points in [2, MAX_RECORD_LENGTH], at most
     MAX_SHOTS integer outcomes in [0, n_points) and a finite offset."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
-    except RecursionError:
-        raise ValueError("sample-set JSON: nested too deeply") from None
-    try:
         if not isinstance(payload, dict) or not {"n_points", "outcomes"} <= payload.keys():
             raise ValueError("expected an object with n_points and outcomes")
         n = _check_count(payload["n_points"], "n_points", 2, MAX_RECORD_LENGTH)
@@ -260,5 +258,7 @@ def read_sample_set_json(path) -> SampleSet:
         # SampleSet checks the offset: a finite real.
         return SampleSet(n, np.asarray(outcomes, dtype=np.int64),
                          offset=payload.get("offset", 0.0))
+    except RecursionError:
+        raise ValueError("sample-set JSON: nested too deeply") from None
     except ValueError as exc:
         raise ValueError(f"sample-set JSON: {exc}") from None

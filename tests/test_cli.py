@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -11,14 +12,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import phasekit
 import phasekit.io
 from phasekit.angles import TWO_PI, circ_distance
 from phasekit.cli import dispatch
 from phasekit.io import MAX_RECORD_LENGTH, load_weights_csv
-from phasekit.windows import make_window
+from phasekit.windows import WINDOW_KINDS, make_window
 
 
 def read_csv_rows(path):
@@ -89,6 +90,20 @@ def test_custom_window_length_must_match_record_length(tmp_path, command, capsys
     assert dispatch([*command, "--record-length", "3", "--allow-any-n", *custom]) == 0
 
 
+@pytest.mark.parametrize("command", [
+    ["window"],
+    ["dist", "--phase-frac", "0.1"],
+    ["sample", "--phase-frac", "0.1", "--shots", "5"],
+])
+@pytest.mark.parametrize("window", ["rect", "cosine", None])
+def test_weights_csv_needs_the_custom_window(command, window, capsys):
+    # The file is never opened: a built-in window would otherwise drop it unread.
+    chosen = [] if window is None else ["--window", window]
+    assert dispatch([*command, "--qubits", "2", *chosen,
+                     "--weights-csv", "unread.csv"]) == 2
+    assert capsys.readouterr().err == "usage error: --weights-csv needs --window custom\n"
+
+
 def test_weights_csv_beyond_the_length_bound_is_rejected(tmp_path, capsys):
     weights = tmp_path / "w.csv"
     weights.write_text("1\n" * (MAX_RECORD_LENGTH + 2))
@@ -130,10 +145,13 @@ def test_window_csv_reads_back_as_custom_weights(tmp_path, kind, qubits):
     ("y,value\n0,1\n2,2\n", "weights CSV: y=2 outside [0, 2)"),
     ("y,value\n0,1\n1\n", "weights CSV: every row must be an integer y and a weight"),
     ("y,value\n0,1\n1,inf\n", "weights CSV: weights must be finite"),
+    # A byte that is not UTF-8, written through surrogateescape.
+    ("1\n\udcff\n", "weights CSV: 'utf-8' codec can't decode byte 0xff"),
+    ("y,value\n0,1\n1,\udcff\n", "weights CSV: 'utf-8' codec can't decode byte 0xff"),
 ])
 def test_malformed_weights_csv_is_one_error_line(tmp_path, capsys, text, message):
     weights = tmp_path / "w.csv"
-    weights.write_text(text)
+    weights.write_text(text, encoding="utf-8", errors="surrogateescape")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert dispatch(["dist", "--qubits", "1", "--phase-frac", "0.1", "--window", "custom",
@@ -176,6 +194,18 @@ def test_phase_beyond_the_library_bound_is_one_usage_error_line(command, flag, b
         assert dispatch([*command, "--qubits", "3", f"{flag}={value!r}"]) == 0
 
 
+def _run_cli(argv) -> tuple[int, str, str]:
+    """dispatch(argv) in process: its exit code, stdout and stderr.  Any
+    warning it raises fails the test."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, redirect_stdout(out), \
+            redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = dispatch(argv)
+    assert caught == []
+    return code, out.getvalue(), err.getvalue()
+
+
 @settings(max_examples=60, deadline=None)
 @given(command=st.sampled_from([["dist"], ["sample", "--shots", "3"]]),
        flag=st.sampled_from(["--phase-rad", "--phase-frac"]), value=st.floats(),
@@ -186,16 +216,76 @@ def test_phase_grammar(command, flag, value, qubits, offset):
     phase = value if flag == "--phase-rad" else TWO_PI * value
     rejected = not math.isfinite(phase) or abs(phase) > 2.0 ** 34
     argv = [*command, "--qubits", str(qubits), f"{flag}={value!r}"]
-    out, err = io.StringIO(), io.StringIO()
-    with warnings.catch_warnings(record=True) as caught, redirect_stdout(out), \
-            redirect_stderr(err):
-        warnings.simplefilter("always")
-        code = dispatch(argv + ["--offset-half-cell"] * offset)
-    assert caught == []
+    code, out, err = _run_cli(argv + ["--offset-half-cell"] * offset)
     assert code == (2 if rejected else 0)
     if rejected:
-        assert err.getvalue().startswith("usage error: ") and err.getvalue().count("\n") == 1
-    assert "nan" not in out.getvalue() and "inf" not in out.getvalue()
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert "nan" not in out and "inf" not in out
+
+
+LISTS = dict(min_size=1, max_size=3)
+# Plain weights, or weights that may be zero, subnormal, huge or not finite.
+WEIGHTS = st.sampled_from([st.floats(-4, 4), st.one_of(
+    st.floats(-4, 4), st.sampled_from([0.0, 5e-324, 1e-300, 1e300]), st.floats())])
+PHASE = st.one_of(st.floats(-2, 2), st.floats())
+QUBITS = st.sampled_from([1, 2, 3, 4, 5, 6, 0])
+
+
+def _output_argv(data, weights_path) -> list[str]:
+    """A window, dist, sample or crb argv of small sizes; every value in
+    --flag=value form, so that argparse reads a negative one as a value."""
+    command = data.draw(st.sampled_from(["window", "dist", "sample", "crb"]))
+    if command == "crb":
+        qubits = data.draw(st.lists(QUBITS, **LISTS))
+        windows = data.draw(st.lists(st.sampled_from(WINDOW_KINDS), **LISTS))
+        shots = data.draw(st.lists(st.integers(0, 20), **LISTS))
+        argv = [command, f"--qubits={','.join(map(str, qubits))}",
+                f"--windows={','.join(windows)}", f"--shots-list={','.join(map(str, shots))}",
+                *data.draw(st.sampled_from([[], [], ["--grid-size=15"], ["--grid-size=16"]]))]
+    else:
+        qubits = data.draw(QUBITS)
+        window = data.draw(st.sampled_from([None, *WINDOW_KINDS]))
+        argv = [command, f"--qubits={qubits}", *[f"--window={window}"] * (window is not None)]
+        # Mostly a file for a custom window, and sometimes one for another.
+        if (window == "custom") == data.draw(st.sampled_from([True, True, True, False])):
+            weight = data.draw(WEIGHTS)
+            weights = data.draw(st.lists(weight, min_size=2 ** qubits, max_size=2 ** qubits)
+                                | st.lists(weight, max_size=70))
+            weights_path.write_text("".join(f"{w!r}\n" for w in weights))
+            argv.append(f"--weights-csv={weights_path}")
+    if command in ("dist", "sample"):
+        flag = data.draw(st.sampled_from(["--phase-frac", "--phase-rad"]))
+        argv.append(f"{flag}={data.draw(PHASE)!r}")
+        argv += ["--offset-half-cell"] * data.draw(st.booleans())
+    if command == "sample":
+        argv += [f"--shots={data.draw(st.integers(0, 20))}",
+                 f"--seed={data.draw(st.integers())}"]
+    return argv + data.draw(st.sampled_from([[], ["--format=csv"], ["--format=json"]]))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_output_path_fuzz(tmp_path, data):
+    """Any small window, dist, sample or crb run: exit 0, 1 or 2; one error
+    line on failure; no nan or inf printed; --output F holds what stdout shows."""
+    argv = _output_argv(data, tmp_path / "weights.csv")
+    code, out, err = _run_cli(argv)
+    assert code in (0, 1, 2)
+    if code:
+        assert out == ""
+        assert re.fullmatch(r"(usage )?error: [^\n]*\n", err)
+    else:
+        assert err == "".join(f"seed: {a.removeprefix('--seed=')}\n"
+                              for a in argv if a.startswith("--seed="))
+        assert not re.search("nan|inf", out, re.IGNORECASE)
+    target = tmp_path / "out"
+    target.unlink(missing_ok=True)
+    assert _run_cli([*argv, f"--output={target}"]) == (code, "", err)
+    if code == 0:
+        assert target.read_bytes() == out.encode()
+    else:
+        assert not target.exists()
 
 
 def test_sample_set_json_beyond_the_outcome_bound_is_rejected(tmp_path, capsys, monkeypatch):
@@ -481,10 +571,13 @@ def test_bad_shots_list_is_usage_error(command, shots, capsys):
     ("0,6000000\n1,6000000\n", "counts total more than 10000000"),
     pytest.param("0,3\n1," + "1" * 200_000 + "\n", "field larger than field limit",
                  id="field-beyond-the-csv-limit"),
+    # A byte that is not UTF-8, written through surrogateescape.
+    ("0,3\n1,\udcff\n", "'utf-8' codec can't decode byte 0xff"),
+    ("\udcff,3\n1,5\n", "'utf-8' codec can't decode byte 0xff"),
 ])
 def test_malformed_histogram_csv_is_rejected(tmp_path, capsys, rows, message):
     path = tmp_path / "h.csv"
-    path.write_text("y,value\n" + rows)
+    path.write_text("y,value\n" + rows, encoding="utf-8", errors="surrogateescape")
     assert dispatch(["estimate", "--estimator", "aml", "--input", str(path)]) == 1
     assert f"error: histogram CSV: {message}" in capsys.readouterr().err
 
@@ -511,10 +604,17 @@ def test_malformed_histogram_csv_is_rejected(tmp_path, capsys, rows, message):
      "outcomes outside [0, 8)"),
     ('{"n_points": 8, "offset": 0.0, "outcomes": [-1]}', "outcomes outside [0, 8)"),
     pytest.param("[" * 100_000 + "]" * 100_000, "nested too deeply", id="deep-nesting"),
+    ('{"n_points": 8, "outcomes": [1, 2', "Expecting ',' delimiter: line 1 column 34"),
+    ("", "Expecting value: line 1 column 1 (char 0)"),
+    ('{"n_points": 8, "offset": 0.0, "outcomes": [1]} x', "Extra data: line 1 column 49"),
+    # A byte that is not UTF-8, written through surrogateescape.
+    ('\udcff{"n_points": 8, "outcomes": [1]}', "'utf-8' codec can't decode byte 0xff"),
+    ('{"n_points": 8, "outcomes": [1], "offset": "\udcff"}',
+     "'utf-8' codec can't decode byte 0xff"),
 ])
 def test_malformed_sample_set_json_is_rejected(tmp_path, capsys, payload, message):
     path = tmp_path / "s.json"
-    path.write_text(payload)
+    path.write_text(payload, encoding="utf-8", errors="surrogateescape")
     assert dispatch(["estimate", "--estimator", "aml", "--input", str(path)]) == 1
     assert f"error: sample-set JSON: {message}" in capsys.readouterr().err
 

@@ -13,7 +13,15 @@ from hypothesis import strategies as st
 
 import phasekit.checks
 import phasekit.io
+from phasekit.cli import FIG3_COLUMNS
+from phasekit.experiments import (
+    ESTIMATOR_WINDOWS,
+    EXPERIMENT_KINDS,
+    ExperimentSpec,
+    ExperimentTable,
+)
 from phasekit.io import (
+    Y_VALUE,
     format_value,
     load_weights_csv,
     read_histogram_csv,
@@ -24,7 +32,7 @@ from phasekit.io import (
     write_values,
 )
 from phasekit.model import SampleSet, distribution, histogram, sample
-from phasekit.windows import make_cosine
+from phasekit.windows import BUILTIN_WINDOWS, WINDOW_KINDS, make_cosine
 
 
 def test_floats_have_17_significant_digits():
@@ -45,13 +53,13 @@ def test_csv_has_header_and_lf_endings(tmp_path):
     assert "\r" not in path.read_bytes().decode()
 
 
-def _csv_writer_listing(values) -> str:
-    # A y,value listing as csv.writer renders it.
+def _csv_writer_text(header, rows) -> str:
+    # The CSV text csv.writer renders, each value through format_value.
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["y", "value"])
-    for y, v in enumerate(values):
-        writer.writerow([format_value(y), format_value(v)])
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([format_value(v) for v in row])
     return buf.getvalue()
 
 
@@ -61,7 +69,43 @@ def _csv_writer_listing(values) -> str:
     make_cosine(64).weights,
 ])
 def test_value_listing_equals_the_csv_writer(values):
-    assert write_values(values) == _csv_writer_listing(values)
+    # Iterating the array gives the oracle numpy scalars, not Python numbers.
+    assert write_values(values) == _csv_writer_text(["y", "value"], enumerate(values))
+
+
+def _column_names() -> list[str]:
+    spec = dict(n_points=(8,), n_shots=(30,), estimators=("df",), trials=1)
+    return [c for kind in EXPERIMENT_KINDS
+            for c in ExperimentTable(ExperimentSpec(kind=kind, **spec)).columns]
+
+
+# Every name a table or a listing can carry, as a header or as a field.
+NAMES = sorted({*BUILTIN_WINDOWS, *WINDOW_KINDS, *ESTIMATOR_WINDOWS, *EXPERIMENT_KINDS,
+                *_column_names(), *Y_VALUE, *FIG3_COLUMNS})
+CSV_VALUE = st.one_of(
+    st.integers(),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e308, -1e308, 0.1]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    # fig3.csv leaves a missing overlay value empty.
+    st.sampled_from([*NAMES, ""]),
+)
+
+
+# Every row phasekit writes has two fields or more; csv.writer quotes a
+# lone empty field, which no row is.
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), width=st.integers(2, 5))
+def test_csv_renderer_equals_the_csv_writer(data, width):
+    header = data.draw(st.lists(st.sampled_from(NAMES), min_size=width, max_size=width))
+    rows = data.draw(st.lists(st.lists(CSV_VALUE, min_size=width, max_size=width),
+                              max_size=6))
+    assert write_csv(header, rows) == _csv_writer_text(header, rows)
+
+
+def test_no_name_a_table_or_listing_carries_needs_quoting():
+    # write_csv quotes nothing, so none of these may hold a CSV special character.
+    assert len(NAMES) > 20
+    assert [name for name in NAMES if set(name) & set(',"\r\n')] == []
 
 
 def test_distribution_csv_roundtrip_values():
