@@ -9,9 +9,10 @@ only the format it emits.  Exit codes: 0 success, 1 runtime error
 (including a malformed input file), 2 argument error (including a value
 that ExperimentSpec or EstimatorConfig rejects, a non-integer length
 entry, more than one length for window, dist or sample, a phase that is
-not finite in radians or beyond checks.MAX_PHASE, a size beyond
-MAX_QUBITS, checks.MAX_RECORD_LENGTH or checks.MAX_SHOTS, --threads
-outside [1, CPUs], a custom window whose --weights-csv length differs
+not finite in radians or beyond checks.MAX_PHASE, a built-in window
+degenerate at the record length, a size beyond MAX_QUBITS,
+checks.MAX_RECORD_LENGTH or checks.MAX_SHOTS, --threads outside
+[1, CPUs], a custom window whose --weights-csv length differs
 from the record length, --weights-csv without --window custom, an --input
 count that the estimator does not take, and --plot-data with a kind or
 with a record length other than 128).  crb and experiment build their
@@ -278,7 +279,7 @@ def _resolve_window(args):
             raise CliError(f"--weights-csv holds {window.n_points} weights, but the record "
                            f"length is {n}")
         return window
-    return make_window(args.window, n)
+    return _validated(make_window, kind=args.window, n_points=n)
 
 
 def _emit(args, text: str) -> int:

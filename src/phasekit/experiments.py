@@ -16,8 +16,10 @@ non-bool allow_any_n, a fixed phase that is not a finite number of
 magnitude at most checks.MAX_PHASE, an empty estimator list (window list
 for a CRB curve), an unknown window for a CRB curve, a scatter run over
 more than one N, N_s or estimator, df with fewer than 2 shots, a
-cell-policy cell_index outside [0, N) for some N, or an RMSE kind of no
-trials.
+cell-policy cell_index outside [0, N) for some N, an RMSE kind of no
+trials, a window the run cannot build at one of its N, or one it prices
+(a CRB curve's windows, an RMSE run's estimator windows) with fewer than
+two nonzero weights there.
 
 Every trial draws its own generator from a seed derived as
 derive_seed(master_seed, kind, estimator, N, N_s, trial_index), so tables
@@ -56,11 +58,10 @@ the draw, whose footprint rng._draw_words states, since rng.uniform_rows
 draws a whole block in one pass, and the arrays its estimator builds
 (fitted to tracemalloc peaks; see there).
 
-Every CRB column and crb-curve row divides a one-shot price by sqrt(N_s):
-the average sqrt-CRB of a window at N, a pure function of (window, N,
-crb_grid_size).  A price is computed once per (window, N, grid) per
-process and kept, so an RMSE run and a CRB curve in one process share
-their prices, and a repeated run computes no Fisher grid.
+Every CRB column and crb-curve row divides a one-shot price by sqrt(N_s),
+taken from fisher.one_shot_prices, the process's one price table: an RMSE
+run and a CRB curve in one process share their prices, and a repeated
+run computes no Fisher grid.
 
 A sample-mean trial whose resultant vector vanishes (two opposite
 outcomes, say) has no mean; it then guesses a uniform phase from the
@@ -85,7 +86,7 @@ from .estimators import (
     dual_frequency_rows,
     split_shot_counts,
 )
-from .fisher import DEFAULT_PHASE_GRID, MAX_PHASE_GRID, _avg_sqrt_crbs
+from .fisher import DEFAULT_PHASE_GRID, MAX_PHASE_GRID, one_shot_prices
 from .model import distribution_rows, histogram_rows, sample_rows
 from .rng import _draw_words, derive_seed, uniform_rows
 from .windows import BUILTIN_WINDOWS, make_window
@@ -106,10 +107,6 @@ BLOCK_BYTES = 1 << 20
 
 # Upper bound on the per-trial result arrays a spec can size.
 MAX_TRIALS = 10 ** 6
-
-# One-shot price of each (window, N, crb_grid_size) computed in this process;
-# see _one_shot_prices.  An entry is one float, and none is ever evicted.
-_PRICES: dict[tuple[str, int, int], float] = {}
 
 
 @dataclass(frozen=True)
@@ -205,6 +202,18 @@ class ExperimentSpec:
         if self.kind == "scatter" and not (
                 len(self.n_points) == len(self.n_shots) == len(self.estimators) == 1):
             raise ValueError("scatter runs take exactly one N, one N_s and one estimator")
+        # Every window the run builds must exist, and one it prices needs two nonzero
+        # weights: with fewer its outcome probabilities do not depend on phi, and its FI
+        # is 0 at every phase.  A built-in only gains nonzero weights as N grows, so the
+        # smallest N decides.
+        n = min(self.n_points)
+        used = (self.windows if self.kind == "crb-curve"
+                else [ESTIMATOR_WINDOWS[est] for est in self.estimators])
+        for window_id in dict.fromkeys(used):
+            weights = make_window(window_id, n).weights
+            if self.kind != "scatter" and np.count_nonzero(weights) < 2:
+                raise ValueError(f"the {window_id} window at N={n} cannot be priced: it has "
+                                 "fewer than two nonzero weights, so its FI is 0")
 
 
 @dataclass(frozen=True)
@@ -298,7 +307,8 @@ def fit_loglog_slope(table, x_field: str, where: dict | None = None) -> float:
 def _rmse_rows(spec: ExperimentSpec) -> list[ExperimentRow]:
     rows = []
     for n in spec.n_points:
-        prices = _one_shot_prices(spec, [ESTIMATOR_WINDOWS[e] for e in spec.estimators], n)
+        prices = one_shot_prices([ESTIMATOR_WINDOWS[e] for e in spec.estimators], n,
+                                 spec.crb_grid_size)
         for n_shots in spec.n_shots:
             for estimator in spec.estimators:
                 start = time.perf_counter()
@@ -329,26 +339,12 @@ def _crb_rows(spec: ExperimentSpec) -> list[CrbRow]:
     vary_n = len(spec.n_points) > 1 and len(spec.n_shots) == 1
     rows = []
     for n in spec.n_points:
-        prices = _one_shot_prices(spec, spec.windows, n)
+        prices = one_shot_prices(spec.windows, n, spec.crb_grid_size)
         for window_id in spec.windows:
             for n_shots in spec.n_shots:
                 x = float(n) if vary_n else float(n_shots)
                 rows.append(CrbRow(x, window_id, float(prices[window_id] / np.sqrt(n_shots))))
     return rows
-
-
-def _one_shot_prices(spec: ExperimentSpec, window_ids, n: int) -> dict[str, float]:
-    """{window_id: one-shot average sqrt-CRB at N} of the windows asked.
-
-    The windows not yet in _PRICES are priced in first-use order by one
-    call, and stored; a pricing that raises stores nothing.
-    """
-    keys = {window_id: (window_id, n, spec.crb_grid_size) for window_id in window_ids}
-    missing = [key for key in keys.values() if key not in _PRICES]
-    if missing:
-        windows = [make_window(window_id, n) for window_id, _, _ in missing]
-        _PRICES.update(zip(missing, _avg_sqrt_crbs(windows, 1, spec.crb_grid_size)))
-    return {window_id: _PRICES[key] for window_id, key in keys.items()}
 
 
 # Row type and row builder of each experiment kind; its keys, in this order,

@@ -22,6 +22,9 @@ length-N inverse FFTs.  Each phase is then one pairwise summation over
 its kept outcomes in order, so a grid of several windows, the grid of
 one window and the scalar fisher_information, its one-row case, all give
 the bytes of a per-phase computation.
+
+fisher owns the CRB price: _price, the one reduction of a window's FI grid
+to a price, serves avg_sqrt_crb and one_shot_prices, the process's one price table.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import numpy as np
 
 from .angles import TWO_PI
 from .checks import MAX_SHOTS, _bounded_phase, _check_count
-from .windows import WindowVector
+from .windows import WindowVector, make_window
 
 # Outcomes with |s_y|^2 / N below this are skipped.  They are not worthless:
 # near a simple zero of the amplitude (df/dphi)^2 / f stays finite, so the
@@ -48,6 +51,9 @@ MAX_PHASE_GRID = 2 ** 16
 
 # Elements of one (B, N) block of phases; see the module docstring.
 FI_BLOCK_ELEMENTS = 1 << 12
+
+# one_shot_prices' one-shot price of each (window_id, N, grid_size); none is evicted.
+_PRICES: dict[tuple[str, int, int], float] = {}
 
 
 def fisher_information(window: WindowVector, phase: float) -> float:
@@ -79,22 +85,31 @@ def avg_sqrt_crb(
     collapses to zero.  Points with FI below FI_FLOOR are excluded; more
     than 10% exclusions is an error.
     """
-    return _avg_sqrt_crbs([window], n_shots, phase_grid_size)[0]
-
-
-def _avg_sqrt_crbs(windows: list[WindowVector], n_shots: int,
-                   phase_grid_size: int) -> list[float]:
-    """avg_sqrt_crb of each window, all of one record length, from one shared grid."""
     phase_grid_size = _check_count(phase_grid_size, "phase_grid_size", 16, MAX_PHASE_GRID)
     n_shots = _check_count(n_shots, "n_shots", 1, MAX_SHOTS)
-    prices = []
-    for fis in _fisher(windows, _cell_phases(windows[0].n_points, phase_grid_size)):
-        kept = fis[fis >= FI_FLOOR]
-        excluded = fis.size - kept.size
-        if excluded > 0.1 * fis.size:
-            raise ValueError(f"{excluded} of {fis.size} grid phases have degenerate FI")
-        prices.append(float(np.sqrt(np.mean(1.0 / (n_shots * kept)))))
-    return prices
+    return _price(_fisher([window], _cell_phases(window.n_points, phase_grid_size))[0], n_shots)
+
+
+def one_shot_prices(window_ids, n: int, grid_size: int) -> dict[str, float]:
+    """{window_id: avg_sqrt_crb(make_window(window_id, n), 1, grid_size)}.  The windows
+    not yet in _PRICES are priced in first-use order by one _fisher call, and kept; a
+    pricing that raises keeps nothing."""
+    keys = {window_id: (window_id, n, grid_size) for window_id in window_ids}
+    missing = [key for key in keys.values() if key not in _PRICES]
+    if missing:
+        windows = [make_window(window_id, n) for window_id, _, _ in missing]
+        grids = _fisher(windows, _cell_phases(n, grid_size))
+        _PRICES.update(zip(missing, [_price(fis, 1) for fis in grids]))
+    return {window_id: _PRICES[key] for window_id, key in keys.items()}
+
+
+def _price(fis: np.ndarray, n_shots: int) -> float:
+    """Root of the mean CRB over one window's FI grid, FI below FI_FLOOR excluded."""
+    kept = fis[fis >= FI_FLOOR]
+    excluded = fis.size - kept.size
+    if excluded > 0.1 * fis.size:
+        raise ValueError(f"{excluded} of {fis.size} grid phases have degenerate FI")
+    return float(np.sqrt(np.mean(1.0 / (n_shots * kept))))
 
 
 def fisher_information_grid(window: WindowVector, grid_size: int = DEFAULT_PHASE_GRID) -> np.ndarray:
@@ -113,10 +128,7 @@ def _cell_phases(n: int, grid_size: int) -> np.ndarray:
 
 def _fisher(windows: list[WindowVector], phases: np.ndarray) -> np.ndarray:
     """(W, P) FI of each window, all of one record length, at each phase."""
-    lengths = {window.n_points for window in windows}
-    if len(lengths) > 1:
-        raise ValueError(f"windows differ in record length: {sorted(lengths)}")
-    (n,) = lengths
+    n = windows[0].n_points
     idx = np.arange(n)
     step = max(1, FI_BLOCK_ELEMENTS // n)
     fis = np.empty((len(windows), len(phases)))

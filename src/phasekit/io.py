@@ -47,9 +47,12 @@ Y_VALUE = ["y", "value"]
 
 
 def format_value(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return f"{value:.17g}"
-    return str(value)
+    return format(value, _format_spec(type(value)))
+
+
+def _format_spec(kind: type) -> str:
+    """A value's format spec by its type: 17 significant digits for a float, else str's."""
+    return ".17g" if issubclass(kind, (float, np.floating)) else ""
 
 
 def save_text(text: str, path) -> None:
@@ -61,9 +64,12 @@ def save_text(text: str, path) -> None:
 def write_csv(header, rows) -> str:
     """CSV text of the header and rows, each value as format_value prints it.
     Nothing is quoted, and nothing needs to be: no name or number phasekit writes
-    holds a comma, a double quote, CR or LF, and no row is one empty field."""
+    holds a comma, a double quote, CR or LF, and no row is one empty field.
+    Each run of rows whose values have the same types shares one format string."""
     lines = [",".join(header)]
-    lines += [",".join(map(format_value, row)) for row in rows]
+    for kinds, run in itertools.groupby(rows, lambda row: tuple(map(type, row))):
+        render = ",".join(f"{{:{_format_spec(kind)}}}" for kind in kinds).format
+        lines += [render(*row) for row in run]
     return "\n".join(lines) + "\n"
 
 

@@ -1,6 +1,5 @@
 import pytest
 
-import phasekit.experiments
 import phasekit.fisher
 
 
@@ -13,10 +12,10 @@ def _no_threads_from_the_shell(monkeypatch):
 
 @pytest.fixture(autouse=True)
 def _cold_crb_prices():
-    # experiments keeps every CRB price it computes for the life of the
-    # process; a test that counts Fisher grids must not see the prices that
-    # the tests before it computed.
-    phasekit.experiments._PRICES.clear()
+    # fisher keeps every CRB price it computes for the life of the process;
+    # a test that counts Fisher grids must not see the prices that the tests
+    # before it computed.
+    phasekit.fisher._PRICES.clear()
 
 
 @pytest.fixture

@@ -18,6 +18,7 @@ import phasekit
 import phasekit.io
 from phasekit.angles import TWO_PI, circ_distance
 from phasekit.cli import dispatch
+from phasekit.experiments import ESTIMATOR_WINDOWS, EXPERIMENT_KINDS
 from phasekit.io import MAX_RECORD_LENGTH, load_weights_csv
 from phasekit.windows import WINDOW_KINDS, make_window
 
@@ -102,6 +103,46 @@ def test_weights_csv_needs_the_custom_window(command, window, capsys):
     assert dispatch([*command, "--qubits", "2", *chosen,
                      "--weights-csv", "unread.csv"]) == 2
     assert capsys.readouterr().err == "usage error: --weights-csv needs --window custom\n"
+
+
+UNPRICEABLE = "cannot be priced: it has fewer than two nonzero weights, so its FI is 0"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["window", "--qubits", "1", "--window", "bartlett"],
+     "triangular window is degenerate at n_points=2"),
+    (["dist", "--qubits", "1", "--window", "bartlett", "--phase-frac", "0.1"],
+     "triangular window is degenerate at n_points=2"),
+    (["sample", "--qubits", "1", "--window", "bartlett", "--phase-frac", "0.1",
+      "--shots", "3"], "triangular window is degenerate at n_points=2"),
+    (["crb", "--qubits", "1", "--windows", "bartlett"],
+     "triangular window is degenerate at n_points=2"),
+    (["crb", "--qubits", "1", "--windows", "cosine"], f"the cosine window at N=2 {UNPRICEABLE}"),
+    (["crb", "--record-length", "3", "--allow-any-n", "--windows", "bartlett"],
+     f"the bartlett window at N=3 {UNPRICEABLE}"),
+    (["crb", "--qubits", "3,1", "--windows", "rect,cosine"],
+     f"the cosine window at N=2 {UNPRICEABLE}"),
+    (["experiment", "rmse-vs-shots", "--qubits", "1", "--estimators", "mean-cosine"],
+     f"the cosine window at N=2 {UNPRICEABLE}"),
+    (["experiment", "rmse-vs-shots", "--qubits", "1", "--estimators", "mean-bartlett"],
+     "triangular window is degenerate at n_points=2"),
+    (["experiment", "scatter", "--qubits", "1", "--estimators", "mean-bartlett"],
+     "triangular window is degenerate at n_points=2"),
+])
+def test_a_window_degenerate_at_its_length_is_a_usage_error(argv, message):
+    # Decided from the arguments before any work: no seed line, no output.
+    assert _run_cli(argv) == (2, "", f"usage error: {message}\n")
+
+
+@pytest.mark.parametrize("command", [
+    ["window", "--window", "cosine"],
+    ["dist", "--window", "cosine", "--phase-frac", "0.1"],
+    ["sample", "--window", "cosine", "--phase-frac", "0.1", "--shots", "3"],
+    ["experiment", "scatter", "--estimators", "mean-cosine", "--trials", "3"],
+])
+def test_cosine_at_two_points_runs_where_nothing_is_priced(command):
+    code, out, _ = _run_cli([*command, "--qubits", "1"])
+    assert code == 0 and out
 
 
 def test_weights_csv_beyond_the_length_bound_is_rejected(tmp_path, capsys):
@@ -286,6 +327,118 @@ def test_output_path_fuzz(tmp_path, data):
         assert target.read_bytes() == out.encode()
     else:
         assert not target.exists()
+
+
+def _mostly(data, good, bad):
+    """A draw from good, or about one time in five from bad."""
+    return data.draw(bad if data.draw(st.integers(0, 4)) == 4 else good)
+
+
+# A JSON value of any type, for a field the reader must check.
+JSON_ANY = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=3),
+                     st.lists(st.integers(0, 8), max_size=2))
+
+
+def _sample_set_json(data) -> str:
+    """Sample-set JSON text: mostly well formed, with any field possibly wrong."""
+    n = data.draw(st.sampled_from([2, 4, 8, 16]))
+    payload = {
+        "n_points": _mostly(data, st.just(n), JSON_ANY),
+        "outcomes": _mostly(data, st.lists(st.integers(0, n - 1), min_size=1, max_size=30),
+                            st.lists(st.integers(-2, 20) | JSON_ANY, max_size=5) | JSON_ANY),
+    }
+    # df pairs a set at offset 0 with one at pi/N.
+    offset = _mostly(data, st.sampled_from([None, 0.0, math.pi / n]),
+                     st.floats(-7, 7) | JSON_ANY)
+    if offset is not None:
+        payload["offset"] = offset
+    text = json.dumps(payload)
+    return _mostly(data, st.just(text), st.sampled_from([text[:-1], "", "[]", "null"]))
+
+
+def _histogram_csv(data) -> str:
+    """Histogram CSV text: mostly well formed, with any row possibly wrong."""
+    n = _mostly(data, st.sampled_from([2, 4, 8, 16]), st.sampled_from([0, 1, 3]))
+    rows = [[y, data.draw(st.integers(0, 30))] for y in data.draw(st.permutations(range(n)))]
+    if rows and data.draw(st.integers(0, 4)) == 4:
+        data.draw(st.sampled_from(rows))[1] = data.draw(
+            st.sampled_from([-1, 2.5, 10 ** 8, "x", "", "nan"]))
+    lines = [f"{y},{count}" for y, count in rows]
+    lines += _mostly(data, st.just([]), st.lists(st.sampled_from(["0,1", "99,1", "3", ""]),
+                                                 min_size=1, max_size=2))
+    header = _mostly(data, st.just("y,value"), st.sampled_from(["y,count", ""]))
+    return "\n".join([header, *lines]) + "\n"
+
+
+def _estimate_argv(data, tmp_path) -> list[str]:
+    estimator = data.draw(st.sampled_from(["mean", "aml", "df"]))
+    inputs = 2 if estimator == "df" else 1
+    argv = ["estimate", f"--estimator={estimator}"]
+    wrong = st.sampled_from([count for count in (1, 2, 3) if count != inputs])
+    for i in range(_mostly(data, st.just(inputs), wrong)):
+        if data.draw(st.booleans()):
+            path, text = tmp_path / f"in{i}.json", _sample_set_json(data)
+        else:
+            path, text = tmp_path / f"in{i}.csv", _histogram_csv(data)
+        path.write_text(text)
+        argv.append(f"--input={path}")
+    argv += _mostly(data, st.sampled_from([[], ["--bins-kept=2"], ["--bins-kept=16"]]),
+                    st.sampled_from([["--bins-kept=1"], ["--bins-kept=40"]]))
+    argv += _mostly(data, st.sampled_from([[], ["--grid-points=3"], ["--grid-points=33"]]),
+                    st.sampled_from([["--grid-points=4"], ["--grid-points=32769"],
+                                     ["--grid-points=32771"], ["--grid-points=-1"]]))
+    return argv + ["--offset-half-cell"] * data.draw(st.booleans())
+
+
+def _csv_list(data, values) -> str:
+    return ",".join(map(str, data.draw(st.lists(values, **LISTS))))
+
+
+def _experiment_argv(data, out_dir) -> list[str]:
+    """An experiment argv of small sizes: each value mostly valid."""
+    kind = _mostly(data, st.sampled_from(EXPERIMENT_KINDS), st.sampled_from([None, "scatter"]))
+    argv = ["experiment", *[kind] * (kind is not None)]
+    if kind is None or data.draw(st.integers(0, 9)) == 9:
+        argv += ["--plot-data", f"--out-dir={out_dir}"]
+    if data.draw(st.booleans()):
+        argv.append(f"--qubits={_csv_list(data, QUBITS)}")
+    else:
+        lengths = st.sampled_from([*range(2, 65)] * 2 + [0, 1])
+        argv += [f"--record-length={_csv_list(data, lengths)}", "--allow-any-n"]
+    estimators = st.sampled_from([*ESTIMATOR_WINDOWS] * 2 + ["hann", ""])
+    argv += [f"--shots-list={_csv_list(data, st.sampled_from([*range(1, 21)] + [0]))}",
+             f"--estimators={_csv_list(data, estimators)}",
+             f"--windows={_csv_list(data, st.sampled_from([*WINDOW_KINDS] * 2 + ['hann']))}",
+             f"--trials={_mostly(data, st.integers(1, 20), st.integers(-1, 0))}",
+             f"--seed={data.draw(st.integers())}",
+             f"--threads={_mostly(data, st.just(1), st.sampled_from([0, 2]))}"]
+    if data.draw(st.booleans()):
+        cell = _mostly(data, st.integers(0, 3), st.integers(-1, 70))
+        argv += ["--phase-policy=cell", f"--cell={cell}"]
+    argv += ["--cell-units"] * data.draw(st.booleans())
+    return argv + data.draw(st.sampled_from([[], ["--format=csv"], ["--format=json"]]))
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_estimate_and_experiment_fuzz(tmp_path, data):
+    """Any estimate on small sample-set JSON or histogram CSV files, and any
+    small experiment: exit 0, 1 or 2; on failure empty stdout and one error
+    line, after at most the seed line; no nan or inf printed.  An experiment
+    reads no file, so its arguments decide each of its errors: exit 2,
+    before the seed line."""
+    if data.draw(st.booleans()):
+        argv = _estimate_argv(data, tmp_path)
+    else:
+        argv = _experiment_argv(data, tmp_path / "bundle")
+    code, out, err = _run_cli(argv)
+    assert code in (0, 1, 2)
+    if code:
+        assert out == ""
+        assert re.fullmatch(r"(seed: -?\d+\n)?(usage )?error: [^\n]*\n", err)
+        assert argv[0] == "estimate" or (code == 2 and err.startswith("usage error: "))
+    assert not re.search("nan|inf", out, re.IGNORECASE)
 
 
 def test_sample_set_json_beyond_the_outcome_bound_is_rejected(tmp_path, capsys, monkeypatch):

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import phasekit.experiments
+import phasekit.fisher
 from phasekit.angles import TWO_PI, circ_signed_error
 from phasekit.estimators import (
     aml_estimate,
@@ -30,10 +30,11 @@ from phasekit.experiments import (
     _block_rows,
     _trial_block,
 )
+from phasekit.fisher import avg_sqrt_crb
 from phasekit.io import table_to_csv, table_to_json
 from phasekit.model import distribution, histogram, sample
 from phasekit.rng import derive_seed, make_generator, splitmix64
-from phasekit.windows import make_window
+from phasekit.windows import BUILTIN_WINDOWS, make_window
 
 
 def small_spec(**kw):
@@ -220,7 +221,7 @@ def test_rmse_run_and_crb_curve_share_their_prices(grids):
     curve = ExperimentSpec(kind="crb-curve", n_points=(1024,), n_shots=(1, 10, 1000),
                            windows=("rect", "cosine", "bartlett"), trials=1)
     cold = table_to_csv(run_crb_curve(curve))
-    phasekit.experiments._PRICES.clear()
+    phasekit.fisher._PRICES.clear()
     run_rmse_vs_shots(ExperimentSpec(kind="rmse-vs-shots", n_points=(1024,), n_shots=(4,),
                                      estimators=("mean-cosine", "mean-bartlett"), trials=2))
     grids.clear()
@@ -241,14 +242,14 @@ def test_another_crb_grid_size_is_another_price(grids):
 
 
 def test_a_failed_pricing_stores_nothing(monkeypatch):
-    def degenerate(windows, n_shots, phase_grid_size):
+    def degenerate(fis, n_shots):
         raise ValueError("200 of 256 grid phases have degenerate FI")
 
-    monkeypatch.setattr(phasekit.experiments, "_avg_sqrt_crbs", degenerate)
+    monkeypatch.setattr(phasekit.fisher, "_price", degenerate)
     with pytest.raises(ValueError, match="degenerate FI"):
         run_crb_curve(ExperimentSpec(kind="crb-curve", n_points=(64,), n_shots=(1,),
                                      trials=1))
-    assert phasekit.experiments._PRICES == {}
+    assert phasekit.fisher._PRICES == {}
 
 
 def test_json_emission_shape():
@@ -419,6 +420,16 @@ def test_block_peak_stays_within_the_budget(estimator, n, n_shots, policy):
     (dict(phase_policy="nope"), "unknown phase policy 'nope'"),
     (dict(n_points=(1,)), "record length must be >= 2"),
     (dict(n_jobs=0), "n_jobs must be >= 1"),
+    # A window the run builds, or prices, degenerate at one of its N.
+    (dict(kind="crb-curve", n_points=(8, 2), windows=("rect", "cosine")),
+     "the cosine window at N=2 cannot be priced"),
+    (dict(kind="crb-curve", n_points=(3,), windows=("bartlett",), allow_any_n=True),
+     "the bartlett window at N=3 cannot be priced"),
+    (dict(kind="rmse-vs-n", n_points=(2, 64), estimators=("df", "mean-cosine")),
+     "the cosine window at N=2 cannot be priced"),
+    (dict(n_points=(2,), estimators=("mean-bartlett",)), "triangular window is degenerate"),
+    (dict(kind="scatter", n_points=(2,), n_shots=(5,), estimators=("mean-bartlett",)),
+     "triangular window is degenerate"),
 ])
 def test_spec_rejects_runs_that_cannot_start(overrides, message):
     with pytest.raises(ValueError, match=message):
@@ -479,6 +490,32 @@ def test_spec_shape_checks_follow_the_kind():
     small_spec(windows=("hann",))
     ExperimentSpec(kind="crb-curve", n_points=(64,), n_shots=(1,), estimators=("df",))
     small_spec(n_shots=(1, 8), estimators=("aml", "mean-rect"))
+
+
+def _priced(window_id: str, n: int) -> bool:
+    try:
+        avg_sqrt_crb(make_window(window_id, n), 1)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("kind", ["crb-curve", "rmse-vs-shots", "rmse-vs-n"])
+def test_spec_rejects_exactly_the_windows_that_cannot_be_priced(kind):
+    # The spec's rule, decided from its arguments, against the price itself.
+    estimator = {w: e for e, w in ESTIMATOR_WINDOWS.items() if e.startswith("mean-")}
+    rejected = []
+    for window_id in BUILTIN_WINDOWS:
+        for n in range(2, 17):
+            fields = (dict(windows=(window_id,)) if kind == "crb-curve"
+                      else dict(estimators=(estimator[window_id],)))
+            try:
+                ExperimentSpec(kind=kind, n_points=(n,), n_shots=(1,), trials=1,
+                               allow_any_n=True, **fields)
+            except ValueError:
+                rejected.append((window_id, n))
+            assert ((window_id, n) not in rejected) == _priced(window_id, n)
+    assert rejected == [("cosine", 2), ("bartlett", 2), ("bartlett", 3)]
 
 
 def test_one_table_type_carries_its_columns():

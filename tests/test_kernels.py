@@ -203,14 +203,9 @@ def test_shared_ramp_cases_cover_whole_and_masked_row_sums():
 
 def test_shared_ramp_prices_equal_each_windows_own_price():
     windows = [_window(kind, 1024) for kind in ("rect", "cosine", "bartlett", "custom")]
-    assert fisher._avg_sqrt_crbs(windows, 3, 256) == [fisher.avg_sqrt_crb(w, 3) for w in windows]
-
-
-def test_shared_ramp_grid_needs_one_record_length():
-    with pytest.raises(ValueError, match="differ in record length"):
-        fisher._fisher([make_rectangular(64), make_cosine(128)], fisher._cell_phases(64, 16))
-    with pytest.raises(ValueError, match="differ in record length"):
-        fisher._avg_sqrt_crbs([make_rectangular(64), make_cosine(128)], 1, 16)
+    grids = fisher._fisher(windows, fisher._cell_phases(1024, 256))
+    assert [fisher._price(fis, 3) for fis in grids] == [fisher.avg_sqrt_crb(w, 3)
+                                                         for w in windows]
 
 
 @pytest.mark.parametrize("kind", ["rect", "cosine", "custom"])
