@@ -71,7 +71,15 @@ FIG3_COLUMNS = ["n_shots", "window", "sqrt_crb", "rmse_sample_mean"]
 
 
 class CliError(Exception):
-    """Argument-level error detected after parsing; maps to exit code 2."""
+    """Argument-level error; maps to exit code 2."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, and the class of its subparsers, whose parse errors
+    raise CliError, so that they print one usage error line like any other."""
+
+    def error(self, message):
+        raise CliError(message)
 
 
 def main() -> None:
@@ -80,13 +88,11 @@ def main() -> None:
 
 def dispatch(argv=None) -> int:
     """Parse argv, run the subcommand, return the process exit code."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # --help
+        return int(exc.code or 0)
     except CliError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
@@ -96,7 +102,7 @@ def dispatch(argv=None) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="phasekit",
         description="Windowed phase-estimation statistics, bounds and estimators.",
     )
@@ -372,7 +378,8 @@ def _cmd_estimate(args) -> int:
             "correction": result.correction,
         }
     else:
-        payload = {"estimator": "mean", "estimate": circular_sample_mean(sets[0])}
+        payload = {"estimator": "mean",
+                   "estimate": float(wrap_two_pi(circular_sample_mean(sets[0]) - sets[0].offset))}
     return _emit(args, write_json(payload, []))
 
 

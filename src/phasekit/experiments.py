@@ -58,6 +58,16 @@ the draw, whose footprint rng._draw_words states, since rng.uniform_rows
 draws a whole block in one pass, and the arrays its estimator builds
 (fitted to tracemalloc peaks; see there).
 
+Seeds are derived and replayed per chunk of at most BLOCK_BYTES // 256
+trials (4096), not per block: one derive_seed call and one
+rng.stream_keys call serve every block of the chunk, which takes its
+slices of the seeds and keys.  The replay peaks at about 233 bytes per
+trial and the chunk keeps 40, so a chunk stays within one block's budget;
+every cell of up to 4096 trials is one chunk.  The module also frees one
+untouched 2 * BLOCK_BYTES array at import (the heap note below
+BLOCK_BYTES), so that under glibc the blocks of a cell reuse the same heap
+pages rather than faulting them in again after each block.
+
 Every CRB column and crb-curve row divides a one-shot price by sqrt(N_s),
 taken from fisher.one_shot_prices, the process's one price table: an RMSE
 run and a CRB curve in one process share their prices, and a repeated
@@ -88,7 +98,7 @@ from .estimators import (
 )
 from .fisher import DEFAULT_PHASE_GRID, MAX_PHASE_GRID, one_shot_prices
 from .model import distribution_rows, histogram_rows, sample_rows
-from .rng import _draw_words, derive_seed, uniform_rows
+from .rng import _draw_words, derive_seed, stream_keys, uniform_rows
 from .windows import BUILTIN_WINDOWS, make_window
 
 # Data window backing each estimator; the same window prices its CRB column.
@@ -104,6 +114,13 @@ PHASE_POLICIES = ("uniform", "cell", "fixed")
 
 # Memory budget of one block of trials; see _block_rows.
 BLOCK_BYTES = 1 << 20
+
+# Allocated, never touched and freed at once: under glibc's dynamic thresholds
+# (mallopt(3)), freeing an mmapped chunk raises the mmap threshold to its size
+# and the trim threshold to twice that, both above a block's 1-1.25 MiB, so
+# blocks reuse the heap instead of faulting its pages in again.  Under any
+# other allocator it is an allocation and nothing more.
+np.empty(2 * BLOCK_BYTES, np.uint8)
 
 # Upper bound on the per-trial result arrays a spec can size.
 MAX_TRIALS = 10 ** 6
@@ -359,16 +376,25 @@ EXPERIMENT_KINDS = tuple(_KINDS)
 
 
 def _collect_trials(spec: ExperimentSpec, estimator: str, n: int, n_shots: int):
-    """(true_phases, signed_errors) arrays indexed by trial, in blocks of at most
+    """(true_phases, signed_errors) arrays indexed by trial, in chunks of at most
+    BLOCK_BYTES // 256 trials, each seeded once and run in blocks of at most
     _block_rows(n, n_shots, estimator) trials."""
     window = make_window(ESTIMATOR_WINDOWS[estimator], n)
     phases = np.empty(spec.trials)
     errors = np.empty(spec.trials)
     step = _block_rows(n, n_shots, estimator)
-    for lo in range(0, spec.trials, step):
-        hi = min(lo + step, spec.trials)
-        phases[lo:hi], errors[lo:hi] = _trial_block(spec, estimator, window, n, n_shots,
-                                                    lo, hi)
+    chunk = max(1, BLOCK_BYTES // 256)
+    for start in range(0, spec.trials, chunk):
+        stop = min(start + chunk, spec.trials)
+        seeds = derive_seed(spec.master_seed, spec.kind, estimator, n, n_shots,
+                            np.arange(start, stop))
+        keys = stream_keys(seeds)
+        for lo in range(start, stop, step):
+            hi = min(lo + step, stop)
+            rows = slice(lo - start, hi - start)
+            streams = seeds[rows], None if keys is None else tuple(k[:, rows] for k in keys)
+            phases[lo:hi], errors[lo:hi] = _trial_block(spec, estimator, window, n, n_shots,
+                                                        lo, hi, streams)
     return phases, errors
 
 
@@ -429,15 +455,21 @@ def _block_rows(n: int, n_shots: int, estimator: str) -> int:
 
 
 def _trial_block(spec: ExperimentSpec, estimator: str, window, n: int, n_shots: int,
-                 lo: int, hi: int):
-    """(true_phases, signed_errors) of trials lo..hi-1 as array operations."""
+                 lo: int, hi: int, streams=None):
+    """(true_phases, signed_errors) of trials lo..hi-1 as array operations.
+
+    streams is the trials' (seeds, stream keys) from their chunk; without
+    it the block derives and replays its own seeds.
+    """
     index = np.arange(lo, hi)
-    seeds = derive_seed(spec.master_seed, spec.kind, estimator, n, n_shots, index)
+    if streams is None:
+        streams = derive_seed(spec.master_seed, spec.kind, estimator, n, n_shots, index), None
+    seeds, keys = streams
     draws_phase = spec.phase_policy != "fixed"
     # A sample-mean trial also draws the double after its shots: its guess
     # should its resultant vector vanish.
     guesses = estimator.startswith("mean-")
-    u = uniform_rows(seeds, draws_phase + n_shots + guesses)
+    u = uniform_rows(seeds, draws_phase + n_shots + guesses, keys)
     phases = _draw_phases(spec, n, index, u[:, 0])
     shots = u[:, draws_phase:draws_phase + n_shots]
     if estimator == "df":

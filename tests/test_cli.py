@@ -374,7 +374,7 @@ def _estimate_argv(data, tmp_path) -> list[str]:
     estimator = data.draw(st.sampled_from(["mean", "aml", "df"]))
     inputs = 2 if estimator == "df" else 1
     argv = ["estimate", f"--estimator={estimator}"]
-    wrong = st.sampled_from([count for count in (1, 2, 3) if count != inputs])
+    wrong = st.sampled_from([count for count in (0, 1, 2, 3) if count != inputs])
     for i in range(_mostly(data, st.just(inputs), wrong)):
         if data.draw(st.booleans()):
             path, text = tmp_path / f"in{i}.json", _sample_set_json(data)
@@ -539,6 +539,37 @@ def test_sample_and_estimate_roundtrip(tmp_path):
                      "--output", str(aml_out)]) == 0
     aml_payload = json.loads(aml_out.read_text())
     assert circ_distance(aml_payload["spec"]["estimate"], truth) < TWO_PI / 128
+
+
+def test_estimate_mean_takes_the_offset_out(tmp_path, capsys):
+    # mean read only the outcomes: 2.0800, against 1.9120 by aml (truth 1.8850).
+    path = tmp_path / "s.json"
+    assert dispatch(["sample", "--qubits", "4", "--window", "cosine", "--phase-frac", "0.3",
+                     "--offset-half-cell", "--seed", "3", "--shots", "20000",
+                     "--output", str(path)]) == 0
+    estimates = {}
+    for estimator in ("mean", "aml"):
+        assert dispatch(["estimate", "--estimator", estimator, "--input", str(path)]) == 0
+        estimates[estimator] = json.loads(capsys.readouterr().out)["spec"]["estimate"]
+    truth = TWO_PI * 0.3
+    assert circ_distance(estimates["mean"], truth) < 0.01
+    assert circ_distance(estimates["mean"], estimates["aml"]) < 0.05
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["estimate", "--estimator", "mean"], "the following arguments are required: --input"),
+    (["experiment", "bogus-kind", "--qubits", "3"], "argument kind: invalid choice: 'bogus-kind'"),
+    (["window", "--qubits", "3", "--bogus"], "unrecognized arguments: --bogus"),
+])
+def test_parse_errors_are_one_usage_error_line(argv, message):
+    code, out, err = _run_cli(argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"usage error: {message}") and err.count("\n") == 1
+
+
+def test_help_still_prints_the_usage(capsys):
+    assert dispatch(["estimate", "--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: phasekit estimate")
 
 
 def test_estimate_from_histogram_csv(tmp_path):

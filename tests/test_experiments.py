@@ -1,12 +1,18 @@
 import json
 import multiprocessing.process
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import phasekit.experiments
 import phasekit.fisher
+from phasekit import rng
 from phasekit.angles import TWO_PI, circ_signed_error
 from phasekit.estimators import (
     aml_estimate,
@@ -542,3 +548,49 @@ def test_each_runner_rejects_another_kind(runner, kind):
     spec = small_spec(kind=kind, n_shots=(8,), estimators=("df",), trials=2)
     with pytest.raises(ValueError, match="spec.kind must be"):
         runner(spec)
+
+
+def test_a_cell_derives_and_replays_its_seeds_once(monkeypatch):
+    """A 2000-trial df cell runs in 11 blocks of one chunk: one seed
+    derivation and one SeedSequence replay, not one of each per block."""
+    rng._streams_match_numpy()  # the first-use check replays seeds of its own
+    calls = []
+    for module, name in ((phasekit.experiments, "derive_seed"), (rng, "_seeded")):
+        def counted(*args, _call=getattr(module, name), _name=name):
+            calls.append(_name)
+            return _call(*args)
+        monkeypatch.setattr(module, name, counted)
+    spec = ExperimentSpec(kind="rmse-vs-shots", n_points=(128,), n_shots=(30,),
+                          estimators=("df",), trials=2000, master_seed=3)
+    assert 2000 // _block_rows(128, 30, "df") >= 10
+    run_experiment(spec)
+    assert sorted(calls) == ["_seeded", "derive_seed"]
+
+
+_WARM_TAPER_FAULTS = """
+import resource
+from phasekit.experiments import ExperimentSpec, run_experiment
+spec = ExperimentSpec(kind="rmse-vs-shots", n_points=(1024,), n_shots=(1000,),
+                      estimators=("mean-cosine",), trials=200, master_seed=3)
+run_experiment(spec)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+run_experiment(spec)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="counts minor page faults as Linux reports them")
+def test_warm_taper_cell_keeps_its_heap():
+    """A warm mean-cosine cell (N=1024, 1000 shots, 200 trials in 20-row
+    blocks) in a fresh process takes 0 or 1 minor page faults.  Before the
+    heap note in experiments it took 1250: glibc handed the heap top
+    back after each block, and the next block faulted the same pages in
+    again.  (A test process has often raised glibc's thresholds already, so
+    the cell runs in a child of its own.)"""
+    src = str(Path(phasekit.experiments.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", _WARM_TAPER_FAULTS], capture_output=True,
+                          text=True, timeout=120, check=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    faults = int(proc.stdout)
+    assert faults < 100, faults

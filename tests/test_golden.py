@@ -112,6 +112,21 @@ def test_tables_do_not_depend_on_the_block_size(estimator, monkeypatch):
     assert tables[0] == tables[1] == tables[2]
 
 
+@pytest.mark.parametrize("estimator, n_shots", [
+    ("df", 7), ("aml", 7), ("mean-cosine", 7), ("mean-bartlett", 100)])
+def test_chunks_that_split_blocks_keep_the_bytes(estimator, n_shots, monkeypatch):
+    """Each chunk of BLOCK_BYTES // 256 trials is seeded once, and its blocks
+    take their slices of it.  A chunk of 97 trials ends on a short block,
+    and the bytes stay those of one trial per block and chunk."""
+    spec = ExperimentSpec(**_scatter(estimators=(estimator,), n_shots=(n_shots,)))
+    monkeypatch.setattr(phasekit.experiments, "BLOCK_BYTES", 1)
+    one_per_block = table_to_csv(run_experiment(spec))
+    monkeypatch.setattr(phasekit.experiments, "BLOCK_BYTES", 256 * 97)
+    step = _block_rows(64, n_shots, estimator)
+    assert step > 1 and 97 % step and spec.trials > 3 * 97
+    assert table_to_csv(run_experiment(spec)) == one_per_block
+
+
 @pytest.mark.parametrize("seed", (0, 1, 7, 2**63 + 5, 2**64 - 1))
 def test_uniform_rows_equal_generator_draws(seed):
     seeds = np.array([seed, seed ^ 1, 12345], dtype=np.uint64)

@@ -1,10 +1,11 @@
 """Byte-identity of the vectorized kernels against their per-item forms.
 
 uniform_rows replays numpy's SeedSequence -> PCG64 seeding and stream on
-uint64 arrays; the Fisher grid runs blocks of phases through row-wise
-FFTs; the circular mean looks shot vectors up in a table; the AML
-objective wraps without np.mod and takes its sinc in place; the rect
-closed form runs in place, and the FFT distribution in one complex buffer.
+uint64 arrays, or takes the replayed keys of its seeds from the caller;
+the Fisher grid runs blocks of phases through row-wise FFTs; the circular
+mean looks shot vectors up in a table; the AML objective wraps without
+np.mod and takes its sinc in place; the rect closed form runs in place,
+and the FFT distribution in one complex buffer.
 Each must give exactly the bytes of the plain computation it replaces.
 """
 
@@ -129,6 +130,27 @@ def test_failed_first_use_check_keeps_long_streams_on_the_loop(monkeypatch, k):
     monkeypatch.setattr(rng, "_streams_checked", False)
     monkeypatch.setattr(rng, "_seeded", no_seeding)
     assert np.array_equal(uniform_rows(seeds, k), _as_double(_pcg64_raw(seeds, k)))
+
+
+@pytest.mark.parametrize("k", [1, 2, 31, CLOSED_FORM_MAX_WORDS, CLOSED_FORM_MAX_WORDS + 1, 1002])
+def test_uniform_rows_from_given_stream_keys_keep_the_bytes(k):
+    # A chunk replays its seeds once, and each block takes its columns.
+    seeds = _seeds(60, seed=k)
+    keys = rng.stream_keys(seeds)
+    assert np.array_equal(uniform_rows(seeds, k, keys), uniform_rows(seeds, k))
+    cols = slice(7, 41)
+    block = uniform_rows(seeds[cols], k, tuple(key[:, cols] for key in keys))
+    assert np.array_equal(block, uniform_rows(seeds[cols], k))
+
+
+@pytest.mark.parametrize("k", [31, 1002])
+def test_failed_first_use_check_reads_only_the_seeds(monkeypatch, k):
+    seeds = _seeds(50, seed=k)
+    keys = rng.stream_keys(seeds)
+    monkeypatch.setattr(rng, "_streams_checked", False)
+    assert rng.stream_keys(seeds) is None
+    stale = tuple(np.zeros_like(key) for key in keys)
+    assert np.array_equal(uniform_rows(seeds, k, stale), _as_double(_pcg64_raw(seeds, k)))
 
 
 def test_vectorized_streams_pass_the_first_use_check(monkeypatch):
