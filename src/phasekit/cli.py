@@ -14,10 +14,10 @@ degenerate at the record length, a size beyond MAX_QUBITS,
 checks.MAX_RECORD_LENGTH or checks.MAX_SHOTS, --threads outside
 [1, CPUs], a custom window whose --weights-csv length differs
 from the record length, --weights-csv without --window custom, an --input
-count that the estimator does not take, and --plot-data with a kind or
-with a record length other than 128).  crb and experiment build their
-ExperimentSpec through one function, and every file goes through
-io.save_text.
+count that the estimator does not take, two histogram CSV inputs for df,
+and --plot-data with a kind or with a record length other than 128).  crb
+and experiment build their ExperimentSpec through one function, and every
+file goes through io.save_text.
 """
 
 from __future__ import annotations
@@ -355,6 +355,10 @@ def _cmd_estimate(args) -> int:
         raise CliError("df estimation needs exactly two --input files")
     if args.estimator != "df" and len(args.input) != 1:
         raise CliError(f"{args.estimator} estimation takes exactly one --input file")
+    # A histogram CSV carries no offset, and --offset-half-cell gives every CSV the same one.
+    if args.estimator == "df" and all(path.endswith(".csv") for path in args.input):
+        raise CliError("df estimation needs a sample-set JSON --input: two histogram CSVs "
+                       "share one offset, so they cannot form a df pair")
     sets = [read_sample_set(path, args.offset_half_cell) for path in args.input]
     if args.estimator == "df":
         details = dual_frequency_details(sets[0], sets[1], config)

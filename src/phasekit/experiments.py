@@ -60,13 +60,13 @@ draws a whole block in one pass, and the arrays its estimator builds
 
 Seeds are derived and replayed per chunk of at most BLOCK_BYTES // 256
 trials (4096), not per block: one derive_seed call and one
-rng.stream_keys call serve every block of the chunk, which takes its
-slices of the seeds and keys.  The replay peaks at about 233 bytes per
-trial and the chunk keeps 40, so a chunk stays within one block's budget;
-every cell of up to 4096 trials is one chunk.  The module also frees one
-untouched 2 * BLOCK_BYTES array at import (the heap note below
-BLOCK_BYTES), so that under glibc the blocks of a cell reuse the same heap
-pages rather than faulting them in again after each block.
+rng.stream_keys call give the chunk's (5, T) streams, and each block takes
+its columns.  The two peak at about 240 bytes per trial and the chunk
+keeps 40, so a chunk stays within one block's budget; every cell of up to
+4096 trials is one chunk.  The module also frees one untouched
+2 * BLOCK_BYTES array at import (the heap note below BLOCK_BYTES), so that
+under glibc the blocks of a cell reuse the same heap pages rather than
+faulting them in again after each block.
 
 Every CRB column and crb-curve row divides a one-shot price by sqrt(N_s),
 taken from fisher.one_shot_prices, the process's one price table: an RMSE
@@ -386,15 +386,12 @@ def _collect_trials(spec: ExperimentSpec, estimator: str, n: int, n_shots: int):
     chunk = max(1, BLOCK_BYTES // 256)
     for start in range(0, spec.trials, chunk):
         stop = min(start + chunk, spec.trials)
-        seeds = derive_seed(spec.master_seed, spec.kind, estimator, n, n_shots,
-                            np.arange(start, stop))
-        keys = stream_keys(seeds)
+        streams = stream_keys(derive_seed(spec.master_seed, spec.kind, estimator, n, n_shots,
+                                          np.arange(start, stop)))
         for lo in range(start, stop, step):
             hi = min(lo + step, stop)
-            rows = slice(lo - start, hi - start)
-            streams = seeds[rows], None if keys is None else tuple(k[:, rows] for k in keys)
             phases[lo:hi], errors[lo:hi] = _trial_block(spec, estimator, window, n, n_shots,
-                                                        lo, hi, streams)
+                                                        lo, streams[:, lo - start:hi - start])
     return phases, errors
 
 
@@ -427,19 +424,20 @@ def _block_rows(n: int, n_shots: int, estimator: str) -> int:
       1.7 at 50, 4.2 at 100, 7 at 1000), so K = min(bins_kept, N,
       max(1, s // 16)).
 
-    One block's tracemalloc peak per row (seeds 5-7) against its charge:
+    One block's tracemalloc peak per row (seeds 5-7), given its chunk's
+    streams, against its charge:
 
         shape                          rows  peak/row, B   charge, B
-        df, N=128, N_s=30               186    4928-5042        5632
-        mean-cosine, N=1024, N_s=1000    20  38887-38895       51024
-        mean-cosine, N=4096, N_s=1000     5       113302      180048
-        mean-rect, N=2, N_s=62          240         4176        4352
-        aml, N=64, N_s=1000              18  42304-42307       58128
-        aml, N=4096, N_s=30               6       102903      172288
+        df, N=128, N_s=30               186    4920-5033        5632
+        mean-cosine, N=1024, N_s=1000    20  38871-38879       51024
+        mean-cosine, N=4096, N_s=1000     5       113262      180048
+        mean-rect, N=2, N_s=62          240         4135        4352
+        aml, N=64, N_s=1000              18  42291-42294       58128
+        aml, N=4096, N_s=30               6       102896      172288
 
-    Over 5 estimators, N from 2 to 4096 and N_s from 1 to 1000, under the
-    uniform and the fixed phase policy, one block peaks at 0.45 to 1.03
-    BLOCK_BYTES (seed 5).
+    Over 5 estimators, N in {2, 8, 64, 1024, 4096} and N_s in {1, 2, 30, 62,
+    63, 64, 1000}, under the uniform and the fixed phase policy, a block of
+    more than one row peaks at 0.34 to 0.98 BLOCK_BYTES (seed 5).
     """
     k = n_shots + 2
     # The closed form's footprint exceeds the per-seed loop's, so the
@@ -455,21 +453,15 @@ def _block_rows(n: int, n_shots: int, estimator: str) -> int:
 
 
 def _trial_block(spec: ExperimentSpec, estimator: str, window, n: int, n_shots: int,
-                 lo: int, hi: int, streams=None):
-    """(true_phases, signed_errors) of trials lo..hi-1 as array operations.
-
-    streams is the trials' (seeds, stream keys) from their chunk; without
-    it the block derives and replays its own seeds.
-    """
-    index = np.arange(lo, hi)
-    if streams is None:
-        streams = derive_seed(spec.master_seed, spec.kind, estimator, n, n_shots, index), None
-    seeds, keys = streams
+                 lo: int, streams: np.ndarray):
+    """(true_phases, signed_errors) of the trials from lo on, one per column of
+    streams, their chunk's rng.stream_keys columns, as array operations."""
+    index = np.arange(lo, lo + streams.shape[1])
     draws_phase = spec.phase_policy != "fixed"
     # A sample-mean trial also draws the double after its shots: its guess
     # should its resultant vector vanish.
     guesses = estimator.startswith("mean-")
-    u = uniform_rows(seeds, draws_phase + n_shots + guesses, keys)
+    u = uniform_rows(streams, draws_phase + n_shots + guesses)
     phases = _draw_phases(spec, n, index, u[:, 0])
     shots = u[:, draws_phase:draws_phase + n_shots]
     if estimator == "df":

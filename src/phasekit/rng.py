@@ -16,34 +16,33 @@ bit stream is fixed by numpy's stream-compatibility guarantee (NEP 19).
 The mixing runs on uint64 arrays, so a whole block of trial indices is
 absorbed in one pass; scalar seeds are the one-element case.
 
-uniform_rows computes the streams of a whole block as numpy computes
-them, without building one PCG64 per seed.  It relies on NEP 19 keeping
-the seeding and the stream of np.random.PCG64(seed) fixed.  It has two
-paths:
+stream_keys(seeds) lays out the streams of its seeds, and uniform_rows draws
+them.  stream_keys replays SeedSequence(seed) -> PCG64 seeding on uint32
+arrays: the hashmix/mix of its 4-word pool, then generate_state(4, uint64)
+and PCG64's srandom.  A seed below 2**32 is one entropy word, and its
+missing high word hashes exactly as the pool's zero pad, so one formula
+serves every seed.  The result is one (5, T) uint64 array: row 0 holds the
+seeds, rows 1-4 the (hi, lo) halves of each seed's replayed state and inc.
+It relies on NEP 19 keeping the seeding and the stream of
+np.random.PCG64(seed) fixed.  The replay costs about 0.1 ms per call from
+1 to a few hundred seeds (timeit), so a caller that draws many blocks
+replays a chunk of seeds once and hands uniform_rows each block's columns
+(experiments seeds a chunk of up to 4096 trials this way).
 
-* for k <= CLOSED_FORM_MAX_WORDS, the closed form.  SeedSequence(seed) is
-  replayed on uint32 arrays: the hashmix/mix of its 4-word pool, then
-  generate_state(4, uint64) and PCG64's srandom.  A seed below 2**32 is
-  one entropy word, and its missing high word hashes exactly as the
-  pool's zero pad, so one formula serves every seed.  The j-th state of
-  each stream is then A_j * s + C_j * inc mod 2**128 (constants built
-  once at import with Python ints), multiplied through 32-bit limbs on
-  uint64 and turned into output words by PCG64's XSL-RR step;
-* for every longer stream, the replayed state.  The same SeedSequence
-  replay gives each seed's (state, inc); one np.random.PCG64 is set to
-  each pair in turn through one reused state dict, and
+uniform_rows(streams, k) draws k doubles per column on one of two paths:
+
+* for k <= CLOSED_FORM_MAX_WORDS, the closed form.  The j-th state of
+  each stream is A_j * s + C_j * inc mod 2**128 (constants built once at
+  import with Python ints), multiplied through 32-bit limbs on uint64 and
+  turned into output words by PCG64's XSL-RR step;
+* for every longer stream, the replayed state.  One np.random.PCG64 is set
+  to each (state, inc) in turn through one reused state dict, and
   np.random.Generator.random writes that row's doubles straight into the
   (T, k) result.  This saves building one SeedSequence per seed.
 
-Every call once the first-use check has failed reads
-np.random.PCG64(seed).random_raw(k) seed by seed.  This plain loop is also
-the test oracle.
-
-Both paths start from the replayed (state, inc) of each seed, which
-costs about 0.1 ms per call from 1 to a few hundred seeds (timeit).
-stream_keys(seeds) returns those keys, so a caller that draws many blocks
-from one set of seeds replays them once and hands uniform_rows each
-block's columns (experiments seeds a chunk of up to 4096 trials this way).
+Once the first-use check has failed, stream_keys returns row 0 alone, and
+every call reads np.random.PCG64(seed).random_raw(k) seed by seed from row
+0.  This plain loop is also the test oracle.
 
 uniform_rows keeps no memory budget of its own: it draws all T rows in one
 pass, and _draw_words(k) states what one row holds at the peak, so the
@@ -150,43 +149,42 @@ def _seed64(value) -> int:
     return int(value) & _MASK64
 
 
-def uniform_rows(seeds: np.ndarray, k: int, keys=None) -> np.ndarray:
-    """(T, k) matrix whose row t is make_generator(seeds[t]).random(k).
+def uniform_rows(streams: np.ndarray, k: int) -> np.ndarray:
+    """(T, k) matrix whose row t is make_generator(streams[0, t]).random(k).
 
-    Up to CLOSED_FORM_MAX_WORDS, the raw PCG64 words are computed for the
-    whole block and converted as numpy converts them; longer rows are drawn
-    by numpy from the replayed state of each seed (see the module
-    docstring).  keys, if given, is stream_keys(seeds) (or the same columns
-    of a longer call's result), and the seeds are not replayed again; the
-    per-seed loop of a failed first-use check reads only the seeds.
+    streams is stream_keys(seeds), or any columns of it.  Up to
+    CLOSED_FORM_MAX_WORDS, the raw PCG64 words are computed for the whole
+    block and converted as numpy converts them; longer rows are drawn by
+    numpy from each column's replayed state (see the module docstring).
+    The per-seed loop of a failed first-use check reads only row 0.
     """
     if not _streams_match_numpy():
-        return _to_double(_raw_rows_loop(seeds, k))
+        return _to_double(_raw_rows_loop(streams[0], k))
     if k <= CLOSED_FORM_MAX_WORDS:
-        return _uniform_rows_vectorized(seeds, k, keys)
-    return _replayed_rows(seeds, k, keys)
+        return _uniform_rows_vectorized(streams, k)
+    return _replayed_rows(streams, k)
 
 
-def stream_keys(seeds: np.ndarray):
-    """PCG64(seed)'s replayed (state, inc) for each seed, each a (2, T) uint64
-    (hi, lo) pair.  uniform_rows takes any columns of both with the same
-    seeds.  None once the first-use check has failed: the per-seed loop
-    then reads only the seeds."""
-    if not _streams_match_numpy():
-        return None
-    return _seeded(np.asarray(seeds, dtype=np.uint64))
+def stream_keys(seeds: np.ndarray) -> np.ndarray:
+    """(5, T) uint64 streams of the seeds: row 0 the seeds, rows 1-4 the
+    (hi, lo) halves of PCG64(seed)'s replayed state and inc.  Row 0 alone
+    once the first-use check has failed: the per-seed loop then reads only
+    the seeds, and nothing is replayed."""
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    return _seeded(seeds) if _streams_match_numpy() else seeds[None]
 
 
 def _draw_words(k: int) -> int:
-    """8-byte words per row that uniform_rows(seeds, k) holds at its peak, the
-    (T, k) result included, at T >= 128 rows (tracemalloc): the closed
-    form's 128-bit products take 8k + 9 to 8k + 16, or 31 of seed state at
-    k <= 2, so 8k + 32 bounds both.  Beyond it, the replayed state holds
-    the k doubles plus 29-32 words of seed state and its Python ints;
-    the per-seed loop that a failed first-use check falls back to holds
-    more: its raw words, their shifted copy and the doubles take 3k, and
-    numpy's cast buffer at most k more.  So each length is charged the
-    larger of its two paths, and a failed check never outgrows the charge.
+    """8-byte words per row that uniform_rows(streams, k) holds at its peak,
+    the (T, k) result included, at T >= 128 rows (tracemalloc): the closed
+    form's 128-bit products take at most 8k + 11, and stream_keys'
+    replay of the same rows 29-31, so 8k + 32 bounds the draw and the
+    replay.  Beyond it, the replayed state holds the k doubles plus 22-24
+    words of Python ints; the per-seed loop that a failed first-use check
+    falls back to holds more: its raw words, their shifted copy and the
+    doubles take 3k, and numpy's cast buffer at most k more.  So each
+    length is charged the larger of its two paths, and a failed check never
+    outgrows the charge.
     """
     if k <= CLOSED_FORM_MAX_WORDS:
         return 8 * k + 32
@@ -205,17 +203,16 @@ def _raw_rows_loop(seeds: np.ndarray, k: int) -> np.ndarray:
     return raw
 
 
-def _replayed_rows(seeds: np.ndarray, k: int, keys=None) -> np.ndarray:
+def _replayed_rows(streams: np.ndarray, k: int) -> np.ndarray:
     """(T, k) doubles of any length: one PCG64 is set, through one state
-    dict, to each seed's replayed (state, inc) in turn, and Generator.random
-    draws the row straight into the result."""
-    rows = np.empty((len(seeds), k))
-    state, inc = _keys(seeds, keys)
+    dict, to each column's replayed (state, inc) in turn, and
+    Generator.random draws the row straight into the result."""
+    rows = np.empty((streams.shape[1], k))
     bits = np.random.PCG64(0)
     draw = np.random.Generator(bits).random
     full = bits.state
     pair = full["state"]
-    for row, s_hi, s_lo, i_hi, i_lo in zip(rows, *state.tolist(), *inc.tolist()):
+    for row, s_hi, s_lo, i_hi, i_lo in zip(rows, *streams[1:].tolist()):
         pair["state"] = s_hi << 64 | s_lo
         pair["inc"] = i_hi << 64 | i_lo
         bits.state = full
@@ -234,24 +231,20 @@ def _streams_match_numpy() -> bool:
     if _streams_checked is None:
         seed = np.array([_MASK64], dtype=np.uint64)
         _streams_checked = all(
-            np.array_equal(path(seed, k), _to_double(_raw_rows_loop(seed, k)))
+            np.array_equal(path(_seeded(seed), k), _to_double(_raw_rows_loop(seed, k)))
             for path, k in ((_uniform_rows_vectorized, CLOSED_FORM_MAX_WORDS),
                             (_replayed_rows, CLOSED_FORM_MAX_WORDS + 1)))
     return _streams_checked
 
 
-def _uniform_rows_vectorized(seeds: np.ndarray, k: int, keys=None) -> np.ndarray:
+def _uniform_rows_vectorized(streams: np.ndarray, k: int) -> np.ndarray:
     """Closed-form rows, for k <= CLOSED_FORM_MAX_WORDS."""
-    return _to_double(_closed_form_raw(*_keys(seeds, keys), k))
-
-
-def _keys(seeds: np.ndarray, keys):
-    """The given (state, inc) pair, else the seeds' replayed one."""
-    return _seeded(np.asarray(seeds, dtype=np.uint64)) if keys is None else keys
+    return _to_double(_closed_form_raw(streams, k))
 
 
 def _seeded(seeds: np.ndarray):
-    """PCG64(seed)'s (state, inc) for each seed, each a (2, T) uint64 (hi, lo) pair.
+    """The (5, T) streams of stream_keys: the seeds, then the (hi, lo) halves
+    of PCG64(seed)'s state and inc.
 
     Replays SeedSequence(seed) with a 4-word pool: hashmix the entropy
     words (low and high half of the seed, then zero pad), mix every pool
@@ -276,7 +269,7 @@ def _seeded(seeds: np.ndarray):
     one = np.uint64(1)
     inc = np.stack([(seq_hi << one) | (seq_lo >> np.uint64(63)), (seq_lo << one) | one])
     hi, lo = _mul128(*_add128(*inc, init_hi, init_lo), *_PCG_MULT_PAIR)
-    return np.stack(_add128(hi, lo, *inc)), inc
+    return np.vstack([seeds, *_add128(hi, lo, *inc), *inc])
 
 
 def _hashmix(words: np.ndarray, constants: np.ndarray) -> np.ndarray:
@@ -301,11 +294,10 @@ _STATE_HASH = _hash_constants(_INIT_B, _MULT_B, 8)
 _OTHER_WORDS = [np.array([i for i in range(4) if i != src]) for src in range(4)]
 
 
-def _closed_form_raw(state: np.ndarray, inc: np.ndarray, k: int) -> np.ndarray:
+def _closed_form_raw(streams: np.ndarray, k: int) -> np.ndarray:
     """(T, k) raw words: XSL-RR of state_j = A_j * state + C_j * inc, j = 1..k."""
     a_hi, a_lo, c_hi, c_lo = _JUMPS[:, :k]
-    s_hi, s_lo = state[:, :, None]
-    i_hi, i_lo = inc[:, :, None]
+    s_hi, s_lo, i_hi, i_lo = streams[1:, :, None]
     hi, lo = _add128(*_mul128(s_hi, s_lo, a_hi, a_lo), *_mul128(i_hi, i_lo, c_hi, c_lo))
     x = hi ^ lo
     rot = hi >> np.uint64(58)

@@ -868,6 +868,17 @@ def test_invalid_argument_values_are_usage_errors(argv, message, capsys):
     assert f"usage error: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("offset", [[], ["--offset-half-cell"]])
+def test_df_on_two_histogram_csvs_is_a_usage_error(offset):
+    """Both CSVs get the same offset, so the pair cannot form: exit 2 before
+    either file is opened (neither exists), not exit 1 after reading both."""
+    argv = ["estimate", "--estimator", "df", "--input", "unread1.csv",
+            "--input", "unread2.csv", *offset]
+    assert _run_cli(argv) == (2, "", "usage error: df estimation needs a sample-set JSON "
+                              "--input: two histogram CSVs share one offset, so they "
+                              "cannot form a df pair\n")
+
+
 def test_crb_accepts_one_shot_with_the_default_estimators(capsys):
     # The spec's df shot check covers runs that estimate, not bound curves.
     assert dispatch(["crb", "--qubits", "4", "--shots-list", "1", "--windows", "rect"]) == 0

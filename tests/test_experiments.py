@@ -336,18 +336,22 @@ _BUDGET_SHAPES = [("df", 128, 30, "uniform"), ("mean-cosine", 1024, 1000, "unifo
     for shape in _BUDGET_SHAPES])
 def test_block_peak_stays_within_the_budget(estimator, n, n_shots, policy):
     """One block of _block_rows trials peaks at no more than 1.25 * BLOCK_BYTES
-    of traced allocations, unless one trial alone is the block."""
+    of traced allocations, unless one trial alone is the block.  As in
+    _collect_trials, the block takes its columns of its chunk's streams."""
     rows = _block_rows(n, n_shots, estimator)
     spec = ExperimentSpec(kind="scatter", n_points=(n,), n_shots=(n_shots,),
                           estimators=(estimator,), trials=rows, master_seed=5, phase_policy=policy,
                           fixed_phases=(0.1, 1.3, 2.9) if policy == "fixed" else ())
     window = make_window(ESTIMATOR_WINDOWS[estimator], n)
-    # The first block runs the stream check and fills numpy's caches.
-    _trial_block(spec, estimator, window, n, n_shots, 0, rows)
+    chunk = BLOCK_BYTES // 256
+    assert rows <= chunk
+    streams = rng.stream_keys(derive_seed(5, "scatter", estimator, n, n_shots, np.arange(chunk)))
+    # stream_keys has run the stream check; the first block fills numpy's caches.
+    _trial_block(spec, estimator, window, n, n_shots, 0, streams[:, :rows])
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        _trial_block(spec, estimator, window, n, n_shots, 0, rows)
+        _trial_block(spec, estimator, window, n, n_shots, 0, streams[:, :rows])
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -565,6 +569,24 @@ def test_a_cell_derives_and_replays_its_seeds_once(monkeypatch):
     assert 2000 // _block_rows(128, 30, "df") >= 10
     run_experiment(spec)
     assert sorted(calls) == ["_seeded", "derive_seed"]
+
+
+def test_a_chunk_seeds_within_one_block_budget():
+    """_collect_trials seeds a chunk of BLOCK_BYTES // 256 trials at once: its
+    derive_seed call and its stream_keys replay peak at about 240 bytes per
+    trial (0.94 BLOCK_BYTES), within one block's budget."""
+    chunk = BLOCK_BYTES // 256
+    rng.stream_keys(derive_seed(3, "rmse-vs-shots", "df", 128, 30, np.arange(16)))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        streams = rng.stream_keys(derive_seed(3, "rmse-vs-shots", "df", 128, 30,
+                                              np.arange(chunk)))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert streams.shape == (5, chunk)
+    assert peak <= BLOCK_BYTES, peak
 
 
 _WARM_TAPER_FAULTS = """

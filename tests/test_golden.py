@@ -22,7 +22,7 @@ import pytest
 import phasekit.experiments
 from phasekit.experiments import BLOCK_BYTES, ExperimentSpec, _block_rows, run_experiment
 from phasekit.io import table_to_csv
-from phasekit.rng import derive_seed, make_generator, uniform_rows
+from phasekit.rng import derive_seed, make_generator, stream_keys, uniform_rows
 
 ESTIMATORS = ("df", "aml", "mean-rect", "mean-cosine", "mean-bartlett")
 
@@ -130,7 +130,7 @@ def test_chunks_that_split_blocks_keep_the_bytes(estimator, n_shots, monkeypatch
 @pytest.mark.parametrize("seed", (0, 1, 7, 2**63 + 5, 2**64 - 1))
 def test_uniform_rows_equal_generator_draws(seed):
     seeds = np.array([seed, seed ^ 1, 12345], dtype=np.uint64)
-    rows = uniform_rows(seeds, 1001)
+    rows = uniform_rows(stream_keys(seeds), 1001)
     for row, s in zip(rows, seeds.tolist()):
         assert np.array_equal(row, make_generator(s).random(1001))
 

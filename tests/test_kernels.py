@@ -1,7 +1,7 @@
 """Byte-identity of the vectorized kernels against their per-item forms.
 
-uniform_rows replays numpy's SeedSequence -> PCG64 seeding and stream on
-uint64 arrays, or takes the replayed keys of its seeds from the caller;
+stream_keys replays numpy's SeedSequence -> PCG64 seeding on uint64
+arrays, and uniform_rows draws numpy's stream from any columns of it;
 the Fisher grid runs blocks of phases through row-wise FFTs; the circular
 mean looks shot vectors up in a table; the AML objective wraps without
 np.mod and takes its sinc in place; the rect closed form runs in place,
@@ -33,7 +33,7 @@ from phasekit.experiments import ExperimentSpec, run_experiment
 from phasekit.io import table_to_csv
 from phasekit.model import Histogram, _rect_probs, _window_probs
 from phasekit.fisher import NEGLIGIBLE_PROB, fisher_information, fisher_information_grid
-from phasekit.rng import CLOSED_FORM_MAX_WORDS, uniform_rows
+from phasekit.rng import CLOSED_FORM_MAX_WORDS, stream_keys, uniform_rows
 from phasekit.windows import make_bartlett, make_cosine, make_custom, make_rectangular
 
 BOUNDARY_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
@@ -57,15 +57,14 @@ def _as_double(raw: np.ndarray) -> np.ndarray:
 
 def test_raw_words_equal_pcg64_for_many_seeds():
     seeds = _seeds(10_000)
-    state, inc = rng._seeded(seeds)
-    raw = rng._closed_form_raw(state, inc, 31)
+    raw = rng._closed_form_raw(rng._seeded(seeds), 31)
     assert np.array_equal(raw, _pcg64_raw(seeds, 31))
 
 
 @pytest.mark.parametrize("k", [1, 31, CLOSED_FORM_MAX_WORDS, CLOSED_FORM_MAX_WORDS + 1, 1001])
 def test_uniform_rows_equal_pcg64(k):
     seeds = _seeds(1_000 if k <= CLOSED_FORM_MAX_WORDS else 200, seed=k)
-    rows = uniform_rows(seeds, k)
+    rows = uniform_rows(stream_keys(seeds), k)
     assert rows.shape == (len(seeds), k)
     assert np.array_equal(rows, _as_double(_pcg64_raw(seeds, k)))
 
@@ -74,13 +73,14 @@ def test_uniform_rows_equal_pcg64(k):
 @pytest.mark.parametrize("rows", [128, 1024])
 def test_draw_words_bound_the_uniform_rows_peak(k, rows):
     """experiments._block_rows sizes a block from rng._draw_words: it must
-    bound what uniform_rows holds per row, on either path."""
+    bound what uniform_rows holds per row, on either path, and the
+    stream_keys replay of the same rows too."""
     seeds = _seeds(rows - len(BOUNDARY_SEEDS), seed=k)
-    uniform_rows(seeds, k)  # the first-use check runs outside the trace
+    uniform_rows(stream_keys(seeds), k)  # the first-use check runs outside the trace
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        uniform_rows(seeds, k)
+        uniform_rows(stream_keys(seeds), k)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -89,7 +89,7 @@ def test_draw_words_bound_the_uniform_rows_peak(k, rows):
 
 @pytest.mark.parametrize("k", [1, 31, CLOSED_FORM_MAX_WORDS + 1])
 def test_uniform_rows_of_no_seeds(k):
-    assert uniform_rows(np.array([], dtype=np.uint64), k).shape == (0, k)
+    assert uniform_rows(stream_keys(np.array([], dtype=np.uint64)), k).shape == (0, k)
 
 
 def test_failed_first_use_check_falls_back_to_the_loop(monkeypatch):
@@ -97,8 +97,8 @@ def test_failed_first_use_check_falls_back_to_the_loop(monkeypatch):
     expected = _as_double(_pcg64_raw(seeds, 31))
     monkeypatch.setattr(rng, "_streams_checked", None)
     monkeypatch.setattr(rng, "_uniform_rows_vectorized",
-                        lambda seeds, k: np.zeros((len(seeds), k)))
-    assert np.array_equal(uniform_rows(seeds, 31), expected)
+                        lambda streams, k: np.zeros((streams.shape[1], k)))
+    assert np.array_equal(uniform_rows(stream_keys(seeds), 31), expected)
     assert rng._streams_checked is False
 
 
@@ -108,8 +108,9 @@ def test_failed_replayed_state_check_falls_back_to_the_loop(monkeypatch):
     k = CLOSED_FORM_MAX_WORDS + 1
     expected = _as_double(_pcg64_raw(seeds, k))
     monkeypatch.setattr(rng, "_streams_checked", None)
-    monkeypatch.setattr(rng, "_replayed_rows", lambda seeds, k: np.zeros((len(seeds), k)))
-    assert np.array_equal(uniform_rows(seeds, k), expected)
+    monkeypatch.setattr(rng, "_replayed_rows",
+                        lambda streams, k: np.zeros((streams.shape[1], k)))
+    assert np.array_equal(uniform_rows(stream_keys(seeds), k), expected)
     assert rng._streams_checked is False
 
 
@@ -117,8 +118,9 @@ def test_failed_replayed_state_check_falls_back_to_the_loop(monkeypatch):
 def test_long_streams_from_the_replayed_state_equal_pcg64(k):
     seeds = _seeds(100, seed=k)
     expected = _as_double(_pcg64_raw(seeds, k))
-    assert np.array_equal(rng._replayed_rows(seeds, k), expected)
-    assert np.array_equal(uniform_rows(seeds, k), expected)
+    streams = stream_keys(seeds)
+    assert np.array_equal(rng._replayed_rows(streams, k), expected)
+    assert np.array_equal(uniform_rows(streams, k), expected)
 
 
 @pytest.mark.parametrize("k", [CLOSED_FORM_MAX_WORDS + 1, 1001])
@@ -129,28 +131,32 @@ def test_failed_first_use_check_keeps_long_streams_on_the_loop(monkeypatch, k):
     seeds = _seeds(50, seed=k)
     monkeypatch.setattr(rng, "_streams_checked", False)
     monkeypatch.setattr(rng, "_seeded", no_seeding)
-    assert np.array_equal(uniform_rows(seeds, k), _as_double(_pcg64_raw(seeds, k)))
+    assert np.array_equal(uniform_rows(stream_keys(seeds), k), _as_double(_pcg64_raw(seeds, k)))
 
 
 @pytest.mark.parametrize("k", [1, 2, 31, CLOSED_FORM_MAX_WORDS, CLOSED_FORM_MAX_WORDS + 1, 1002])
 def test_uniform_rows_from_given_stream_keys_keep_the_bytes(k):
     # A chunk replays its seeds once, and each block takes its columns.
     seeds = _seeds(60, seed=k)
-    keys = rng.stream_keys(seeds)
-    assert np.array_equal(uniform_rows(seeds, k, keys), uniform_rows(seeds, k))
+    streams = stream_keys(seeds)
+    assert streams.shape == (5, len(seeds)) and np.array_equal(streams[0], seeds)
     cols = slice(7, 41)
-    block = uniform_rows(seeds[cols], k, tuple(key[:, cols] for key in keys))
-    assert np.array_equal(block, uniform_rows(seeds[cols], k))
+    block = uniform_rows(streams[:, cols], k)
+    assert np.array_equal(block, uniform_rows(stream_keys(seeds[cols]), k))
+    assert np.array_equal(block, _as_double(_pcg64_raw(seeds[cols], k)))
 
 
 @pytest.mark.parametrize("k", [31, 1002])
 def test_failed_first_use_check_reads_only_the_seeds(monkeypatch, k):
     seeds = _seeds(50, seed=k)
-    keys = rng.stream_keys(seeds)
+    stale = stream_keys(seeds)
+    stale[1:] = 0
     monkeypatch.setattr(rng, "_streams_checked", False)
-    assert rng.stream_keys(seeds) is None
-    stale = tuple(np.zeros_like(key) for key in keys)
-    assert np.array_equal(uniform_rows(seeds, k, stale), _as_double(_pcg64_raw(seeds, k)))
+    streams = stream_keys(seeds)
+    assert streams.shape == (1, len(seeds)) and np.array_equal(streams[0], seeds)
+    assert np.array_equal(uniform_rows(stale, k), _as_double(_pcg64_raw(seeds, k)))
+    assert np.array_equal(uniform_rows(stale[:, 9:30], k),
+                          _as_double(_pcg64_raw(seeds[9:30], k)))
 
 
 def test_vectorized_streams_pass_the_first_use_check(monkeypatch):
