@@ -1,7 +1,8 @@
-"""The rules of every boundary: files, specs, configs, stored arrays and
-counts.  _check_count is the one integer-range rule of every record length,
-shot count, trial count and grid size, and the bounds below hold for every
-file, command-line argument and call, so none sizes an allocation beyond them.
+"""The rules of every boundary: files, specs, configs, stored arrays, counts
+and phases.  _check_count is the one integer-range rule of every record
+length, shot count, trial count and grid size, _bounded_phase the one rule
+of every phase and offset, and the bounds below hold for every file,
+command-line argument and call, so none sizes an allocation beyond them.
 """
 
 from __future__ import annotations
@@ -31,24 +32,18 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-def _finite_float(value, name: str) -> float:
+def _bounded_phase(value, name: str) -> float:
     """value as a Python float; ValueError unless it is a finite real (an
-    integer beyond the float range is not finite)."""
+    integer beyond the float range is not finite) of magnitude at most
+    MAX_PHASE.  The one rule of every phase and offset."""
     if not _is_real(value):
         raise ValueError(f"{name} must be a number")
     try:
         result = float(value)
     except OverflowError:
-        result = math.inf
+        result = math.inf if value > 0 else -math.inf
     if not math.isfinite(result):
         raise ValueError(f"{name} {result!r} is not finite")
-    return result
-
-
-def _bounded_phase(value, name: str) -> float:
-    """value as a Python float; ValueError unless it is a finite real of
-    magnitude at most MAX_PHASE."""
-    result = _finite_float(value, name)
     if abs(result) > MAX_PHASE:
         raise ValueError(f"{name} must lie in [-2**34, 2**34]")
     return result

@@ -158,7 +158,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shots-list", default="30")
     p.add_argument("--estimators", default="df")
     p.add_argument("--windows", default=",".join(BUILTIN_WINDOWS))
-    p.add_argument("--trials", type=int, default=2000)
+    p.add_argument("--trials", type=int, default=2000,
+                   help="trials per cell; run time grows at most as trials*N*(N_s+2), and "
+                        "N dominates: one trial at N=2^20 takes 0.27-0.32 s at 30 or 1000 "
+                        "shots, so --qubits 20 --trials 1000000 runs for days")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--phase-policy", choices=("uniform", "cell"), default="uniform")
     p.add_argument("--cell", type=int, default=0, help="cell index for the cell policy")

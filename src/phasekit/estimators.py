@@ -178,9 +178,8 @@ def aml_objective(
     Only the config.bins_kept highest-count bins contribute.  The bin
     displacement N*(phase + offset)/(2*pi) - k is wrapped to [-N/2, N/2).
     """
-    # Checked before the sum; the sum keeps the caller's types.
-    _bounded_phase(phase, "phase")
-    _bounded_phase(offset, "offset")
+    # The sum takes the checked floats, so a float32 phase is not summed in float32.
+    phase, offset = _bounded_phase(phase, "phase"), _bounded_phase(offset, "offset")
     bins, counts, width = _top_bins(hist.counts[None, :], config.bins_kept)
     position = hist.n_points * (phase + offset) / TWO_PI
     return float(_objective(np.array([[position]]), bins, counts, width,
@@ -199,16 +198,17 @@ def aml_estimate(
     grid has resolve_grid_points(total) points spaced 4*pi/(N*N_g) around
     the rough estimate, so the rough value itself is always a grid point
     and the search never leaves [rough - 2*pi/N, rough + 2*pi/N].  offset is
-    accepted and not read: the counts already carry it, and callers pin the
-    signature.
+    checked by the phase rule and not read: the counts already carry it, and
+    callers pin the signature.
     """
+    _bounded_phase(offset, "offset")
     rough, correction = aml_rows(hist.counts[None, :], hist.total, config)
     return _aml_result(rough[0], correction[0])
 
 
 def _aml_result(rough, correction) -> AmlResult:
     rough, correction = float(rough), float(correction)
-    return AmlResult(rough=rough, refined=wrap_two_pi(rough + correction),
+    return AmlResult(rough=rough, refined=float(wrap_two_pi(rough + correction)),
                      correction=correction)
 
 

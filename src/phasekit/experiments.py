@@ -10,14 +10,14 @@ floats, and kind and phase_policy as a str.  It rejects a run that cannot
 start before any work is done: a list field that is not a tuple, list or
 array, a seed or index that is not an integer (a bool is not), a count
 outside its range by the one rule of checks (trials in [0, MAX_TRIALS],
-n_jobs >= 1, crb_grid_size in [16, fisher.MAX_PHASE_GRID], each N in
-[2, checks.MAX_RECORD_LENGTH], each N_s in [1, checks.MAX_SHOTS]), a
-non-bool allow_any_n, a fixed phase that is not a finite number of
-magnitude at most checks.MAX_PHASE, an empty estimator list (window list
-for a CRB curve), an unknown window for a CRB curve, a scatter run over
-more than one N, N_s or estimator, df with fewer than 2 shots, a
-cell-policy cell_index outside [0, N) for some N, an RMSE kind of no
-trials, a window the run cannot build at one of its N, or one it prices
+n_jobs >= 1, crb_grid_size in [16, fisher.MAX_PHASE_GRID], each N in [2,
+checks.MAX_RECORD_LENGTH], each N_s in [1, checks.MAX_SHOTS]), a non-bool
+allow_any_n, a fixed phase outside the one phase rule of checks (a finite
+real of magnitude at most MAX_PHASE; entries in order), an empty estimator
+list (window list for a CRB curve), an unknown window for a CRB curve, a
+scatter run over more than one N, N_s or estimator, df with fewer than 2
+shots, a cell-policy cell_index outside [0, N) for some N, an RMSE kind of
+no trials, a window the run cannot build at one of its N, or one it prices
 (a CRB curve's windows, an RMSE run's estimator windows) with fewer than
 two nonzero weights there.
 
@@ -88,7 +88,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .angles import TWO_PI, circ_signed_error, wrap_two_pi
-from .checks import MAX_PHASE, MAX_RECORD_LENGTH, MAX_SHOTS, _check_count, _is_int, _is_real
+from .checks import MAX_RECORD_LENGTH, MAX_SHOTS, _bounded_phase, _check_count, _is_int, _is_real
 from .estimators import (
     DEFAULT_CONFIG,
     aml_rows,
@@ -149,11 +149,13 @@ class ExperimentSpec:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         # Each field gets one Python type before a bound reads it: a float fails
         # deep in numpy, and np.sqrt of a uint16 shot count is a float32.
-        rules = {int: (_is_int, "an integer"), float: (_is_real, "a number"),
-                 str: (lambda v: isinstance(v, str), "a string")}
-        for name, convert in (("n_points", int), ("n_shots", int), ("estimators", str),
-                              ("windows", str), ("fixed_phases", float)):
-            is_entry, what = rules[convert]
+        # A fixed phase takes the one phase rule, entry by entry in order.
+        rules = {int: (_is_int, "an integer", int),
+                 float: (_is_real, "a number", lambda v: _bounded_phase(v, "fixed_phases")),
+                 str: (lambda v: isinstance(v, str), "a string", str)}
+        for name, entry_type in (("n_points", int), ("n_shots", int), ("estimators", str),
+                                 ("windows", str), ("fixed_phases", float)):
+            is_entry, what, convert = rules[entry_type]
             values = getattr(self, name)
             if not isinstance(values, (tuple, list, np.ndarray)):
                 raise ValueError(f"{name} must be a tuple, list or array")
@@ -177,10 +179,6 @@ class ExperimentSpec:
             raise ValueError("allow_any_n must be a bool")
         if not self.n_points or not self.n_shots:
             raise ValueError("n_points and n_shots lists must be nonempty")
-        if not np.all(np.isfinite(self.fixed_phases)):
-            raise ValueError("fixed_phases must be finite")
-        if not np.all(np.abs(self.fixed_phases) <= MAX_PHASE):
-            raise ValueError("fixed_phases must lie in [-2**34, 2**34]")
         for n_shots in self.n_shots:
             _check_count(n_shots, "every shot count", 1, MAX_SHOTS)
         # A scatter run of no trials is its header; an RMSE has no value.

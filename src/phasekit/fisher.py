@@ -24,7 +24,8 @@ one window and the scalar fisher_information, its one-row case, all give
 the bytes of a per-phase computation.
 
 fisher owns the CRB price: _price, the one reduction of a window's FI grid
-to a price, serves avg_sqrt_crb and one_shot_prices, the process's one price table.
+to a one-shot price, serves avg_sqrt_crb and one_shot_prices, the process's
+one price table; N_s shots divide the price by sqrt(N_s) everywhere.
 """
 
 from __future__ import annotations
@@ -87,7 +88,8 @@ def avg_sqrt_crb(
     """
     phase_grid_size = _check_count(phase_grid_size, "phase_grid_size", 16, MAX_PHASE_GRID)
     n_shots = _check_count(n_shots, "n_shots", 1, MAX_SHOTS)
-    return _price(_fisher([window], _cell_phases(window.n_points, phase_grid_size))[0], n_shots)
+    price = _price(_fisher([window], _cell_phases(window.n_points, phase_grid_size))[0])
+    return float(price / np.sqrt(n_shots))
 
 
 def one_shot_prices(window_ids, n: int, grid_size: int) -> dict[str, float]:
@@ -99,17 +101,17 @@ def one_shot_prices(window_ids, n: int, grid_size: int) -> dict[str, float]:
     if missing:
         windows = [make_window(window_id, n) for window_id, _, _ in missing]
         grids = _fisher(windows, _cell_phases(n, grid_size))
-        _PRICES.update(zip(missing, [_price(fis, 1) for fis in grids]))
+        _PRICES.update(zip(missing, [_price(fis) for fis in grids]))
     return {window_id: _PRICES[key] for window_id, key in keys.items()}
 
 
-def _price(fis: np.ndarray, n_shots: int) -> float:
-    """Root of the mean CRB over one window's FI grid, FI below FI_FLOOR excluded."""
+def _price(fis: np.ndarray) -> float:
+    """Root of the mean one-shot CRB over one window's FI grid, FI below FI_FLOOR excluded."""
     kept = fis[fis >= FI_FLOOR]
     excluded = fis.size - kept.size
     if excluded > 0.1 * fis.size:
         raise ValueError(f"{excluded} of {fis.size} grid phases have degenerate FI")
-    return float(np.sqrt(np.mean(1.0 / (n_shots * kept))))
+    return float(np.sqrt(np.mean(1.0 / kept)))
 
 
 def fisher_information_grid(window: WindowVector, grid_size: int = DEFAULT_PHASE_GRID) -> np.ndarray:

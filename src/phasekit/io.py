@@ -249,7 +249,8 @@ def sample_set_to_json(samples: SampleSet) -> str:
 
 def read_sample_set_json(path) -> SampleSet:
     """Sample set from JSON: n_points in [2, MAX_RECORD_LENGTH], at most
-    MAX_SHOTS integer outcomes in [0, n_points) and a finite offset."""
+    MAX_SHOTS integer outcomes in [0, n_points) and an offset under the one
+    phase rule of checks: a finite real of magnitude at most MAX_PHASE."""
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -261,7 +262,7 @@ def read_sample_set_json(path) -> SampleSet:
             raise ValueError("outcomes must be integers")
         if not all(0 <= y < n for y in outcomes):
             raise ValueError(f"outcomes outside [0, {n})")
-        # SampleSet checks the offset: a finite real.
+        # SampleSet checks the offset by checks._bounded_phase.
         return SampleSet(n, np.asarray(outcomes, dtype=np.int64),
                          offset=payload.get("offset", 0.0))
     except RecursionError:

@@ -15,7 +15,9 @@ phi + delta.
 
 Counts follow checks._check_count: n_points in [2, MAX_RECORD_LENGTH], a
 histogram's total in [0, MAX_SHOTS] (at most MAX_SHOTS outcomes make a
-sample set) and sample's n_shots in [1, MAX_SHOTS].
+sample set) and sample's n_shots in [1, MAX_SHOTS].  Every phase and offset,
+stored or computed with, follows checks._bounded_phase: a finite real of
+magnitude at most MAX_PHASE, stored as a Python float.
 Each value type keeps a read-only copy of its array, not the caller's.
 """
 
@@ -26,8 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angles import TWO_PI, wrap_two_pi
-from .checks import (MAX_RECORD_LENGTH, MAX_SHOTS, _bounded_phase, _check_count, _finite_float,
-                     _frozen)
+from .checks import MAX_RECORD_LENGTH, MAX_SHOTS, _bounded_phase, _check_count, _frozen
 from .rng import make_generator
 from .windows import WindowVector
 
@@ -69,7 +70,7 @@ class PhaseDistribution:
         object.__setattr__(self, "probs", p)
         object.__setattr__(self, "n_points", n)
         for name in ("phase", "offset"):
-            object.__setattr__(self, name, _finite_float(getattr(self, name), name))
+            object.__setattr__(self, name, _bounded_phase(getattr(self, name), name))
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,8 +96,8 @@ class SampleSet:
             raise ValueError("outcomes outside [0, n_points)")
         object.__setattr__(self, "n_points", n)
         object.__setattr__(self, "outcomes", y)
-        # A finite real, stored as a Python float, as JSON needs.
-        object.__setattr__(self, "offset", _finite_float(self.offset, "offset"))
+        # Stored as a Python float, as JSON needs.
+        object.__setattr__(self, "offset", _bounded_phase(self.offset, "offset"))
 
     def __len__(self):
         return self.outcomes.size
@@ -131,9 +132,8 @@ class Histogram:
 
 def distribution(window: WindowVector, phase: float, offset: float = 0.0) -> PhaseDistribution:
     """Exact outcome distribution for a window at effective phase phase + offset."""
-    # Checked before the sum; the sum keeps the caller's types.
-    _bounded_phase(phase, "phase")
-    _bounded_phase(offset, "offset")
+    # The sum takes the checked floats, so a float32 phase is not summed in float32.
+    phase, offset = _bounded_phase(phase, "phase"), _bounded_phase(offset, "offset")
     probs = distribution_rows(window, np.array([phase + offset]))[0]
     return PhaseDistribution(window.n_points, phase, offset, probs)
 

@@ -97,15 +97,21 @@ def make_custom(weights) -> WindowVector:
 
 
 def make_window(kind: str, n_points: int | None = None, weights=None) -> WindowVector:
-    """The window of a kind: a built-in one needs n_points, "custom" needs weights."""
+    """The window of a kind: a built-in one needs n_points and takes no weights,
+    "custom" needs weights, and an n_points given with them must be their count."""
     if kind == "custom":
         if weights is None:
             raise ValueError("custom window requires explicit weights")
-        return make_custom(weights)
+        window = make_custom(weights)
+        if n_points is not None and n_points != window.n_points:
+            raise ValueError(f"n_points {n_points!r} differs from the {window.n_points} weights")
+        return window
     if n_points is None:
         raise ValueError(f"window kind {kind!r} requires n_points")
     for name, maker in _MAKERS.items():
         if kind == name:
+            if weights is not None:
+                raise ValueError(f"window kind {kind!r} takes no weights")
             return maker(n_points)
     raise ValueError(f"unknown window kind {kind!r}; expected one of {WINDOW_KINDS}")
 

@@ -784,6 +784,10 @@ def test_malformed_histogram_csv_is_rejected(tmp_path, capsys, rows, message):
     ('{"n_points": 8, "offset": "0.5", "outcomes": [1]}', "offset must be a number"),
     pytest.param('{"n_points": 8, "offset": 1' + "0" * 400 + ', "outcomes": [1]}',
                  "offset inf is not finite", id="offset-beyond-the-float-range"),
+    # With this offset, estimate --estimator mean printed 0.7234... for a set
+    # whose circular mean is pi/2; an offset takes the phase bound.
+    ('{"n_points": 8, "offset": 1e300, "outcomes": [1, 2, 2, 3]}',
+     "offset must lie in [-2**34, 2**34]"),
     ('{"n_points": 8, "offset": 0.0, "outcomes": [1, 100000000000000000000000000000]}',
      "outcomes outside [0, 8)"),
     ('{"n_points": 8, "offset": 0.0, "outcomes": [-1]}', "outcomes outside [0, 8)"),

@@ -208,6 +208,8 @@ def test_aml_noiseless_on_grid():
     res = aml_estimate(h)
     assert res.refined == pytest.approx(TWO_PI * 4 / 8, abs=1e-12)
     assert res.correction == 0.0
+    # refined was an np.float64, its repr np.float64(...), beside two floats.
+    assert [type(x) for x in (res.rough, res.refined, res.correction)] == [float] * 3
 
 
 def test_aml_correction_bounded():

@@ -128,6 +128,17 @@ def test_crb_curve_rows():
     assert rect[100.0] == pytest.approx(rect[1.0] / 10, rel=1e-12)
 
 
+def test_avg_sqrt_crb_is_the_crb_curve_price_bit_for_bit():
+    # avg_sqrt_crb took sqrt(mean(1/(N_s*FI))), the tables divide the one-shot
+    # price by sqrt(N_s): 23 of these 63 values differed in the last bit.
+    n_points, shots = (64, 128, 1024), (1, 2, 3, 7, 30, 100, 1000)
+    table = run_crb_curve(ExperimentSpec(kind="crb-curve", n_points=n_points, n_shots=shots,
+                                         trials=1))
+    assert [row.sqrt_crb for row in table.rows] == [
+        avg_sqrt_crb(make_window(window_id, n), n_shots)
+        for n in n_points for window_id in BUILTIN_WINDOWS for n_shots in shots]
+
+
 def test_both_row_types_store_sqrt_crb_as_a_python_float():
     crb = run_crb_curve(ExperimentSpec(kind="crb-curve", n_points=(16,), n_shots=(1, 7),
                                        windows=("rect", "cosine"), trials=1))
@@ -248,7 +259,7 @@ def test_another_crb_grid_size_is_another_price(grids):
 
 
 def test_a_failed_pricing_stores_nothing(monkeypatch):
-    def degenerate(fis, n_shots):
+    def degenerate(fis):
         raise ValueError("200 of 256 grid phases have degenerate FI")
 
     monkeypatch.setattr(phasekit.fisher, "_price", degenerate)
@@ -386,9 +397,9 @@ def test_block_peak_stays_within_the_budget(estimator, n, n_shots, policy):
     (dict(trials=20.5), "trials must be an integer"),
     (dict(master_seed=1.5), "master_seed must be an integer"),
     (dict(kind="crb-curve", crb_grid_size=100.5), "crb_grid_size must be an integer"),
-    (dict(phase_policy="fixed", fixed_phases=(float("nan"),)), "fixed_phases must be finite"),
+    (dict(phase_policy="fixed", fixed_phases=(float("nan"),)), "fixed_phases nan is not finite"),
     (dict(phase_policy="fixed", fixed_phases=(0.5, float("inf"))),
-     "fixed_phases must be finite"),
+     "fixed_phases inf is not finite"),
     # A cell outside [0, N) would draw true phases outside [0, 2*pi).
     (dict(kind="scatter", n_points=(100,), n_shots=(30,), estimators=("aml",),
           allow_any_n=True, phase_policy="cell", cell_index=100),
@@ -452,9 +463,11 @@ def test_spec_bounds_fixed_phases():
     for phases in ((1e20,), (0.5, np.nextafter(2.0 ** 34, np.inf)), (-1e308,), (-2 ** 35,)):
         with pytest.raises(ValueError, match=r"fixed_phases must lie in \[-2\*\*34, 2\*\*34\]"):
             small_spec(phase_policy="fixed", fixed_phases=phases)
-    # Finiteness is checked first, with its own message.
-    with pytest.raises(ValueError, match="fixed_phases must be finite"):
-        small_spec(phase_policy="fixed", fixed_phases=(1e308, float("nan")))
+    # Each entry takes the one phase rule in turn; the first that fails names it.
+    for phases, message in (((1e308, float("nan")), r"fixed_phases must lie in \[-2\*\*34"),
+                            ((float("nan"), 1e308), "fixed_phases nan is not finite")):
+        with pytest.raises(ValueError, match=message):
+            small_spec(phase_policy="fixed", fixed_phases=phases)
     spec = small_spec(phase_policy="fixed", fixed_phases=(2.0 ** 34, -2 ** 34, 1e8))
     assert spec.fixed_phases == (2.0 ** 34, -2.0 ** 34, 1e8)
 

@@ -232,8 +232,8 @@ def test_shared_ramp_cases_cover_whole_and_masked_row_sums():
 def test_shared_ramp_prices_equal_each_windows_own_price():
     windows = [_window(kind, 1024) for kind in ("rect", "cosine", "bartlett", "custom")]
     grids = fisher._fisher(windows, fisher._cell_phases(1024, 256))
-    assert [fisher._price(fis, 3) for fis in grids] == [fisher.avg_sqrt_crb(w, 3)
-                                                         for w in windows]
+    assert [fisher._price(fis) / np.sqrt(3) for fis in grids] == [fisher.avg_sqrt_crb(w, 3)
+                                                                   for w in windows]
 
 
 @pytest.mark.parametrize("kind", ["rect", "cosine", "custom"])

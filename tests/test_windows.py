@@ -163,6 +163,18 @@ def test_make_window_dispatch():
         make_window("custom")
 
 
+def test_make_window_refuses_the_argument_its_kind_does_not_take():
+    # make_window("custom", 8, weights=[1, 2, 3]) returned a 3-point window,
+    # and a built-in kind ignored its weights.
+    with pytest.raises(ValueError, match="n_points 8 differs from the 3 weights"):
+        make_window("custom", 8, weights=[1, 2, 3])
+    for kind in ("rect", "cosine", "bartlett"):
+        with pytest.raises(ValueError, match=f"window kind '{kind}' takes no weights"):
+            make_window(kind, 4, weights=[1, 2, 3, 4])
+    as_count = make_window("custom", np.int64(3), weights=[1, 2, 2])
+    assert as_count.weights.tobytes() == make_window("custom", weights=[1, 2, 2]).weights.tobytes()
+
+
 def test_load_weights_csv(tmp_path):
     path = tmp_path / "w.csv"
     path.write_text("1.0\n2.0\n2.0\n")
