@@ -13,15 +13,29 @@ are materialized.  Independent shots add, so the bound for N_s shots is
 
 One kernel, _fisher, serves every caller: the scalar fisher_information,
 the grid and each price.  It takes windows of one record length and runs
-the phases in blocks of B = max(1, FI_BLOCK_ELEMENTS // N), so a block's
-complex temporaries stay near 64 KiB whatever the grid size (larger
-blocks cost resident memory and buy no speed).  A block's phase ramp
-exp(-j*phi_i*n) does not depend on the window: it is computed once, and
-each window multiplies it by its weights before its two row-wise
-length-N inverse FFTs.  Each phase is then one pairwise summation over
-its kept outcomes in order, so a grid of several windows, the grid of
-one window and the scalar fisher_information, its one-row case, all give
-the bytes of a per-phase computation.
+the phases in blocks of B = max(1, FI_BLOCK_ELEMENTS // N) phases: 2^13
+(phase, outcome) elements at a power-of-two N up to 2^13, one phase
+beyond.  A block's tracemalloc peak is about 100 bytes per element, near
+0.8 MiB, under experiments.BLOCK_BYTES.  Two buffers, allocated once per
+call, serve every block and window, in this order:
+  - the (B, N) phase ramp exp(-j*phi_i*n), which does not depend on the
+    window, is written once per block;
+  - each window writes c = weights * ramp into the first B rows of a
+    (2B, N) buffer and idx * c into the last B; one row-wise length-N
+    inverse FFT over the 2B rows turns them into s and v in place, and N
+    times the result is written in place;
+  - |s|^2 and the kept outcomes are read from s, then conj(s) is written
+    over s and conj(s) * v over v.
+A one-row inverse FFT at N = 4096 takes about 80 us, against 42-50 us
+per row in calls of 2-8 rows (23 against 11-15 us at N = 1024): batching
+removes that per-call cost and nothing else.  It keeps the bytes: a
+batched FFT transforms each row as a one-row call does, every other step
+is the ufunc of the per-phase expression with its operands in the same
+order, and idx is complex from the start, with the values that an
+integer idx is cast to in idx * c.  Each phase is then one pairwise
+summation over its kept outcomes in order, so a grid of several windows,
+the grid of one window and the scalar fisher_information, its one-row
+case, all give the bytes of a per-phase computation, whatever B is.
 
 fisher owns the CRB price: _price, the one reduction of a window's FI grid
 to a one-shot price, serves avg_sqrt_crb and one_shot_prices, the process's
@@ -50,8 +64,10 @@ DEFAULT_PHASE_GRID = 256
 # window, and the grid is computed whole.
 MAX_PHASE_GRID = 2 ** 16
 
-# Elements of one (B, N) block of phases; see the module docstring.
-FI_BLOCK_ELEMENTS = 1 << 12
+# (phase, outcome) elements of one block of phases: the block's byte budget,
+# experiments.BLOCK_BYTES = 2^20, at 128 bytes per element, above the
+# measured peak of about 100; see the module docstring.
+FI_BLOCK_ELEMENTS = 1 << 13
 
 # one_shot_prices' one-shot price of each (window_id, N, grid_size); none is evicted.
 _PRICES: dict[tuple[str, int, int], float] = {}
@@ -131,24 +147,29 @@ def _cell_phases(n: int, grid_size: int) -> np.ndarray:
 def _fisher(windows: list[WindowVector], phases: np.ndarray) -> np.ndarray:
     """(W, P) FI of each window, all of one record length, at each phase."""
     n = windows[0].n_points
-    idx = np.arange(n)
-    step = max(1, FI_BLOCK_ELEMENTS // n)
+    idx = np.arange(n).astype(complex)  # what int idx * c casts idx to
+    step = max(1, min(len(phases), FI_BLOCK_ELEMENTS // n))
+    ramps, svs = np.empty((step, n), complex), np.empty((2 * step, n), complex)
     fis = np.empty((len(windows), len(phases)))
     for lo in range(0, len(phases), step):
-        ramp = np.exp((-1j * phases[lo:lo + step])[:, None] * idx)
-        for window, row in zip(windows, fis[:, lo:lo + step]):
-            c = window.weights * ramp  # c_n = alpha_n * e^{-j*n*phi}
+        b = min(step, len(phases) - lo)
+        ramp = np.multiply((-1j * phases[lo:lo + b])[:, None], idx, out=ramps[:b])
+        np.exp(ramp, out=ramp)
+        rows = svs[:2 * b]
+        s, v = rows[:b], rows[b:]
+        for window, row in zip(windows, fis[:, lo:lo + b]):
+            np.multiply(window.weights, ramp, out=s)  # c_n = alpha_n * e^{-j*n*phi}
+            np.multiply(idx, s, out=v)
             # N * ifft(c)[y] = sum_n c_n * exp(+2j*pi*n*y/N), which is exactly
             # s_y = sum_n alpha_n * exp(-j*n*(phi - 2*pi*y/N)); likewise v_y.
-            s = n * np.fft.ifft(c, axis=1)
-            v = n * np.fft.ifft(idx * c, axis=1)
+            np.multiply(n, np.fft.ifft(rows, axis=1, out=rows), out=rows)
             f_scaled = np.abs(s) ** 2  # = N * f(y)
             keep = f_scaled / n >= NEGLIGIBLE_PROB
-            imag = np.imag(np.conj(s) * v)
+            imag = np.multiply(np.conj(s, out=s), v, out=v).imag
             terms = imag * imag / np.where(keep, f_scaled, 1.0)
             # One pairwise sum per phase over its kept outcomes, in order (a
             # phase that keeps nothing sums to 0.0).
             for i in range(len(row)):
-                row[i] = np.sum(terms[i][keep[i]])
+                row[i] = np.add.reduce(terms[i][keep[i]])
             row *= 4.0 / n
     return fis

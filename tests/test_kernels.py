@@ -2,13 +2,14 @@
 
 stream_keys replays numpy's SeedSequence -> PCG64 seeding on uint64
 arrays, and uniform_rows draws numpy's stream from any columns of it;
-the Fisher grid runs blocks of phases through row-wise FFTs; the circular
-mean looks shot vectors up in a table; the AML objective wraps without
-np.mod and takes its sinc in place; the rect closed form runs in place,
-and the FFT distribution in one complex buffer.
+the Fisher grid runs blocks of phases, of any size, through batched
+in-place FFTs; the circular mean looks shot vectors up in a table; the
+AML objective wraps without np.mod and takes its sinc in place; the rect
+closed form runs in place, and the FFT distribution in one complex buffer.
 Each must give exactly the bytes of the plain computation it replaces.
 """
 
+import functools
 import hashlib
 import os
 import subprocess
@@ -20,7 +21,7 @@ import numpy as np
 import pytest
 
 import phasekit
-from phasekit import fisher, rng
+from phasekit import experiments, fisher, rng
 from phasekit.angles import TWO_PI, wrap_two_pi
 from phasekit.estimators import (
     _mod_in_place,
@@ -34,7 +35,8 @@ from phasekit.io import table_to_csv
 from phasekit.model import Histogram, _rect_probs, _window_probs
 from phasekit.fisher import NEGLIGIBLE_PROB, fisher_information, fisher_information_grid
 from phasekit.rng import CLOSED_FORM_MAX_WORDS, stream_keys, uniform_rows
-from phasekit.windows import make_bartlett, make_cosine, make_custom, make_rectangular
+from phasekit.windows import (BUILTIN_WINDOWS, make_bartlett, make_cosine, make_custom,
+                              make_rectangular)
 
 BOUNDARY_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
 
@@ -200,6 +202,47 @@ def test_fisher_grid_equals_per_phase_reference(kind, n, grid_size):
     phases = cell * (np.arange(grid_size) + 0.5) / grid_size
     expected = np.array([_reference_fi(window.weights, p) for p in phases])
     assert fisher_information_grid(window, grid_size).tobytes() == expected.tobytes()
+
+
+@functools.cache
+def _reference_grids(n: int, grid_size: int) -> np.ndarray:
+    """Per-phase _reference_fi of rect, cosine, bartlett and custom at the grid."""
+    phases = fisher._cell_phases(n, grid_size)
+    return np.array([[_reference_fi(_window(kind, n).weights, p) for p in phases]
+                      for kind in ("rect", "cosine", "bartlett", "custom")])
+
+
+# A budget of one phase per block, seven, the default and the whole grid.
+@pytest.mark.parametrize("rows", [1, 7, None, "grid"])
+@pytest.mark.parametrize("grid_size", [16, 257])
+@pytest.mark.parametrize("n", [3, 100, 4096])
+def test_fisher_bytes_do_not_depend_on_the_block_budget(n, grid_size, rows, monkeypatch):
+    if rows == "grid":
+        rows = grid_size
+    if rows is not None:
+        monkeypatch.setattr(fisher, "FI_BLOCK_ELEMENTS", rows * n)
+    windows = [_window(kind, n) for kind in ("rect", "cosine", "bartlett", "custom")]
+    grids = fisher._fisher(windows, fisher._cell_phases(n, grid_size))
+    assert grids.tobytes() == _reference_grids(n, grid_size).tobytes()
+
+
+def test_default_fisher_blocks_are_batched():
+    # Blocks of 2^13 elements: two phases at N = 4096, so each window's
+    # inverse FFT call transforms four rows.
+    assert fisher.FI_BLOCK_ELEMENTS // 4096 == 2
+
+
+@pytest.mark.parametrize("n", [64, 1024, 4096])
+def test_cold_pricing_peak_stays_within_a_trial_block(n):
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fisher.one_shot_prices(BUILTIN_WINDOWS, n, 256)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert fisher._PRICES  # priced here, not read from an earlier test
+    assert peak <= experiments.BLOCK_BYTES, peak
 
 
 def _full_rows(window, grid_size: int) -> int:
