@@ -1,8 +1,11 @@
 """The rules of every boundary: files, specs, configs, stored arrays, counts
 and phases.  _check_count is the one integer-range rule of every record
-length, shot count, trial count and grid size, _bounded_phase the one rule
-of every phase and offset, and the bounds below hold for every file,
-command-line argument and call, so none sizes an allocation beyond them.
+length, shot count, trial count, grid size and master seed (the library's
+and the command line's), _bounded_phase the one rule of every phase and
+offset, and the bounds below hold for every file, command-line argument and
+call, so none sizes an allocation beyond them.  BLOCK_BYTES is the one
+memory budget: a block of trials and a block of Fisher phases are each
+sized to it.
 """
 
 from __future__ import annotations
@@ -14,6 +17,11 @@ import numpy as np
 
 MAX_RECORD_LENGTH = 2 ** 20
 MAX_SHOTS = 10 ** 7
+
+# A master seed is a 64-bit word: rng keeps only its low 64 bits.
+MAX_SEED = 2 ** 64 - 1
+# Memory budget of one block of trials (experiments) or of Fisher phases.
+BLOCK_BYTES = 1 << 20
 
 # Largest magnitude of a phase or offset, in radians, that enters a
 # computation: the largest power of two whose double spacing (2^-18 rad)

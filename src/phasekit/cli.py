@@ -10,8 +10,9 @@ only the format it emits.  Exit codes: 0 success, 1 runtime error
 that ExperimentSpec or EstimatorConfig rejects, a non-integer length
 entry, more than one length for window, dist or sample, a phase that is
 not finite in radians or beyond checks.MAX_PHASE, a built-in window
-degenerate at the record length, a size beyond MAX_QUBITS,
-checks.MAX_RECORD_LENGTH or checks.MAX_SHOTS, --threads outside
+degenerate at the record length, a count outside its range by
+checks._check_count: a size beyond MAX_QUBITS, checks.MAX_RECORD_LENGTH or
+checks.MAX_SHOTS, a --seed outside [0, checks.MAX_SEED], --threads outside
 [1, CPUs], a custom window whose --weights-csv length differs
 from the record length, --weights-csv without --window custom, an --input
 count that the estimator does not take, two histogram CSV inputs for df,
@@ -31,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .angles import TWO_PI, wrap_two_pi
-from .checks import MAX_PHASE, MAX_RECORD_LENGTH, MAX_SHOTS, _check_count
+from .checks import MAX_PHASE, MAX_RECORD_LENGTH, MAX_SEED, MAX_SHOTS, _check_count
 from .estimators import (
     DEFAULT_CONFIG,
     EstimatorConfig,
@@ -217,11 +218,9 @@ def _add_output_args(p, default_format: str | None = "csv"):
 def _resolve_n_list(args) -> list[int]:
     """The record lengths of --qubits or --record-length; the only reader of both."""
     if args.qubits is not None:
-        qubits = _int_list(args.qubits, "--qubits")
         # Checked before 2 ** q is computed: that power alone can be a huge integer.
-        if not all(1 <= q <= MAX_QUBITS for q in qubits):
-            raise CliError(f"--qubits must be in [1, {MAX_QUBITS}]")
-        return [2 ** q for q in qubits]
+        return [2 ** _count(q, "--qubits", 1, MAX_QUBITS)
+                for q in _int_list(args.qubits, "--qubits")]
     lengths = _int_list(args.record_length, "--record-length")
     for n in lengths:
         _validated(_check_count, value=n, name="record length", least=2, most=MAX_RECORD_LENGTH)
@@ -238,11 +237,12 @@ def _int_list(text: str, flag: str) -> list[int]:
         raise CliError(f"{flag} must be comma-separated integers") from None
 
 
-def _resolve_shots(args) -> list[int]:
-    shots = _int_list(args.shots_list, "--shots-list")
-    if not all(1 <= s <= MAX_SHOTS for s in shots):
-        raise CliError(f"--shots-list entries must be in [1, {MAX_SHOTS}]")
-    return shots
+def _count(value, flag: str, least: int, most: int, note: str = "") -> int:
+    """value by checks._check_count; outside [least, most] a usage error."""
+    try:
+        return _check_count(value, flag, least, most)
+    except ValueError:
+        raise CliError(f"{flag} must be in [{least}, {most}]{note}") from None
 
 
 def _validated(factory, **kwargs):
@@ -251,12 +251,6 @@ def _validated(factory, **kwargs):
         return factory(**kwargs)
     except ValueError as exc:
         raise CliError(str(exc)) from None
-
-
-def _check_threads(args):
-    limit = os.cpu_count() or 1
-    if not 1 <= args.threads <= limit:
-        raise CliError(f"--threads must be in [1, {limit}] (the number of CPUs)")
 
 
 def _resolve_phase(args, n: int) -> tuple[float, float]:
@@ -321,12 +315,11 @@ def _cmd_dist(args) -> int:
 
 def _cmd_sample(args) -> int:
     window = _resolve_window(args)
-    if not 1 <= args.shots <= MAX_SHOTS:
-        raise CliError(f"--shots must be in [1, {MAX_SHOTS}]")
+    n_shots = _count(args.shots, "--shots", 1, MAX_SHOTS)
     phase, offset = _resolve_phase(args, window.n_points)
-    print(f"seed: {args.seed}", file=sys.stderr)
-    dist = distribution(window, phase, offset)
-    draws = sample(dist, args.shots, args.seed)
+    seed = _count(args.seed, "--seed", 0, MAX_SEED)
+    print(f"seed: {seed}", file=sys.stderr)
+    draws = sample(distribution(window, phase, offset), n_shots, seed)
     if args.format == "csv":
         return _emit(args, write_values(histogram(draws).counts))
     return _emit(args, sample_set_to_json(draws))
@@ -339,7 +332,8 @@ def _spec(args, kind: str, **run) -> ExperimentSpec:
         ExperimentSpec,
         kind=kind,
         n_points=_resolve_n_list(args),
-        n_shots=_resolve_shots(args),
+        n_shots=[_count(s, "--shots-list entries", 1, MAX_SHOTS)
+                 for s in _int_list(args.shots_list, "--shots-list")],
         windows=args.windows.split(","),
         allow_any_n=args.allow_any_n,
         **run,
@@ -391,7 +385,7 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    _check_threads(args)
+    _count(args.threads, "--threads", 1, os.cpu_count() or 1, " (the number of CPUs)")
     if args.plot_data and args.kind is not None:
         raise CliError("--plot-data takes no experiment kind")
     if not args.plot_data and args.kind is None:
@@ -399,7 +393,8 @@ def _cmd_experiment(args) -> int:
     # The bundle starts from its RMSE sweep's kind and overrides each figure's fields.
     spec = _spec(args, args.kind or "rmse-vs-shots",
                  estimators=args.estimators.split(","), trials=args.trials,
-                 master_seed=args.seed, phase_policy=args.phase_policy,
+                 master_seed=_count(args.seed, "--seed", 0, MAX_SEED),
+                 phase_policy=args.phase_policy,
                  cell_index=args.cell)
     if args.plot_data:
         return _emit_plot_bundle(args, spec)

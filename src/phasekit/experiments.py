@@ -8,18 +8,19 @@ memory and is never serialized, because it varies run to run.
 ExperimentSpec stores each list field as a tuple of Python ints, strs or
 floats, and kind and phase_policy as a str.  It rejects a run that cannot
 start before any work is done: a list field that is not a tuple, list or
-array, a seed or index that is not an integer (a bool is not), a count
-outside its range by the one rule of checks (trials in [0, MAX_TRIALS],
-n_jobs >= 1, crb_grid_size in [16, fisher.MAX_PHASE_GRID], each N in [2,
-checks.MAX_RECORD_LENGTH], each N_s in [1, checks.MAX_SHOTS]), a non-bool
-allow_any_n, a fixed phase outside the one phase rule of checks (a finite
-real of magnitude at most MAX_PHASE; entries in order), an empty estimator
-list (window list for a CRB curve), an unknown window for a CRB curve, a
-scatter run over more than one N, N_s or estimator, df with fewer than 2
-shots, a cell-policy cell_index outside [0, N) for some N, an RMSE kind of
-no trials, a window the run cannot build at one of its N, or one it prices
-(a CRB curve's windows, an RMSE run's estimator windows) with fewer than
-two nonzero weights there.
+array, a cell_index that is not an integer (a bool is not), a count
+outside its range by the one rule of checks (master_seed in [0,
+checks.MAX_SEED], trials in [0, MAX_TRIALS], n_jobs >= 1, crb_grid_size in
+[16, fisher.MAX_PHASE_GRID], each N in [2, checks.MAX_RECORD_LENGTH], each
+N_s in [1, checks.MAX_SHOTS]), a non-bool allow_any_n, a fixed phase
+outside the one phase rule of checks (a finite real of magnitude at most
+MAX_PHASE; entries in order), an empty estimator list (window list for a
+CRB curve), an unknown window for a CRB curve, a scatter run over more
+than one N, N_s or estimator, df with fewer than 2 shots, a cell-policy
+cell_index outside [0, N) for some N, an RMSE kind of no trials, a window
+the run cannot build at one of its N, or one it prices (a CRB curve's
+windows, an RMSE run's estimator windows) with fewer than two nonzero
+weights there.
 
 Every trial draws its own generator from a seed derived as
 derive_seed(master_seed, kind, estimator, N, N_s, trial_index), so tables
@@ -52,11 +53,11 @@ same bytes as running its trials one at a time, because:
 * ties resolve as before: stable argsort for the kept bins, first-index
   argmax and argmin for the grid point and the DF pair.
 
-A block holds about BLOCK_BYTES of arrays, so memory does not grow with
-the trial count.  _block_rows charges each row the largest of its stages:
-the draw, whose footprint rng._draw_words states, since rng.uniform_rows
-draws a whole block in one pass, and the arrays its estimator builds
-(fitted to tracemalloc peaks; see there).
+A block holds about checks.BLOCK_BYTES of arrays, so memory does not grow
+with the trial count.  _block_rows charges each row the largest of its
+stages: the draw, whose footprint rng._draw_words states, since
+rng.uniform_rows draws a whole block in one pass, and the arrays its
+estimator builds (fitted to tracemalloc peaks; see there).
 
 Seeds are derived and replayed per chunk of at most BLOCK_BYTES // 256
 trials (4096), not per block: one derive_seed call and one
@@ -64,7 +65,7 @@ rng.stream_keys call give the chunk's (5, T) streams, and each block takes
 its columns.  The two peak at about 240 bytes per trial and the chunk
 keeps 40, so a chunk stays within one block's budget; every cell of up to
 4096 trials is one chunk.  The module also frees one untouched
-2 * BLOCK_BYTES array at import (the heap note below BLOCK_BYTES), so that
+2 * BLOCK_BYTES array at import (the heap note below the imports), so that
 under glibc the blocks of a cell reuse the same heap pages rather than
 faulting them in again after each block.
 
@@ -88,6 +89,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .angles import TWO_PI, circ_signed_error, wrap_two_pi
+from .checks import BLOCK_BYTES, MAX_SEED
 from .checks import MAX_RECORD_LENGTH, MAX_SHOTS, _bounded_phase, _check_count, _is_int, _is_real
 from .estimators import (
     DEFAULT_CONFIG,
@@ -111,9 +113,6 @@ ESTIMATOR_WINDOWS = {
 }
 
 PHASE_POLICIES = ("uniform", "cell", "fixed")
-
-# Memory budget of one block of trials; see _block_rows.
-BLOCK_BYTES = 1 << 20
 
 # Allocated, never touched and freed at once: under glibc's dynamic thresholds
 # (mallopt(3)), freeing an mmapped chunk raises the mmap threshold to its size
@@ -162,14 +161,12 @@ class ExperimentSpec:
             if not all(is_entry(v) for v in values):
                 raise ValueError(f"every entry of {name} must be {what}")
             object.__setattr__(self, name, tuple(convert(v) for v in values))
-        for name in ("master_seed", "cell_index"):
-            value = getattr(self, name)
-            if not _is_int(value):
-                raise ValueError(f"{name} must be an integer")
-            object.__setattr__(self, name, int(value))
-        for name, least, most in (("trials", 0, MAX_TRIALS), ("n_jobs", 1, None),
-                                  ("crb_grid_size", 16, MAX_PHASE_GRID)):
+        for name, least, most in (("master_seed", 0, MAX_SEED), ("trials", 0, MAX_TRIALS),
+                                  ("n_jobs", 1, None), ("crb_grid_size", 16, MAX_PHASE_GRID)):
             object.__setattr__(self, name, _check_count(getattr(self, name), name, least, most))
+        if not _is_int(self.cell_index):
+            raise ValueError("cell_index must be an integer")
+        object.__setattr__(self, "cell_index", int(self.cell_index))
         # An np.str_ is a str; anything else fails its name check below.
         for name in ("kind", "phase_policy"):
             value = getattr(self, name)

@@ -13,11 +13,12 @@ are materialized.  Independent shots add, so the bound for N_s shots is
 
 One kernel, _fisher, serves every caller: the scalar fisher_information,
 the grid and each price.  It takes windows of one record length and runs
-the phases in blocks of B = max(1, FI_BLOCK_ELEMENTS // N) phases: 2^13
-(phase, outcome) elements at a power-of-two N up to 2^13, one phase
-beyond.  A block's tracemalloc peak is about 100 bytes per element, near
-0.8 MiB, under experiments.BLOCK_BYTES.  Two buffers, allocated once per
-call, serve every block and window, in this order:
+the phases in blocks of B = max(1, FI_BLOCK_ELEMENTS // N) phases, where
+FI_BLOCK_ELEMENTS = checks.BLOCK_BYTES // 128 = 2^13 (phase, outcome)
+elements: 2^13 elements at a power-of-two N up to 2^13, one phase beyond.
+A block's tracemalloc peak is about 100 bytes per element, near 0.8 MiB,
+under the budget.  Two buffers, allocated once per call, serve every
+block and window, in this order:
   - the (B, N) phase ramp exp(-j*phi_i*n), which does not depend on the
     window, is written once per block;
   - each window writes c = weights * ramp into the first B rows of a
@@ -47,7 +48,7 @@ from __future__ import annotations
 import numpy as np
 
 from .angles import TWO_PI
-from .checks import MAX_SHOTS, _bounded_phase, _check_count
+from .checks import BLOCK_BYTES, MAX_SHOTS, _bounded_phase, _check_count
 from .windows import WindowVector, make_window
 
 # Outcomes with |s_y|^2 / N below this are skipped.  They are not worthless:
@@ -64,10 +65,9 @@ DEFAULT_PHASE_GRID = 256
 # window, and the grid is computed whole.
 MAX_PHASE_GRID = 2 ** 16
 
-# (phase, outcome) elements of one block of phases: the block's byte budget,
-# experiments.BLOCK_BYTES = 2^20, at 128 bytes per element, above the
-# measured peak of about 100; see the module docstring.
-FI_BLOCK_ELEMENTS = 1 << 13
+# (phase, outcome) elements of one block of phases: the one budget at 128
+# bytes per element, above the measured peak of about 100; see the docstring.
+FI_BLOCK_ELEMENTS = BLOCK_BYTES // 128
 
 # one_shot_prices' one-shot price of each (window_id, N, grid_size); none is evicted.
 _PRICES: dict[tuple[str, int, int], float] = {}

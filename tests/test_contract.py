@@ -93,6 +93,15 @@ def test_count_bounds_are_pinned():
         assert module.MAX_SHOTS is phasekit.checks.MAX_SHOTS
 
 
+def test_budget_and_seed_bound_are_pinned():
+    # One memory budget: the trial blocks import it and the Fisher blocks derive from it.
+    assert phasekit.checks.BLOCK_BYTES == 2 ** 20
+    assert phasekit.experiments.BLOCK_BYTES is phasekit.checks.BLOCK_BYTES
+    assert phasekit.fisher.FI_BLOCK_ELEMENTS == phasekit.checks.BLOCK_BYTES // 128 == 2 ** 13
+    assert phasekit.checks.MAX_SEED == 2 ** 64 - 1
+    assert phasekit.cli.MAX_SEED is phasekit.checks.MAX_SEED
+
+
 def test_phase_bound_is_pinned():
     assert phasekit.checks.MAX_PHASE == 2.0 ** 34
     assert phasekit.cli.MAX_PHASE is phasekit.checks.MAX_PHASE

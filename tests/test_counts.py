@@ -9,7 +9,7 @@ argument, and a numpy integer acts as, and is stored as, the Python int.
 import numpy as np
 import pytest
 
-from phasekit.checks import MAX_RECORD_LENGTH, MAX_SHOTS, _check_count
+from phasekit.checks import MAX_RECORD_LENGTH, MAX_SEED, MAX_SHOTS, _check_count
 from phasekit.estimators import MAX_GRID_POINTS, EstimatorConfig, split_shot_counts
 from phasekit.experiments import MAX_TRIALS, ExperimentSpec
 from phasekit.fisher import MAX_PHASE_GRID, avg_sqrt_crb, crb, fisher_information_grid
@@ -80,6 +80,8 @@ ENTRIES = {
                                   MAX_RECORD_LENGTH, 4, lambda c: c.bins_kept),
     "EstimatorConfig.grid_points": (lambda g: EstimatorConfig(grid_points=g), "grid_points",
                                     3, MAX_GRID_POINTS, 9, lambda c: c.grid_points),
+    "ExperimentSpec.master_seed": (lambda s: spec(master_seed=s), "master_seed", 0, MAX_SEED,
+                                   7, lambda s: s.master_seed),
 }
 
 
