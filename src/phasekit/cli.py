@@ -165,7 +165,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         "shots, so --qubits 20 --trials 1000000 runs for days")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--phase-policy", choices=("uniform", "cell"), default="uniform")
-    p.add_argument("--cell", type=int, default=0, help="cell index for the cell policy")
+    p.add_argument("--cell", type=int, default=0,
+                   help="cell index for the cell policy, in [0, N) for every N under any policy")
     p.add_argument("--cell-units", action="store_true",
                    help="report scatter errors in units of 2*pi/N")
     # A string default goes through type=int, so a bad environment value is
@@ -420,7 +421,8 @@ def _emit_plot_bundle(args, spec: ExperimentSpec) -> int:
     if spec.n_points != (128,):
         raise CliError("--plot-data draws its figures at record length 128 (--qubits 7)")
     shots_sweep = (2, 4, 8, 16, 30, 50, 70, 100)
-    base = replace(spec, n_shots=shots_sweep, windows=BUILTIN_WINDOWS, phase_policy="uniform")
+    base = replace(spec, n_shots=shots_sweep, windows=BUILTIN_WINDOWS, phase_policy="uniform",
+                   cell_index=0)
 
     # One RMSE sweep feeds fig3's sample-mean overlay and fig5: a cell's
     # trial seeds depend on the kind, estimator, N and N_s, not on the

@@ -16,11 +16,12 @@ N_s in [1, checks.MAX_SHOTS]), a non-bool allow_any_n, a fixed phase
 outside the one phase rule of checks (a finite real of magnitude at most
 MAX_PHASE; entries in order), an empty estimator list (window list for a
 CRB curve), an unknown window for a CRB curve, a scatter run over more
-than one N, N_s or estimator, df with fewer than 2 shots, a cell-policy
-cell_index outside [0, N) for some N, an RMSE kind of no trials, a window
-the run cannot build at one of its N, or one it prices (a CRB curve's
-windows, an RMSE run's estimator windows) with fewer than two nonzero
-weights there.
+than one N, N_s or estimator, df with fewer than 2 shots, a cell_index
+outside [0, N) for some N under any phase policy, a repeated entry of
+n_points, n_shots, estimators or windows (fixed_phases may repeat, which
+weights its cycle), an RMSE kind of no trials, a window the run cannot
+build at one of its N, or one it prices (a CRB curve's windows, an RMSE
+run's estimator windows) with fewer than two nonzero weights there.
 
 Every trial draws its own generator from a seed derived as
 derive_seed(master_seed, kind, estimator, N, N_s, trial_index), so tables
@@ -160,7 +161,11 @@ class ExperimentSpec:
                 raise ValueError(f"{name} must be a tuple, list or array")
             if not all(is_entry(v) for v in values):
                 raise ValueError(f"every entry of {name} must be {what}")
-            object.__setattr__(self, name, tuple(convert(v) for v in values))
+            values = tuple(convert(v) for v in values)
+            # A repeat would run its rows twice; fixed phases repeat to weight the cycle.
+            if entry_type is not float and len(set(values)) < len(values):
+                raise ValueError(f"{name} repeats an entry")
+            object.__setattr__(self, name, values)
         for name, least, most in (("master_seed", 0, MAX_SEED), ("trials", 0, MAX_TRIALS),
                                   ("n_jobs", 1, None), ("crb_grid_size", 16, MAX_PHASE_GRID)):
             object.__setattr__(self, name, _check_count(getattr(self, name), name, least, most))
@@ -194,8 +199,8 @@ class ExperimentSpec:
                 raise ValueError(
                     f"record length {n} is not a power of two (set allow_any_n to override)"
                 )
-        # Only the cell policy reads cell_index; its phases must stay in [0, 2*pi).
-        if self.phase_policy == "cell" and not 0 <= self.cell_index < min(self.n_points):
+        # Every policy checks cell_index; the cell policy's phases must stay in [0, 2*pi).
+        if not 0 <= self.cell_index < min(self.n_points):
             raise ValueError(f"cell_index must be in [0, {min(self.n_points)}), "
                              "a cell of every N")
         # Only a crb-curve run prices windows; every other kind runs estimators.

@@ -23,8 +23,10 @@ Readers:
 
 Each reader returns a value or raises ValueError, whatever the file holds;
 it reads the file as UTF-8, and its error names the format.
-A CSV is parsed row by row as it is read, into arrays rather than a list
-of rows, up to its MAX_RECORD_LENGTH + 2nd row and no further.  Under
+A CSV is parsed row by row as it is read, into arrays rather than a list of
+rows, up to its MAX_RECORD_LENGTH + 2nd row.  The first error raised, the
+parser's or the csv module's, ends the reading and is the one reported; a
+y,value parser reads on to count the rows before it raises its own.  Under
 the bounds of checks, re-exported here, a row count or an n_points (by
 checks._check_count) lies in [2, MAX_RECORD_LENGTH], and a shot or
 outcome total is at most MAX_SHOTS, so no file sizes an allocation beyond them.
@@ -108,18 +110,13 @@ def write_values(values, spec=None, fmt: str = "csv") -> str:
 
 def _read_csv(path, what: str, parse):
     """parse(first, rows) of a CSV file: its first row ([] when it is empty)
-    and an iterator over the rows after it, read as parse consumes them up to
-    row MAX_RECORD_LENGTH + 2 (a header, the largest record, and one row more
-    to tell that it is too long)."""
+    and the rows after it, read only as parse consumes them, up to row
+    MAX_RECORD_LENGTH + 2 (a header, the largest record, one row more to tell
+    it is too long); the first error raised, parse's or csv's, is reported."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             rows = itertools.islice(csv.reader(fh), MAX_RECORD_LENGTH + 2)
-            try:
-                return parse(next(rows, []), rows)
-            finally:
-                # A malformed row up to the bound outranks parse's own error.
-                for _ in rows:
-                    pass
+            return parse(next(rows, []), rows)
     except (csv.Error, UnicodeDecodeError) as exc:
         raise ValueError(f"{what}: {exc}") from None
 

@@ -200,8 +200,8 @@ def sample(dist: PhaseDistribution, n_shots: int, seed) -> SampleSet:
 
 
 def sample_rows(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """(T, S) outcomes: row t inverts the CDF of the nonnegative probs[t] at
-    the uniforms u[t] (row-normalized cumsum, one searchsorted per row)."""
+    """(T, S) outcomes in [0, N): row t inverts the CDF of the nonnegative probs[t],
+    normalized to end at exactly 1.0, at the uniforms u[t] < 1 (one searchsorted per row)."""
     cdf = np.cumsum(probs, axis=1)
     last = cdf[:, -1:].copy()
     if not np.all(last > 0.0):
@@ -210,7 +210,6 @@ def sample_rows(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     outcomes = np.empty(u.shape, dtype=np.int64)
     for row_cdf, row_u, row_out in zip(cdf, u, outcomes):
         row_out[:] = row_cdf.searchsorted(row_u, "right")
-    np.minimum(outcomes, cdf.shape[1] - 1, out=outcomes)
     return outcomes
 
 

@@ -34,7 +34,8 @@ uniform_rows(streams, k) draws k doubles per column on one of two paths:
 * for k <= CLOSED_FORM_MAX_WORDS, the closed form.  The j-th state of
   each stream is A_j * s + C_j * inc mod 2**128 (constants built once at
   import with Python ints), multiplied through 32-bit limbs on uint64 and
-  turned into output words by PCG64's XSL-RR step;
+  turned into output words by PCG64's XSL-RR step.  uniform_rows and the
+  first-use check call _to_double(_closed_form_raw(streams, k)) directly;
 * for every longer stream, the replayed state.  One np.random.PCG64 is set
   to each (state, inc) in turn through one reused state dict, and
   np.random.Generator.random writes that row's doubles straight into the
@@ -161,7 +162,7 @@ def uniform_rows(streams: np.ndarray, k: int) -> np.ndarray:
     if not _streams_match_numpy():
         return _to_double(_raw_rows_loop(streams[0], k))
     if k <= CLOSED_FORM_MAX_WORDS:
-        return _uniform_rows_vectorized(streams, k)
+        return _to_double(_closed_form_raw(streams, k))
     return _replayed_rows(streams, k)
 
 
@@ -229,17 +230,11 @@ def _streams_match_numpy() -> bool:
     once)."""
     global _streams_checked
     if _streams_checked is None:
-        seed = np.array([_MASK64], dtype=np.uint64)
-        _streams_checked = all(
-            np.array_equal(path(_seeded(seed), k), _to_double(_raw_rows_loop(seed, k)))
-            for path, k in ((_uniform_rows_vectorized, CLOSED_FORM_MAX_WORDS),
-                            (_replayed_rows, CLOSED_FORM_MAX_WORDS + 1)))
+        streams, k = _seeded(np.array([_MASK64], dtype=np.uint64)), CLOSED_FORM_MAX_WORDS
+        loop = _to_double(_raw_rows_loop(streams[0], k + 1))
+        _streams_checked = (np.array_equal(_to_double(_closed_form_raw(streams, k)), loop[:, :k])
+                            and np.array_equal(_replayed_rows(streams, k + 1), loop))
     return _streams_checked
-
-
-def _uniform_rows_vectorized(streams: np.ndarray, k: int) -> np.ndarray:
-    """Closed-form rows, for k <= CLOSED_FORM_MAX_WORDS."""
-    return _to_double(_closed_form_raw(streams, k))
 
 
 def _seeded(seeds: np.ndarray):

@@ -872,6 +872,41 @@ def test_invalid_argument_values_are_usage_errors(argv, message, capsys):
     assert f"usage error: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    # --cell is checked under every phase policy, though only the cell policy reads it.
+    (["experiment", "scatter", "--qubits", "3", "--trials", "2", "--cell", "-5"],
+     "cell_index must be in [0, 8), a cell of every N"),
+    (["experiment", "--plot-data", "--qubits", "7", "--trials", "2", "--cell", "128",
+      "--out-dir", "unwritten"], "cell_index must be in [0, 128), a cell of every N"),
+    # A repeated list entry would run its rows twice.
+    (["experiment", "rmse-vs-shots", "--qubits", "3,3", "--shots-list", "4", "--trials", "3"],
+     "n_points repeats an entry"),
+    (["experiment", "rmse-vs-shots", "--qubits", "3", "--shots-list", "4,4", "--trials", "3"],
+     "n_shots repeats an entry"),
+    (["experiment", "rmse-vs-shots", "--qubits", "3", "--shots-list", "4", "--trials", "3",
+      "--estimators", "df,df"], "estimators repeats an entry"),
+    (["crb", "--qubits", "3", "--windows", "rect,rect"], "windows repeats an entry"),
+], ids=["cell-uniform", "cell-plot-data", "qubits", "shots-list", "estimators", "windows"])
+def test_unread_cell_and_repeated_entries_are_usage_errors(argv, message, tmp_path,
+                                                           monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert _run_cli(argv) == (2, "", f"usage error: {message}\n")
+    assert not any(tmp_path.iterdir())
+
+
+def test_plot_data_runs_its_own_cells_whatever_the_in_range_cell(tmp_path):
+    """--cell 100 names a cell of N = 128 but not of fig6's N = 64: the
+    bundle sets its own cells, so it runs and writes the bytes of --cell 0."""
+    written = {}
+    for cell in ("0", "100"):
+        out_dir = tmp_path / cell
+        code, out, _ = _run_cli(["experiment", "--plot-data", "--qubits", "7", "--trials", "2",
+                                 "--cell", cell, "--out-dir", str(out_dir)])
+        assert (code, out) == (0, "")
+        written[cell] = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+    assert written["0"] == written["100"] and len(written["0"]) == 5
+
+
 @pytest.mark.parametrize("offset", [[], ["--offset-half-cell"]])
 def test_df_on_two_histogram_csvs_is_a_usage_error(offset):
     """Both CSVs get the same offset, so the pair cannot form: exit 2 before

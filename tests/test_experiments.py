@@ -451,10 +451,28 @@ def test_block_peak_stays_within_the_budget(estimator, n, n_shots, policy):
     (dict(n_points=(2,), estimators=("mean-bartlett",)), "triangular window is degenerate"),
     (dict(kind="scatter", n_points=(2,), n_shots=(5,), estimators=("mean-bartlett",)),
      "triangular window is degenerate"),
+    # Only the cell policy reads cell_index, but no policy ignores a bad one.
+    (dict(cell_index=-5), r"cell_index must be in \[0, 64\), a cell of every N"),
+    (dict(cell_index=64), r"cell_index must be in \[0, 64\), a cell of every N"),
+    (dict(phase_policy="fixed", fixed_phases=(0.5,), cell_index=10 ** 30),
+     r"cell_index must be in \[0, 64\), a cell of every N"),
+    # A repeated list entry would run the same rows twice.
+    (dict(n_points=(64, 128, 64)), "^n_points repeats an entry$"),
+    (dict(n_points=np.array([64, 64])), "^n_points repeats an entry$"),
+    (dict(n_shots=(8, np.int64(8))), "^n_shots repeats an entry$"),
+    (dict(estimators=("df", "mean-cosine", "df")), "^estimators repeats an entry$"),
+    (dict(windows=("rect", "rect")), "^windows repeats an entry$"),
+    (dict(kind="crb-curve", windows=("rect", "cosine", "rect")), "^windows repeats an entry$"),
 ])
 def test_spec_rejects_runs_that_cannot_start(overrides, message):
     with pytest.raises(ValueError, match=message):
         small_spec(**overrides)
+
+
+def test_spec_fixed_phases_may_repeat_and_any_policy_takes_a_cell():
+    # A repeated fixed phase weights the cycle the trials run through.
+    spec = small_spec(phase_policy="fixed", fixed_phases=(0.5, 0.5, 1.0), cell_index=63)
+    assert (spec.fixed_phases, spec.cell_index) == ((0.5, 0.5, 1.0), 63)
 
 
 def test_spec_bounds_fixed_phases():

@@ -241,6 +241,22 @@ def test_csv_readers_stop_after_the_row_bound(tmp_path, monkeypatch, reader, hea
         reader(path)
 
 
+@pytest.mark.parametrize("reader, text, message", [
+    # Parse stops at the header or at the bad row, and the reader with it.
+    (read_histogram_csv, "y,count\n0,1\n1,2\n", "expected histogram CSV with columns y,value"),
+    (load_weights_csv, "0.5\n0.25\nabc\n0.5\n",
+     "weights CSV: expected one number per row after an optional header"),
+    # A y,value parser reads on to count the rows, so it meets the long field.
+    (read_histogram_csv, "y,value\n0,1\nfoo\n", "histogram CSV: field larger than field limit"),
+], ids=["histogram-header", "weights-row", "y-value-counting"])
+def test_csv_readers_report_the_first_error(tmp_path, reader, text, message):
+    path = tmp_path / "bad.csv"
+    # Then a field past the csv module's limit, which it raises on once it is read.
+    path.write_text(text + "1," + "x" * (csv.field_size_limit() + 1) + "\n")
+    with pytest.raises(ValueError, match=message):
+        reader(path)
+
+
 def test_largest_histogram_csv_is_read_without_a_row_list(tmp_path):
     # Rows are parsed as they are read: the reader holds a few arrays of
     # 2**20 entries, not 2**20 lists of strings (~220 MB).

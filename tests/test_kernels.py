@@ -98,8 +98,8 @@ def test_failed_first_use_check_falls_back_to_the_loop(monkeypatch):
     seeds = _seeds(50)
     expected = _as_double(_pcg64_raw(seeds, 31))
     monkeypatch.setattr(rng, "_streams_checked", None)
-    monkeypatch.setattr(rng, "_uniform_rows_vectorized",
-                        lambda streams, k: np.zeros((streams.shape[1], k)))
+    monkeypatch.setattr(rng, "_closed_form_raw",
+                        lambda streams, k: np.zeros((streams.shape[1], k), dtype=np.uint64))
     assert np.array_equal(uniform_rows(stream_keys(seeds), 31), expected)
     assert rng._streams_checked is False
 

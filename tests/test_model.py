@@ -376,3 +376,21 @@ def test_sampler_rejects_a_nan_row():
     probs = np.array([[0.5, 0.5, 0.0], [0.5, np.nan, 0.5]])
     with pytest.raises(ValueError, match="no positive probability mass"):
         sample_rows(probs, np.full((2, 3), 0.5))
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 64, 1000])
+def test_sampled_outcomes_lie_below_n_at_the_extreme_uniforms(n):
+    """Each row's normalized CDF ends at exactly 1.0, so searchsorted(u,
+    "right") at any u < 1, the largest double below 1 too, names a bin in
+    [0, N): no outcome needs clamping."""
+    rng = np.random.default_rng(n)
+    # Random rows, rows whose last bins carry no mass, and one-hot rows.
+    tail_free = rng.random((n, n))
+    tail_free[np.arange(n) >= rng.integers(1, n, size=n)[:, None]] = 0.0
+    probs = np.vstack([rng.random((n, n)), tail_free, np.eye(n)])
+    u = np.tile([0.0, np.nextafter(1.0, 0.0), *rng.random(6)], (len(probs), 1))
+    outcomes = sample_rows(probs, u)
+    assert ((outcomes >= 0) & (outcomes < n)).all()
+    for row, row_u, row_out in zip(probs, u, outcomes):
+        cdf = np.cumsum(row)
+        assert np.array_equal(row_out, np.searchsorted(cdf / cdf[-1], row_u, "right"))
