@@ -16,7 +16,8 @@ checks.MAX_SHOTS, a --seed outside [0, checks.MAX_SEED], --threads outside
 [1, CPUs], a custom window whose --weights-csv length differs
 from the record length, --weights-csv without --window custom, an --input
 count that the estimator does not take, two histogram CSV inputs for df,
-and --plot-data with a kind or with a record length other than 128).  crb
+--plot-data with a kind or with a record length other than 128, and
+--cell-units with an experiment kind other than scatter).  crb
 and experiment build their ExperimentSpec through one function, and every
 file goes through io.save_text.
 """
@@ -168,7 +169,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cell", type=int, default=0,
                    help="cell index for the cell policy, in [0, N) for every N under any policy")
     p.add_argument("--cell-units", action="store_true",
-                   help="report scatter errors in units of 2*pi/N")
+                   help="report scatter errors in units of 2*pi/N (scatter and --plot-data only)")
     # A string default goes through type=int, so a bad environment value is
     # a usage error like a bad --threads.
     p.add_argument("--threads", type=int, default=os.environ.get(THREADS_ENV, "1"),
@@ -391,6 +392,8 @@ def _cmd_experiment(args) -> int:
         raise CliError("--plot-data takes no experiment kind")
     if not args.plot_data and args.kind is None:
         raise CliError("provide an experiment kind or --plot-data")
+    if args.cell_units and args.kind not in (None, "scatter"):
+        raise CliError("--cell-units applies only to scatter and --plot-data")
     # The bundle starts from its RMSE sweep's kind and overrides each figure's fields.
     spec = _spec(args, args.kind or "rmse-vs-shots",
                  estimators=args.estimators.split(","), trials=args.trials,
@@ -401,7 +404,7 @@ def _cmd_experiment(args) -> int:
         return _emit_plot_bundle(args, spec)
     print(f"seed: {args.seed}", file=sys.stderr)
     table = run_experiment(spec)
-    if args.kind == "scatter" and args.cell_units:
+    if args.cell_units:
         table = _rescale_scatter(table)
     return _emit_table(args, table)
 

@@ -58,14 +58,20 @@ A block holds about checks.BLOCK_BYTES of arrays, so memory does not grow
 with the trial count.  _block_rows charges each row the largest of its
 stages: the draw, whose footprint rng._draw_words states, since
 rng.uniform_rows draws a whole block in one pass, and the arrays its
-estimator builds (fitted to tracemalloc peaks; see there).
+estimator builds (fitted to tracemalloc peaks; see there).  A block also
+pays a fixed cost whatever its rows: fitting _trial_block's time against
+its row count (timeit) gives about 0.5-0.7 ms for df at N=128 and N_s=30,
+0.4-0.5 ms for df at N=1024, 0.3-0.4 ms for aml at N=128 and N_s=30, and
+under 0.1 ms for a sample mean, and two half blocks of df at N=128 take
+15 % longer than one.  So fewer, larger blocks are faster; checks says
+why BLOCK_BYTES stops at 2 MiB.
 
 Seeds are derived and replayed per chunk of at most BLOCK_BYTES // 256
-trials (4096), not per block: one derive_seed call and one
+trials (8192), not per block: one derive_seed call and one
 rng.stream_keys call give the chunk's (5, T) streams, and each block takes
 its columns.  The two peak at about 240 bytes per trial and the chunk
 keeps 40, so a chunk stays within one block's budget; every cell of up to
-4096 trials is one chunk.  The module also frees one untouched
+8192 trials is one chunk.  The module also frees one untouched
 2 * BLOCK_BYTES array at import (the heap note below the imports), so that
 under glibc the blocks of a cell reuse the same heap pages rather than
 faulting them in again after each block.
@@ -117,7 +123,7 @@ PHASE_POLICIES = ("uniform", "cell", "fixed")
 
 # Allocated, never touched and freed at once: under glibc's dynamic thresholds
 # (mallopt(3)), freeing an mmapped chunk raises the mmap threshold to its size
-# and the trim threshold to twice that, both above a block's 1-1.25 MiB, so
+# and the trim threshold to twice that, both above a block's 2-2.5 MiB, so
 # blocks reuse the heap instead of faulting its pages in again.  Under any
 # other allocator it is an allocation and nothing more.
 np.empty(2 * BLOCK_BYTES, np.uint8)
@@ -410,8 +416,9 @@ def _block_rows(n: int, n_shots: int, estimator: str) -> int:
     * 5.25N: the rect closed form takes 3.125N, or 4.125N with df's first
       histogram live beside it.  An FFT window's distribution, built in
       one complex buffer, takes about 3.2N (5N before it ran in place).
-      It keeps the same charge: at N=1024, blocks of 30 and 41 rows ran
-      the taper cells no faster than 20-row blocks, beyond the noise.
+      It keeps the same charge: at N=1024 and a 1 MiB budget, blocks of 30
+      and 41 rows ran the taper cells no faster than 20-row blocks, beyond
+      the noise.
       One coefficient keeps every shape within the budget.  Sampling, the
       histograms and the circular mean hold less than the larger of this
       stage and the draw;
@@ -428,16 +435,18 @@ def _block_rows(n: int, n_shots: int, estimator: str) -> int:
     streams, against its charge:
 
         shape                          rows  peak/row, B   charge, B
-        df, N=128, N_s=30               186    4920-5033        5632
-        mean-cosine, N=1024, N_s=1000    20  38871-38879       51024
-        mean-cosine, N=4096, N_s=1000     5       113262      180048
-        mean-rect, N=2, N_s=62          240         4135        4352
-        aml, N=64, N_s=1000              18  42291-42294       58128
-        aml, N=4096, N_s=30               6       102896      172288
+        df, N=128, N_s=30               372    4867-4926        5632
+        df, N=1024, N_s=30               48        34106       43264
+        mean-cosine, N=1024, N_s=1000    41  32663-32666       51024
+        mean-cosine, N=4096, N_s=1000    11       106424      180048
+        mean-rect, N=2, N_s=62          481         4127        4352
+        aml, N=64, N_s=1000              36  39208-42075       58128
+        aml, N=4096, N_s=30              12       102780      172288
 
     Over 5 estimators, N in {2, 8, 64, 1024, 4096} and N_s in {1, 2, 30, 62,
     63, 64, 1000}, under the uniform and the fixed phase policy, a block of
-    more than one row peaks at 0.34 to 0.98 BLOCK_BYTES (seed 5).
+    more than one row peaks at 0.34 to 0.99 BLOCK_BYTES (seed 5); the first
+    three shapes, the benchmark's, at 0.64 to 0.87.
     """
     k = n_shots + 2
     # The closed form's footprint exceeds the per-seed loop's, so the

@@ -14,11 +14,12 @@ are materialized.  Independent shots add, so the bound for N_s shots is
 One kernel, _fisher, serves every caller: the scalar fisher_information,
 the grid and each price.  It takes windows of one record length and runs
 the phases in blocks of B = max(1, FI_BLOCK_ELEMENTS // N) phases, where
-FI_BLOCK_ELEMENTS = checks.BLOCK_BYTES // 128 = 2^13 (phase, outcome)
-elements: 2^13 elements at a power-of-two N up to 2^13, one phase beyond.
-A block's tracemalloc peak is about 100 bytes per element, near 0.8 MiB,
-under the budget.  Two buffers, allocated once per call, serve every
-block and window, in this order:
+FI_BLOCK_ELEMENTS = checks.BLOCK_BYTES // 128 = 2^14 (phase, outcome)
+elements: 2^14 elements at a power-of-two N up to 2^14, one phase beyond.
+A block's tracemalloc peak is 82-100 bytes per element, 1.3-1.6 MB (a cold
+pricing of rect, cosine and bartlett at N = 64-4096), under the budget.
+Two buffers, allocated once per call, serve every block and window, in
+this order:
   - the (B, N) phase ramp exp(-j*phi_i*n), which does not depend on the
     window, is written once per block;
   - each window writes c = weights * ramp into the first B rows of a

@@ -27,7 +27,7 @@ It relies on NEP 19 keeping the seeding and the stream of
 np.random.PCG64(seed) fixed.  The replay costs about 0.1 ms per call from
 1 to a few hundred seeds (timeit), so a caller that draws many blocks
 replays a chunk of seeds once and hands uniform_rows each block's columns
-(experiments seeds a chunk of up to 4096 trials this way).
+(experiments seeds a chunk of up to 8192 trials this way).
 
 uniform_rows(streams, k) draws k doubles per column on one of two paths:
 

@@ -654,6 +654,19 @@ def test_scatter_cell_units(tmp_path):
     assert all(c == pytest.approx(r * scale, rel=1e-12) for r, c in zip(rad, cells))
 
 
+@pytest.mark.parametrize("kind", [kind for kind in EXPERIMENT_KINDS if kind != "scatter"])
+def test_cell_units_outside_scatter_is_a_usage_error(kind):
+    """Only scatter rows, and the bundle's scatter figures, are in cell units:
+    any other kind rejects --cell-units before the seed line.  The flags
+    every kind reads stay accepted."""
+    run = ["experiment", kind, "--qubits", "3", "--shots-list", "4", "--trials", "3",
+           "--seed", "5"]
+    assert _run_cli(run + ["--cell-units"]) == (
+        2, "", "usage error: --cell-units applies only to scatter and --plot-data\n")
+    code, out, err = _run_cli(run)
+    assert (code, err) == (0, "seed: 5\n") and out
+
+
 def test_plot_data_bundle(tmp_path):
     assert dispatch(["experiment", "--plot-data", "--qubits", "7", "--trials", "40",
                      "--seed", "2", "--out-dir", str(tmp_path)]) == 0

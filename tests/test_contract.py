@@ -95,9 +95,9 @@ def test_count_bounds_are_pinned():
 
 def test_budget_and_seed_bound_are_pinned():
     # One memory budget: the trial blocks import it and the Fisher blocks derive from it.
-    assert phasekit.checks.BLOCK_BYTES == 2 ** 20
+    assert phasekit.checks.BLOCK_BYTES == 2 ** 21
     assert phasekit.experiments.BLOCK_BYTES is phasekit.checks.BLOCK_BYTES
-    assert phasekit.fisher.FI_BLOCK_ELEMENTS == phasekit.checks.BLOCK_BYTES // 128 == 2 ** 13
+    assert phasekit.fisher.FI_BLOCK_ELEMENTS == phasekit.checks.BLOCK_BYTES // 128 == 2 ** 14
     assert phasekit.checks.MAX_SEED == 2 ** 64 - 1
     assert phasekit.cli.MAX_SEED is phasekit.checks.MAX_SEED
 

@@ -342,13 +342,9 @@ _BUDGET_SHAPES = [("df", 128, 30, "uniform"), ("mean-cosine", 1024, 1000, "unifo
     ("aml", 16, 30, "fixed"), ("mean-rect", 2, 63, "fixed")]
 
 
-@pytest.mark.parametrize("estimator, n, n_shots, policy", [
-    pytest.param(*shape, id="-".join(map(str, shape[:3 if shape[3] == "uniform" else 4])))
-    for shape in _BUDGET_SHAPES])
-def test_block_peak_stays_within_the_budget(estimator, n, n_shots, policy):
-    """One block of _block_rows trials peaks at no more than 1.25 * BLOCK_BYTES
-    of traced allocations, unless one trial alone is the block.  As in
-    _collect_trials, the block takes its columns of its chunk's streams."""
+def _block_peak(estimator, n, n_shots, policy="uniform"):
+    """(rows, traced peak in bytes) of one warm block of _block_rows trials.
+    As in _collect_trials, the block takes its columns of its chunk's streams."""
     rows = _block_rows(n, n_shots, estimator)
     spec = ExperimentSpec(kind="scatter", n_points=(n,), n_shots=(n_shots,),
                           estimators=(estimator,), trials=rows, master_seed=5, phase_policy=policy,
@@ -366,7 +362,28 @@ def test_block_peak_stays_within_the_budget(estimator, n, n_shots, policy):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+    return rows, peak
+
+
+@pytest.mark.parametrize("estimator, n, n_shots, policy", [
+    pytest.param(*shape, id="-".join(map(str, shape[:3 if shape[3] == "uniform" else 4])))
+    for shape in _BUDGET_SHAPES])
+def test_block_peak_stays_within_the_budget(estimator, n, n_shots, policy):
+    """One block of _block_rows trials peaks at no more than 1.25 * BLOCK_BYTES
+    of traced allocations, unless one trial alone is the block."""
+    rows, peak = _block_peak(estimator, n, n_shots, policy)
     assert rows == 1 or peak <= 1.25 * BLOCK_BYTES, (rows, peak)
+
+
+@pytest.mark.parametrize("estimator, n, n_shots", [
+    ("df", 128, 30), ("mean-cosine", 1024, 1000), ("df", 1024, 30)])
+def test_benchmark_blocks_fill_half_the_budget(estimator, n, n_shots):
+    """The benchmark's cell shapes (df-cell, a taper cell, df at N=1024) fill
+    a block to at least half of BLOCK_BYTES; they reach 0.64 to 0.87 of it.
+    Each block pays a fixed cost, so a stage charge that drifts 2x too high
+    halves the blocks, slows the cell and fails here."""
+    rows, peak = _block_peak(estimator, n, n_shots)
+    assert peak >= 0.5 * BLOCK_BYTES, (rows, peak)
 
 
 @pytest.mark.parametrize("overrides, message", [
@@ -586,7 +603,7 @@ def test_each_runner_rejects_another_kind(runner, kind):
 
 
 def test_a_cell_derives_and_replays_its_seeds_once(monkeypatch):
-    """A 2000-trial df cell runs in 11 blocks of one chunk: one seed
+    """A 4000-trial df cell runs in 11 blocks of one chunk: one seed
     derivation and one SeedSequence replay, not one of each per block."""
     rng._streams_match_numpy()  # the first-use check replays seeds of its own
     calls = []
@@ -596,8 +613,8 @@ def test_a_cell_derives_and_replays_its_seeds_once(monkeypatch):
             return _call(*args)
         monkeypatch.setattr(module, name, counted)
     spec = ExperimentSpec(kind="rmse-vs-shots", n_points=(128,), n_shots=(30,),
-                          estimators=("df",), trials=2000, master_seed=3)
-    assert 2000 // _block_rows(128, 30, "df") >= 10
+                          estimators=("df",), trials=4000, master_seed=3)
+    assert 4000 // _block_rows(128, 30, "df") >= 10 and 4000 <= BLOCK_BYTES // 256
     run_experiment(spec)
     assert sorted(calls) == ["_seeded", "derive_seed"]
 
@@ -635,7 +652,7 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="counts minor page faults as Linux reports them")
 def test_warm_taper_cell_keeps_its_heap():
-    """A warm mean-cosine cell (N=1024, 1000 shots, 200 trials in 20-row
+    """A warm mean-cosine cell (N=1024, 1000 shots, 200 trials in 41-row
     blocks) in a fresh process takes 0 or 1 minor page faults.  Before the
     heap note in experiments it took 1250: glibc handed the heap top
     back after each block, and the next block faulted the same pages in

@@ -11,7 +11,8 @@ block size, and one and two workers.
 The scatter-long cases were recorded later, from the batched harness while
 it still sized blocks for the AML grid of every estimator (115 rows at
 N=64 and N_s=7), and the same bytes came out of 1-row and 461-row blocks.
-They run over several blocks of the current sizing, too.
+They run over several blocks at a quarter of the current budget, and
+test_cases_span_several_blocks checks their digests there as well.
 """
 
 import hashlib
@@ -95,11 +96,17 @@ def test_table_bytes_match_recorded_digest(name, n_jobs):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == DIGESTS[name]
 
 
-def test_cases_span_several_blocks():
+def test_cases_span_several_blocks(monkeypatch):
+    """At BLOCK_BYTES the long cases fit in two blocks (759 rows each); at a
+    quarter of it they span five full blocks and a partial one, and their
+    digests hold there too, since no byte depends on the block size."""
+    monkeypatch.setattr(phasekit.experiments, "BLOCK_BYTES", BLOCK_BYTES // 4)
     for name in ("scatter-long-df", "scatter-long-mean-cosine"):
         spec = CASES[name]
         rows = _block_rows(spec["n_points"][0], spec["n_shots"][0], spec["estimators"][0])
         assert spec["trials"] > 2 * rows and spec["trials"] % rows != 0
+        text = table_to_csv(run_experiment(ExperimentSpec(**spec)))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == DIGESTS[name]
 
 
 @pytest.mark.parametrize("estimator", ("df", "aml", "mean-cosine"))

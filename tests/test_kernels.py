@@ -227,9 +227,9 @@ def test_fisher_bytes_do_not_depend_on_the_block_budget(n, grid_size, rows, monk
 
 
 def test_default_fisher_blocks_are_batched():
-    # Blocks of 2^13 elements: two phases at N = 4096, so each window's
-    # inverse FFT call transforms four rows.
-    assert fisher.FI_BLOCK_ELEMENTS // 4096 == 2
+    # Blocks of 2^14 elements: four phases at N = 4096, so each window's
+    # inverse FFT call transforms eight rows.
+    assert fisher.FI_BLOCK_ELEMENTS // 4096 == 4
 
 
 @pytest.mark.parametrize("n", [64, 1024, 4096])
