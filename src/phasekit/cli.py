@@ -13,12 +13,13 @@ not finite in radians or beyond checks.MAX_PHASE, a built-in window
 degenerate at the record length, a count outside its range by
 checks._check_count: a size beyond MAX_QUBITS, checks.MAX_RECORD_LENGTH or
 checks.MAX_SHOTS, a --seed outside [0, checks.MAX_SEED], --threads outside
-[1, CPUs], a custom window whose --weights-csv length differs
-from the record length, --weights-csv without --window custom, an --input
-count that the estimator does not take, two histogram CSV inputs for df,
---plot-data with a kind or with a record length other than 128, and
---cell-units with an experiment kind other than scatter).  crb
-and experiment build their ExperimentSpec through one function, and every
+[1, CPUs], a custom window whose --weights-csv length differs from the
+record length, --weights-csv without --window custom, an --input count
+that the estimator does not take, two histogram CSV inputs for df,
+--plot-data with a kind or with a record length other than 128, and an
+experiment flag its kind never reads: --cell-units except with scatter,
+--windows except with crb-curve, --estimators with crb-curve).  crb and
+experiment build their ExperimentSpec through one function, and every
 file goes through io.save_text.
 """
 
@@ -158,8 +159,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", nargs="?", choices=EXPERIMENT_KINDS)
     _add_length_args(p)
     p.add_argument("--shots-list", default="30")
-    p.add_argument("--estimators", default="df")
-    p.add_argument("--windows", default=",".join(BUILTIN_WINDOWS))
+    p.add_argument("--estimators", default=None)
+    p.add_argument("--windows", default=None)
     p.add_argument("--trials", type=int, default=2000,
                    help="trials per cell; run time grows at most as trials*N*(N_s+2), and "
                         "N dominates: one trial at N=2^20 takes 0.27-0.32 s at 30 or 1000 "
@@ -328,16 +329,18 @@ def _cmd_sample(args) -> int:
 
 
 def _spec(args, kind: str, **run) -> ExperimentSpec:
-    """The ExperimentSpec of kind from the length, shot and window arguments
-    and the run fields given; a value it rejects is an argument error."""
+    """The ExperimentSpec of kind from the length, shot and list arguments (the spec's
+    default for a list not given) and the run fields; a value it rejects is an argument error."""
+    lists = {name: getattr(args, name).split(",") for name in ("estimators", "windows")
+             if getattr(args, name, None) is not None}
     return _validated(
         ExperimentSpec,
         kind=kind,
         n_points=_resolve_n_list(args),
         n_shots=[_count(s, "--shots-list entries", 1, MAX_SHOTS)
                  for s in _int_list(args.shots_list, "--shots-list")],
-        windows=args.windows.split(","),
         allow_any_n=args.allow_any_n,
+        **lists,
         **run,
     )
 
@@ -394,12 +397,13 @@ def _cmd_experiment(args) -> int:
         raise CliError("provide an experiment kind or --plot-data")
     if args.cell_units and args.kind not in (None, "scatter"):
         raise CliError("--cell-units applies only to scatter and --plot-data")
+    unread = "estimators" if args.kind == "crb-curve" else "windows"
+    if args.kind is not None and getattr(args, unread) is not None:
+        raise CliError(f"{args.kind} never reads --{unread}")
     # The bundle starts from its RMSE sweep's kind and overrides each figure's fields.
-    spec = _spec(args, args.kind or "rmse-vs-shots",
-                 estimators=args.estimators.split(","), trials=args.trials,
+    spec = _spec(args, args.kind or "rmse-vs-shots", trials=args.trials,
                  master_seed=_count(args.seed, "--seed", 0, MAX_SEED),
-                 phase_policy=args.phase_policy,
-                 cell_index=args.cell)
+                 phase_policy=args.phase_policy, cell_index=args.cell)
     if args.plot_data:
         return _emit_plot_bundle(args, spec)
     print(f"seed: {args.seed}", file=sys.stderr)

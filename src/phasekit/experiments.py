@@ -2,9 +2,9 @@
 
 Every kind runs through one path: run_experiment and the run_* wrappers
 check spec.kind once and hand the spec to the kind's row builder.  The
-result is always an ExperimentTable, whose columns name the serialized
-fields of the kind's row type; an ExperimentRow's wall_time stays in
-memory and is never serialized, because it varies run to run.
+result is always an ExperimentTable, whose columns are the fields of the
+kind's row type.  A row holds no timing, so one spec always gives an
+equal table: run_experiment(spec) == run_experiment(spec).
 ExperimentSpec stores each list field as a tuple of Python ints, strs or
 floats, and kind and phase_policy as a str.  It rejects a run that cannot
 start before any work is done: a list field that is not a tuple, list or
@@ -90,7 +90,6 @@ unused, so every trial's bytes stay those of the trial run alone.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -248,7 +247,6 @@ class ExperimentRow:
     rmse: float
     sqrt_crb: float
     trials: int
-    wall_time: float  # varies run to run, so ExperimentTable.columns leaves it out
 
 
 @dataclass(frozen=True)
@@ -273,9 +271,8 @@ class ExperimentTable:
 
     @property
     def columns(self) -> list[str]:
-        """Serialized field names of the row type, in declaration order."""
-        row_type = _KINDS[self.spec.kind][0]
-        return [f.name for f in fields(row_type) if f.name != "wall_time"]
+        """Field names of the row type, in declaration order."""
+        return [f.name for f in fields(_KINDS[self.spec.kind][0])]
 
 
 # Exported from the package since scatter runs had a table type of their own.
@@ -334,7 +331,6 @@ def _rmse_rows(spec: ExperimentSpec) -> list[ExperimentRow]:
                                  spec.crb_grid_size)
         for n_shots in spec.n_shots:
             for estimator in spec.estimators:
-                start = time.perf_counter()
                 window_id = ESTIMATOR_WINDOWS[estimator]
                 _, errors = _collect_trials(spec, estimator, n, n_shots)
                 rmse = float(np.sqrt(np.sum(errors * errors) / spec.trials))
@@ -347,7 +343,6 @@ def _rmse_rows(spec: ExperimentSpec) -> list[ExperimentRow]:
                     rmse=rmse,
                     sqrt_crb=sqrt_crb,
                     trials=spec.trials,
-                    wall_time=time.perf_counter() - start,
                 ))
     return rows
 

@@ -405,11 +405,14 @@ def _experiment_argv(data, out_dir) -> list[str]:
     else:
         lengths = st.sampled_from([*range(2, 65)] * 2 + [0, 1])
         argv += [f"--record-length={_csv_list(data, lengths)}", "--allow-any-n"]
-    estimators = st.sampled_from([*ESTIMATOR_WINDOWS] * 2 + ["hann", ""])
-    argv += [f"--shots-list={_csv_list(data, st.sampled_from([*range(1, 21)] + [0]))}",
-             f"--estimators={_csv_list(data, estimators)}",
-             f"--windows={_csv_list(data, st.sampled_from([*WINDOW_KINDS] * 2 + ['hann']))}",
-             f"--trials={_mostly(data, st.integers(1, 20), st.integers(-1, 0))}",
+    argv.append(f"--shots-list={_csv_list(data, st.sampled_from([*range(1, 21)] + [0]))}")
+    # Each list flag is mostly drawn for the kinds that read it; the bundle reads both.
+    lists = {"estimators": (kind != "crb-curve", [*ESTIMATOR_WINDOWS] * 2 + ["hann", ""]),
+             "windows": (kind in (None, "crb-curve"), [*WINDOW_KINDS] * 2 + ["hann"])}
+    for flag, (reads, values) in lists.items():
+        if _mostly(data, st.just(reads), st.just(not reads)):
+            argv.append(f"--{flag}={_csv_list(data, st.sampled_from(values))}")
+    argv += [f"--trials={_mostly(data, st.integers(1, 20), st.integers(-1, 0))}",
              f"--seed={data.draw(st.integers())}",
              f"--threads={_mostly(data, st.just(1), st.sampled_from([0, 2]))}"]
     if data.draw(st.booleans()):
@@ -663,6 +666,20 @@ def test_cell_units_outside_scatter_is_a_usage_error(kind):
            "--seed", "5"]
     assert _run_cli(run + ["--cell-units"]) == (
         2, "", "usage error: --cell-units applies only to scatter and --plot-data\n")
+    code, out, err = _run_cli(run)
+    assert (code, err) == (0, "seed: 5\n") and out
+
+
+@pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+@pytest.mark.parametrize("value", ["hann", "rect", "aml"])
+def test_a_list_flag_the_kind_never_reads_is_a_usage_error(kind, value):
+    """crb-curve reads --windows and no --estimators; every other kind the
+    reverse.  The flag a kind never reads is rejected, valid value or not,
+    before the seed line; the run without it keeps its bytes."""
+    run = ["experiment", kind, "--qubits", "3", "--shots-list", "4", "--trials", "3",
+           "--seed", "5"]
+    flag = "--estimators" if kind == "crb-curve" else "--windows"
+    assert _run_cli(run + [flag, value]) == (2, "", f"usage error: {kind} never reads {flag}\n")
     code, out, err = _run_cli(run)
     assert (code, err) == (0, "seed: 5\n") and out
 

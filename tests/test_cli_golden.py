@@ -16,6 +16,8 @@ from phasekit.cli import dispatch
 
 BUNDLE_FILES = ("fig3.csv", "fig4.csv", "fig5.csv", "fig6.csv", "fig7.csv")
 BUNDLE_DIGEST = "80d4918271c15426dd19be58c681789d102c6e0f23a8bb007b41e7b04a91cade"
+# The bundle at the trial count README's example runs: about 2 s in process.
+BUNDLE_2000_DIGEST = "56448a0269ca5f5e5efdd5f1c0acc1c0e1253cfa728dd478bf4a42b165cef374"
 
 SAMPLE = ["sample", "--qubits", "6", "--window", "rect", "--phase-frac", "0.3171",
           "--shots", "25"]
@@ -130,11 +132,13 @@ def test_empty_scatter_csv_is_the_header_alone(capsys):
     assert capsys.readouterr().out == "true_phase,signed_error\n"
 
 
-def test_plot_bundle_matches_recorded_digest(tmp_path):
+@pytest.mark.parametrize("trials, digest", [("200", BUNDLE_DIGEST),
+                                             ("2000", BUNDLE_2000_DIGEST)], ids=["200", "2000"])
+def test_plot_bundle_matches_recorded_digest(tmp_path, trials, digest):
     assert dispatch(["experiment", "--plot-data", "--qubits", "7", "--seed", "42",
-                     "--trials", "200", "--out-dir", str(tmp_path)]) == 0
+                     "--trials", trials, "--out-dir", str(tmp_path)]) == 0
     h = hashlib.sha256()
     for name in BUNDLE_FILES:
         h.update(name.encode("ascii") + b"\n")
         h.update(Path(tmp_path, name).read_bytes())
-    assert h.hexdigest() == BUNDLE_DIGEST
+    assert h.hexdigest() == digest

@@ -154,26 +154,26 @@ def test_run_experiment_dispatch():
 
 
 def test_fit_loglog_slope_synthetic():
-    rows = [ExperimentRow(64, ns, "rect", "df", 3.0 / ns, 0.1, 10, 0.0)
+    rows = [ExperimentRow(64, ns, "rect", "df", 3.0 / ns, 0.1, 10)
             for ns in (2, 4, 8, 16, 32)]
     assert fit_loglog_slope(rows, "n_shots") == pytest.approx(-1.0, abs=1e-12)
-    rows = [ExperimentRow(64, ns, "rect", "df", 3.0 / np.sqrt(ns), 0.1, 10, 0.0)
+    rows = [ExperimentRow(64, ns, "rect", "df", 3.0 / np.sqrt(ns), 0.1, 10)
             for ns in (2, 4, 8, 16, 32)]
     assert fit_loglog_slope(rows, "n_shots") == pytest.approx(-0.5, abs=1e-12)
 
 
 def test_fit_loglog_slope_validation():
-    rows = [ExperimentRow(64, 2, "rect", "df", 1.0, 0.1, 10, 0.0)]
+    rows = [ExperimentRow(64, 2, "rect", "df", 1.0, 0.1, 10)]
     with pytest.raises(ValueError):
         fit_loglog_slope(rows, "n_shots")
-    bad = [ExperimentRow(64, ns, "rect", "df", 0.0, 0.1, 10, 0.0) for ns in (2, 4, 8)]
+    bad = [ExperimentRow(64, ns, "rect", "df", 0.0, 0.1, 10) for ns in (2, 4, 8)]
     with pytest.raises(ValueError):
         fit_loglog_slope(bad, "n_shots")
 
 
 def test_fit_loglog_slope_filtering():
-    rows = [ExperimentRow(64, ns, "rect", "df", 1.0 / ns, 0.1, 10, 0.0) for ns in (2, 4, 8)]
-    rows += [ExperimentRow(64, ns, "cosine", "mean-cosine", 5.0, 0.1, 10, 0.0)
+    rows = [ExperimentRow(64, ns, "rect", "df", 1.0 / ns, 0.1, 10) for ns in (2, 4, 8)]
+    rows += [ExperimentRow(64, ns, "cosine", "mean-cosine", 5.0, 0.1, 10)
              for ns in (2, 4, 8)]
     assert fit_loglog_slope(rows, "n_shots", {"estimator": "df"}) == pytest.approx(-1.0)
 
@@ -276,6 +276,18 @@ def test_json_emission_shape():
     assert payload["spec"]["kind"] == "rmse-vs-shots"
     assert len(payload["rows"]) == 4
     assert "wall_time" not in payload["rows"][0]
+
+
+@pytest.mark.parametrize("spec", [
+    small_spec(trials=20),
+    small_spec(kind="rmse-vs-n", n_points=(16, 32), n_shots=(8,), trials=20),
+    small_spec(kind="scatter", n_shots=(8,), estimators=("df",), trials=20),
+    small_spec(kind="crb-curve", windows=("rect", "cosine"), trials=1),
+], ids=lambda spec: spec.kind)
+def test_one_spec_gives_an_equal_table(spec):
+    first = run_experiment(spec)
+    assert first.rows
+    assert run_experiment(spec) == first
 
 
 def test_spec_rejects_nonpositive_shot_counts():
