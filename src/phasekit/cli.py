@@ -17,10 +17,10 @@ checks.MAX_SHOTS, a --seed outside [0, checks.MAX_SEED], --threads outside
 record length, --weights-csv without --window custom, an --input count
 that the estimator does not take, two histogram CSV inputs for df,
 --plot-data with a kind or with a record length other than 128, and an
-experiment flag its kind never reads: --cell-units except with scatter,
---windows except with crb-curve, --estimators with crb-curve).  crb and
-experiment build their ExperimentSpec through one function, and every
-file goes through io.save_text.
+experiment flag its run never reads: --cell-units except with scatter or
+--plot-data, --windows except with crb-curve, --estimators with crb-curve or
+--plot-data, --output with --plot-data).  crb and experiment build their
+ExperimentSpec through one function, and every file goes through io.save_text.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from .estimators import (
     dual_frequency_details,
 )
 from .experiments import (
-    BUILTIN_WINDOWS,
     EXPERIMENT_KINDS,
     ExperimentSpec,
     ExperimentTable,
@@ -135,8 +134,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("crb", help="average square-root CRB curves")
     _add_length_args(p)
-    p.add_argument("--windows", default=",".join(BUILTIN_WINDOWS),
-                   help="comma-separated window ids")
+    p.add_argument("--windows", default=None, help="comma-separated window ids")
     p.add_argument("--shots-list", default="1", help="comma-separated shot counts")
     p.add_argument("--grid-size", type=int, default=DEFAULT_PHASE_GRID)
     _add_output_args(p)
@@ -397,16 +395,20 @@ def _cmd_experiment(args) -> int:
         raise CliError("provide an experiment kind or --plot-data")
     if args.cell_units and args.kind not in (None, "scatter"):
         raise CliError("--cell-units applies only to scatter and --plot-data")
-    unread = "estimators" if args.kind == "crb-curve" else "windows"
-    if args.kind is not None and getattr(args, unread) is not None:
-        raise CliError(f"{args.kind} never reads --{unread}")
+    # The flags each run never reads, by kind; the kind None is --plot-data.
+    unread = {None: ("estimators", "windows", "output"), "crb-curve": ("estimators",)}
+    for flag in unread.get(args.kind, ("windows",)):
+        if getattr(args, flag) is not None:
+            raise CliError(f"{args.kind or '--plot-data'} never reads --{flag}")
     # The bundle starts from its RMSE sweep's kind and overrides each figure's fields.
     spec = _spec(args, args.kind or "rmse-vs-shots", trials=args.trials,
                  master_seed=_count(args.seed, "--seed", 0, MAX_SEED),
                  phase_policy=args.phase_policy, cell_index=args.cell)
+    if args.plot_data and spec.n_points != (128,):
+        raise CliError("--plot-data draws its figures at record length 128 (--qubits 7)")
+    print(f"seed: {args.seed}", file=sys.stderr)
     if args.plot_data:
         return _emit_plot_bundle(args, spec)
-    print(f"seed: {args.seed}", file=sys.stderr)
     table = run_experiment(spec)
     if args.cell_units:
         table = _rescale_scatter(table)
@@ -422,20 +424,16 @@ def _rescale_scatter(table):
 def _emit_plot_bundle(args, spec: ExperimentSpec) -> int:
     """Write fig3.csv ... fig7.csv: CRB curves, scatter runs and RMSE sweeps.
 
-    Of spec, the figures keep the trials and seed; each sets its
-    own kind, lengths, shots, estimators, windows and phase policy.
+    The figures keep spec's trials, seed and default windows; each sets its
+    own kind, lengths, shots, estimators and phase policy.
     """
-    if spec.n_points != (128,):
-        raise CliError("--plot-data draws its figures at record length 128 (--qubits 7)")
     shots_sweep = (2, 4, 8, 16, 30, 50, 70, 100)
-    base = replace(spec, n_shots=shots_sweep, windows=BUILTIN_WINDOWS, phase_policy="uniform",
-                   cell_index=0)
+    base = replace(spec, n_shots=shots_sweep, phase_policy="uniform", cell_index=0)
 
     # One RMSE sweep feeds fig3's sample-mean overlay and fig5: a cell's
     # trial seeds depend on the kind, estimator, N and N_s, not on the
     # other estimators of the run.
     rmse_spec = replace(base, estimators=("df", "mean-rect", "mean-cosine", "mean-bartlett"))
-    print(f"seed: {args.seed}", file=sys.stderr)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rmse_table = run_experiment(rmse_spec)

@@ -1,4 +1,5 @@
 import csv
+import functools
 import io
 import json
 import math
@@ -394,6 +395,14 @@ def _csv_list(data, values) -> str:
     return ",".join(map(str, data.draw(st.lists(values, **LISTS))))
 
 
+@functools.cache
+def _reads(kind, flag: str) -> bool:
+    """Whether an experiment run of kind (None: --plot-data) reads --flag,
+    asked of the CLI's own rule: an unread flag stops it with a usage error."""
+    argv = ["experiment", kind or "--plot-data", "--qubits=7", "--threads=1", f"--{flag}=x"]
+    return not _run_cli(argv)[2].endswith(f" never reads --{flag}\n")
+
+
 def _experiment_argv(data, out_dir) -> list[str]:
     """An experiment argv of small sizes: each value mostly valid."""
     kind = _mostly(data, st.sampled_from(EXPERIMENT_KINDS), st.sampled_from([None, "scatter"]))
@@ -406,10 +415,11 @@ def _experiment_argv(data, out_dir) -> list[str]:
         lengths = st.sampled_from([*range(2, 65)] * 2 + [0, 1])
         argv += [f"--record-length={_csv_list(data, lengths)}", "--allow-any-n"]
     argv.append(f"--shots-list={_csv_list(data, st.sampled_from([*range(1, 21)] + [0]))}")
-    # Each list flag is mostly drawn for the kinds that read it; the bundle reads both.
-    lists = {"estimators": (kind != "crb-curve", [*ESTIMATOR_WINDOWS] * 2 + ["hann", ""]),
-             "windows": (kind in (None, "crb-curve"), [*WINDOW_KINDS] * 2 + ["hann"])}
-    for flag, (reads, values) in lists.items():
+    # Each list flag is mostly drawn for the runs that read it; the bundle reads neither.
+    lists = {"estimators": [*ESTIMATOR_WINDOWS] * 2 + ["hann", ""],
+             "windows": [*WINDOW_KINDS] * 2 + ["hann"]}
+    for flag, values in lists.items():
+        reads = _reads(kind, flag)
         if _mostly(data, st.just(reads), st.just(not reads)):
             argv.append(f"--{flag}={_csv_list(data, st.sampled_from(values))}")
     argv += [f"--trials={_mostly(data, st.integers(1, 20), st.integers(-1, 0))}",
@@ -670,18 +680,35 @@ def test_cell_units_outside_scatter_is_a_usage_error(kind):
     assert (code, err) == (0, "seed: 5\n") and out
 
 
-@pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+@pytest.mark.parametrize("kind", [*EXPERIMENT_KINDS, "--plot-data"])
 @pytest.mark.parametrize("value", ["hann", "rect", "aml"])
-def test_a_list_flag_the_kind_never_reads_is_a_usage_error(kind, value):
+def test_a_list_flag_the_kind_never_reads_is_a_usage_error(kind, value, tmp_path, monkeypatch):
     """crb-curve reads --windows and no --estimators; every other kind the
-    reverse.  The flag a kind never reads is rejected, valid value or not,
-    before the seed line; the run without it keeps its bytes."""
-    run = ["experiment", kind, "--qubits", "3", "--shots-list", "4", "--trials", "3",
-           "--seed", "5"]
-    flag = "--estimators" if kind == "crb-curve" else "--windows"
-    assert _run_cli(run + [flag, value]) == (2, "", f"usage error: {kind} never reads {flag}\n")
+    reverse.  The --plot-data bundle sets its own lists and writes to
+    --out-dir, so it reads neither list and no --output.  A flag the run
+    never reads is rejected, valid value or not, before the seed line and
+    the bundle's directory; a kind's run without it keeps its bytes."""
+    monkeypatch.chdir(tmp_path)
+    if kind == "--plot-data":
+        run = ["experiment", kind, "--qubits", "7", "--trials", "1", "--out-dir", "D"]
+        unread = [["--estimators", value], ["--windows", value], ["--output", "x.csv"]]
+    else:
+        run = ["experiment", kind, "--qubits", "3", "--shots-list", "4", "--trials", "3",
+               "--seed", "5"]
+        unread = [["--estimators" if kind == "crb-curve" else "--windows", value]]
+    for flag, arg in unread:
+        assert _run_cli(run + [flag, arg]) == (2, "", f"usage error: {kind} never reads {flag}\n")
+    assert not any(tmp_path.iterdir())
+    if kind != "--plot-data":
+        code, out, err = _run_cli(run)
+        assert (code, err) == (0, "seed: 5\n") and out
+
+
+def test_crb_without_windows_prices_the_default_windows():
+    run = ["crb", "--qubits", "5"]
     code, out, err = _run_cli(run)
-    assert (code, err) == (0, "seed: 5\n") and out
+    assert (code, err) == (0, "") and out.count("\n") == 4
+    assert _run_cli(run + ["--windows", "rect,cosine,bartlett"]) == (code, out, err)
 
 
 def test_plot_data_bundle(tmp_path):
