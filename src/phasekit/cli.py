@@ -19,8 +19,9 @@ that the estimator does not take, two histogram CSV inputs for df,
 --plot-data with a kind or with a record length other than 128, and an
 experiment flag its run never reads: --cell-units except with scatter or
 --plot-data, --windows except with crb-curve, --estimators with crb-curve or
---plot-data, --output with --plot-data).  crb and experiment build their
-ExperimentSpec through one function, and every file goes through io.save_text.
+--plot-data, --output and --format with --plot-data).  crb and experiment
+build their ExperimentSpec through one function, and every file goes through
+io.save_text.
 """
 
 from __future__ import annotations
@@ -150,7 +151,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         "sample-set JSON")
     p.add_argument("--bins-kept", type=int, default=DEFAULT_CONFIG.bins_kept)
     p.add_argument("--grid-points", type=int, default=None)
-    _add_output_args(p, default_format=None)
+    p.add_argument("--output", help="output path (default: stdout)")
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("experiment", help="run a Monte-Carlo experiment")
@@ -178,7 +179,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plot-data", action="store_true",
                    help="emit the standard figure bundle instead of one run")
     p.add_argument("--out-dir", default=".")
-    _add_output_args(p)
+    # Every kind reads no --format as csv; --plot-data refuses a given one.
+    _add_output_args(p, default_format=None)
     p.set_defaults(func=_cmd_experiment)
 
     return parser
@@ -211,8 +213,7 @@ def _add_phase_args(p):
 
 
 def _add_output_args(p, default_format: str | None = "csv"):
-    if default_format is not None:
-        p.add_argument("--format", choices=("csv", "json"), default=default_format)
+    p.add_argument("--format", choices=("csv", "json"), default=default_format)
     p.add_argument("--output", help="output path (default: stdout)")
 
 
@@ -296,7 +297,7 @@ def _emit(args, text: str) -> int:
 
 
 def _emit_table(args, table) -> int:
-    render = table_to_csv if args.format == "csv" else table_to_json
+    render = table_to_json if args.format == "json" else table_to_csv
     return _emit(args, render(table))
 
 
@@ -396,7 +397,7 @@ def _cmd_experiment(args) -> int:
     if args.cell_units and args.kind not in (None, "scatter"):
         raise CliError("--cell-units applies only to scatter and --plot-data")
     # The flags each run never reads, by kind; the kind None is --plot-data.
-    unread = {None: ("estimators", "windows", "output"), "crb-curve": ("estimators",)}
+    unread = {None: ("estimators", "windows", "output", "format"), "crb-curve": ("estimators",)}
     for flag in unread.get(args.kind, ("windows",)):
         if getattr(args, flag) is not None:
             raise CliError(f"{args.kind or '--plot-data'} never reads --{flag}")

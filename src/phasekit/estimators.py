@@ -215,11 +215,11 @@ def _aml_result(rough, correction) -> AmlResult:
 def aml_rows(counts: np.ndarray, total: int, config: EstimatorConfig = DEFAULT_CONFIG):
     """Rough estimates and grid corrections of (T, N) histograms of `total` counts each.
 
-    The objective is evaluated as (T, G, K) tensors, one per group of rows
-    with the same number K of nonzero kept bins, so that each contraction
-    with the counts is a (G, K) @ (K,) product as for a single histogram;
-    padding K with zero counts would change the BLAS summation and could
-    flip near-tie argmaxes.
+    The objective's terms form one (R, G, K) view of one buffer for each
+    group of R rows with the same number K of nonzero kept bins, so that
+    each contraction with the counts is a (G, K) @ (K,) product as for a
+    single histogram; padding K with zero counts would change the BLAS
+    summation and could flip near-tie argmaxes.
     """
     if total < 1:
         raise ValueError("histogram is empty")
@@ -302,10 +302,14 @@ def dual_frequency_rows(
     config: EstimatorConfig = DEFAULT_CONFIG,
 ) -> DualFrequencyRows:
     """Dual-frequency match of T plain (counts1) and T offset (counts2) histograms."""
-    half_cell = np.pi / counts1.shape[1]
-    rough1, correction1 = aml_rows(counts1, total1, config)
-    rough2, correction2 = aml_rows(counts2, total2, config)
-    rough2_plain = wrap_two_pi(rough2 - half_cell)
+    return dual_frequency_match(*aml_rows(counts1, total1, config),
+                                *aml_rows(counts2, total2, config), counts1.shape[1])
+
+
+def dual_frequency_match(rough1, correction1, rough2, correction2, n: int) -> DualFrequencyRows:
+    """Dual-frequency match of the aml_rows results of T plain and T offset
+    histograms of record length n."""
+    rough2_plain = wrap_two_pi(rough2 - np.pi / n)
     u = wrap_two_pi(np.stack([
         rough1 + correction1,
         rough1 - correction1,
@@ -369,25 +373,40 @@ def _objective(positions, bins, counts, width, n_points, sinc_floor):
     """Objective at (T, G) bin positions N*phi/(2*pi), from each row's first
     width[t] kept bins and counts (as returned by _top_bins).
 
-    Each group's terms are computed in place.  Harness positions lie
-    within one cell of a bin in [0, N); any position within [-N/2, N] keeps
-    delta + N/2 inside [-N, 2N), where _mod_in_place needs no np.mod.
+    The rows with k kept bins write their (R, G, k) terms into their own
+    contiguous view of one flat buffer, so each elementwise step runs once
+    per call, in place, and each view is contracted as the (G, k) @ (k,)
+    product of one histogram.  Harness positions lie within one cell of a
+    bin in [0, N); any position within [-N/2, N] keeps delta + N/2 inside
+    [-N, 2N), where _mod_in_place needs no np.mod.
     """
     half = n_points / 2.0
     in_range = bool(positions.min(initial=0.0) >= -half
                     and positions.max(initial=0.0) <= n_points)
+    # Each group: its width k, its rows in row order, and its terms' span of one buffer.
+    n_grid = positions.shape[1]
+    order = np.argsort(width, kind="stable")
+    groups, first, size = [], 0, 0
+    for k, count in enumerate(np.bincount(width).tolist()):
+        if count:
+            groups.append((k, order[first:first + count], slice(size, size + count * n_grid * k)))
+            size += count * n_grid * k
+        first += count
+    x = np.empty(size)
+    for k, rows, span in groups:
+        np.subtract(positions[rows, :, None], bins[rows, None, :k],
+                    out=x[span].reshape(rows.size, n_grid, k))
+    x += half
+    _mod_in_place(x, n_points, in_range)
+    x -= half
+    mag = _sinc_in_place(x)
+    np.abs(mag, out=mag)
+    np.maximum(mag, sinc_floor, out=mag)
+    np.log(mag, out=mag)
     scores = np.empty(positions.shape)
-    for k in np.unique(width).tolist():
-        rows = np.flatnonzero(width == k)
-        x = np.subtract(positions[rows, :, None], bins[rows, None, :k])
-        x += half
-        _mod_in_place(x, n_points, in_range)
-        x -= half
-        mag = _sinc_in_place(x)
-        np.abs(mag, out=mag)
-        np.maximum(mag, sinc_floor, out=mag)
-        np.log(mag, out=mag)
-        scores[rows] = np.matmul(mag, counts[rows, :k, None])[:, :, 0]
+    for k, rows, span in groups:
+        terms = mag[span].reshape(rows.size, n_grid, k)
+        scores[rows] = np.matmul(terms, counts[rows, :k, None])[:, :, 0]
     return scores
 
 

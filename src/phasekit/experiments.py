@@ -48,9 +48,14 @@ same bytes as running its trials one at a time, because:
 * the AML objective is contracted with the counts once per group of rows
   with the same number K of nonzero kept bins, so every product is the
   same (G, K) @ (K,) BLAS call as for one histogram (estimators.aml_rows).
-  Its terms are computed in place: the displacement wrap is the exact
-  piecewise form of np.mod (add or subtract N) over the range the harness
-  reaches, and the sinc is np.sinc's own arithmetic;
+  Every group's terms sit in one buffer, each group's a contiguous view,
+  and each elementwise step runs once over it, in place: the displacement
+  wrap is the exact piecewise form of np.mod (add or subtract N) over the
+  range the harness reaches, and the sinc is np.sinc's own arithmetic;
+* df reduces each of its two sets to its AML rows as soon as the set's
+  histogram exists and then matches them (estimators.dual_frequency_match,
+  the end of dual_frequency_rows too), so the plain set's histogram is
+  gone before the offset set's distribution is built;
 * ties resolve as before: stable argsort for the kept bins, first-index
   argmax and argmin for the grid point and the DF pair.
 
@@ -60,11 +65,10 @@ stages: the draw, whose footprint rng._draw_words states, since
 rng.uniform_rows draws a whole block in one pass, and the arrays its
 estimator builds (fitted to tracemalloc peaks; see there).  A block also
 pays a fixed cost whatever its rows: fitting _trial_block's time against
-its row count (timeit) gives about 0.5-0.7 ms for df at N=128 and N_s=30,
-0.4-0.5 ms for df at N=1024, 0.3-0.4 ms for aml at N=128 and N_s=30, and
-under 0.1 ms for a sample mean, and two half blocks of df at N=128 take
-15 % longer than one.  So fewer, larger blocks are faster; checks says
-why BLOCK_BYTES stops at 2 MiB.
+its row count (8 to 384 rows, in process) gives about 0.4-0.7 ms for df
+and 0.4-0.5 ms for aml at N=128 and N_s=30, and under 0.1 ms for a sample
+mean.  So fewer, larger blocks are faster; checks says why BLOCK_BYTES
+stops at 2 MiB.
 
 Seeds are derived and replayed per chunk of at most BLOCK_BYTES // 256
 trials (8192), not per block: one derive_seed call and one
@@ -101,7 +105,7 @@ from .estimators import (
     DEFAULT_CONFIG,
     aml_rows,
     circular_mean_rows,
-    dual_frequency_rows,
+    dual_frequency_match,
     split_shot_counts,
 )
 from .fisher import DEFAULT_PHASE_GRID, MAX_PHASE_GRID, one_shot_prices
@@ -401,59 +405,62 @@ def _block_rows(n: int, n_shots: int, estimator: str) -> int:
 
     A row draws k = N_s to N_s + 2 uniforms, by the phase policy and the
     estimator (the phase, the shots, a sample mean's guess), and holds
-    them to the end.  It is charged, in 8-byte words, the largest of three
-    stages that peak at different times:
+    them to the end.  _row_words charges it, in 8-byte words, the largest
+    of three stages that peak at different times:
 
         draw:          rng._draw_words(k), the uniforms included
-        distribution:  k + 5.25N
-        objective:     k + 3N + G * (6 + 2.25K)     (aml and df)
+        distribution:  k + 3.5N
+        objective:     k + 2N + G * (4 + 2K)     (aml and df)
 
-    * 5.25N: the rect closed form takes 3.125N, or 4.125N with df's first
-      histogram live beside it.  An FFT window's distribution, built in
-      one complex buffer, takes about 3.2N (5N before it ran in place).
-      It keeps the same charge: at N=1024 and a 1 MiB budget, blocks of 30
-      and 41 rows ran the taper cells no faster than 20-row blocks, beyond
-      the noise.
-      One coefficient keeps every shape within the budget.  Sampling, the
-      histograms and the circular mean hold less than the larger of this
-      stage and the draw;
-    * 3N + G * (6 + 2.25K): the histograms and the argsort behind the kept
-      bins, the (rows, G) positions, scores and products, and the
-      objective's (rows, G, K) terms with their wrap masks, on the per-set
-      grid G = resolve_grid_points(s), s = ceil(N_s/2) for df and N_s for
-      aml.  Rows are grouped by their number of nonzero kept bins, and the
-      largest group holds about s/16 kept bins per row (0.7-1.0 at s <= 30,
-      1.7 at 50, 4.2 at 100, 7 at 1000), so K = min(bins_kept, N,
-      max(1, s // 16)).
+    * 3.5N: the rect closed form takes 3.125N and an FFT window's, built
+      in one complex buffer, about 3.2N.  df reduces each set to its AML
+      rows before the next stage, so no histogram lives beside it.
+      Sampling, the histograms and the circular mean hold less than the
+      larger of this stage and the draw;
+    * 2N + G * (4 + 2K): the histogram and the argsort behind the kept
+      bins, the (rows, G) positions and scores, and the objective's terms
+      and their sinc, two buffers of K words per grid point, on the
+      per-set grid G = resolve_grid_points(s), s = ceil(N_s/2) for df and
+      N_s for aml.  Every row's terms share the buffers, so K is the mean
+      number of nonzero kept bins, charged as min(bins_kept, N,
+      max(1, 0.75 sqrt(s))): over N from 8 to 4096, uniform phases keep
+      2.8-3.0 at s = 15, 3.6-4.1 at 30, 4.4-5.0 at 50, 5.6-6.2 at 100 and
+      6.9-7.3 at 500.
 
-    One block's tracemalloc peak per row (seeds 5-7), given its chunk's
-    streams, against its charge:
+    One block's tracemalloc peak per row (seed 5, tools/block_table.py),
+    given its chunk's streams, against its charge:
 
         shape                          rows  peak/row, B   charge, B
-        df, N=128, N_s=30               372    4867-4926        5632
-        df, N=1024, N_s=30               48        34106       43264
-        mean-cosine, N=1024, N_s=1000    41  32663-32666       51024
-        mean-cosine, N=4096, N_s=1000    11       106424      180048
+        df, N=128, N_s=30               442         4448        4737
+        df, N=1024, N_s=30               72        25921       28928
+        mean-cosine, N=1024, N_s=1000    57        32630       36688
+        mean-cosine, N=4096, N_s=1000    17       106400      122704
         mean-rect, N=2, N_s=62          481         4127        4352
-        aml, N=64, N_s=1000              36  39208-42075       58128
-        aml, N=4096, N_s=30              12       102780      172288
+        aml, N=64, N_s=1000              42        43630       49520
+        aml, N=4096, N_s=30              18       102742      114944
+        aml, N=16, N_s=100, fixed       156        12610       13384
 
-    Over 5 estimators, N in {2, 8, 64, 1024, 4096} and N_s in {1, 2, 30, 62,
-    63, 64, 1000}, under the uniform and the fixed phase policy, a block of
-    more than one row peaks at 0.34 to 0.99 BLOCK_BYTES (seed 5); the first
-    three shapes, the benchmark's, at 0.64 to 0.87.
+    Over the shapes of the block-budget gate (5 estimators, N from 2 to
+    4096, N_s from 2 to 1000, the uniform and the fixed phase policy), a
+    block peaks at 0.47 to 1.10 BLOCK_BYTES; the benchmark's cell shapes at
+    0.85 to 0.96.
     """
+    return max(1, int(BLOCK_BYTES // (8 * _row_words(n, n_shots, estimator))))
+
+
+def _row_words(n: int, n_shots: int, estimator: str) -> float:
+    """The 8-byte words _block_rows charges one row: the largest stage."""
     k = n_shots + 2
     # The closed form's footprint exceeds the per-seed loop's, so the
     # largest of the three possible draws is charged.
     draw = max(map(_draw_words, range(n_shots, k + 1)))
-    stage = 5.25 * n
+    stage = 3.5 * n
     if not estimator.startswith("mean-"):
         per_set = split_shot_counts(n_shots)[0] if estimator == "df" else n_shots
         n_grid = DEFAULT_CONFIG.resolve_grid_points(per_set)
-        kept = min(DEFAULT_CONFIG.bins_kept, n, max(1, per_set // 16))
-        stage = max(stage, 3 * n + n_grid * (6 + 2.25 * kept))
-    return max(1, int(BLOCK_BYTES // (8 * max(draw, k + stage))))
+        kept = min(DEFAULT_CONFIG.bins_kept, n, max(1.0, 0.75 * per_set ** 0.5))
+        stage = max(stage, 2 * n + n_grid * (4 + 2 * kept))
+    return max(draw, k + stage)
 
 
 def _trial_block(spec: ExperimentSpec, estimator: str, window, n: int, n_shots: int,
@@ -469,18 +476,24 @@ def _trial_block(spec: ExperimentSpec, estimator: str, window, n: int, n_shots: 
     phases = _draw_phases(spec, n, index, u[:, 0])
     shots = u[:, draws_phase:draws_phase + n_shots]
     if estimator == "df":
-        first, second = split_shot_counts(n_shots)
-        plain = histogram_rows(_sample(window, phases, shots[:, :first]), n)
-        shifted = histogram_rows(_sample(window, phases + np.pi / n, shots[:, first:]), n)
-        estimates = dual_frequency_rows(plain, first, shifted, second, DEFAULT_CONFIG).estimate
+        # Each set is reduced to its AML rows as soon as its histogram exists,
+        # so the plain set's histogram is gone before the offset set's stages.
+        first = split_shot_counts(n_shots)[0]
+        estimates = dual_frequency_match(*_aml(window, phases, shots[:, :first], n),
+                                         *_aml(window, phases + np.pi / n, shots[:, first:], n),
+                                         n).estimate
     elif estimator == "aml":
-        counts = histogram_rows(_sample(window, phases, shots), n)
-        rough, correction = aml_rows(counts, n_shots, DEFAULT_CONFIG)
+        rough, correction = _aml(window, phases, shots, n)
         estimates = wrap_two_pi(rough + correction)
     else:
         estimates, defined = circular_mean_rows(_sample(window, phases, shots), n)
         estimates[~defined] = u[~defined, -1] * TWO_PI
     return phases, circ_signed_error(estimates, phases)
+
+
+def _aml(window, effective: np.ndarray, u: np.ndarray, n: int):
+    """aml_rows (rough, correction) of the histograms of the uniforms u."""
+    return aml_rows(histogram_rows(_sample(window, effective, u), n), u.shape[1], DEFAULT_CONFIG)
 
 
 def _sample(window, effective: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -429,7 +429,10 @@ def _experiment_argv(data, out_dir) -> list[str]:
         cell = _mostly(data, st.integers(0, 3), st.integers(-1, 70))
         argv += ["--phase-policy=cell", f"--cell={cell}"]
     argv += ["--cell-units"] * data.draw(st.booleans())
-    return argv + data.draw(st.sampled_from([[], ["--format=csv"], ["--format=json"]]))
+    # The kinds read --format and the bundle does not, so it is mostly drawn for the kinds.
+    if _mostly(data, st.just(kind is not None), st.just(kind is None)):
+        argv.append(data.draw(st.sampled_from(["--format=csv", "--format=json"])))
+    return argv
 
 
 @settings(max_examples=100, deadline=None,
@@ -702,6 +705,24 @@ def test_a_list_flag_the_kind_never_reads_is_a_usage_error(kind, value, tmp_path
     if kind != "--plot-data":
         code, out, err = _run_cli(run)
         assert (code, err) == (0, "seed: 5\n") and out
+
+
+@pytest.mark.parametrize("value", ["csv", "json"])
+def test_a_format_the_bundle_never_reads_is_a_usage_error(value, tmp_path, monkeypatch):
+    """Every figure of --plot-data is a CSV, so a given --format, even csv,
+    is rejected before the seed line and the bundle's directory.  A kind's
+    run reads no --format as csv."""
+    monkeypatch.chdir(tmp_path)
+    bundle = ["experiment", "--plot-data", "--qubits", "7", "--trials", "1", "--out-dir", "D"]
+    assert _run_cli(bundle + ["--format", value]) == (
+        2, "", "usage error: --plot-data never reads --format\n")
+    assert not any(tmp_path.iterdir())
+    run = ["experiment", "rmse-vs-shots", "--qubits", "3", "--shots-list", "4", "--trials", "3"]
+    code, out, err = _run_cli(run)
+    assert (code, err) == (0, "seed: 0\n") and out.startswith("n_points,")
+    assert _run_cli(run + ["--format", "csv"]) == (code, out, err)
+    code, out, err = _run_cli(run + ["--format", "json"])
+    assert (code, err) == (0, "seed: 0\n") and json.loads(out)
 
 
 def test_crb_without_windows_prices_the_default_windows():

@@ -342,16 +342,17 @@ def test_blocks_equal_trials_run_one_by_one(estimator, n, n_shots, seed, guesses
 
 # df-cell's and the taper cells' shapes, a grid over N and N_s, the
 # closed-form corners, where a row draws 62 to 66 words from either rng path,
-# and two fixed-policy shapes, whose rows draw no phase: aml's tightest, and
-# a sample mean whose 64 words come from the closed form though N_s + 2 = 65
-# would not.
+# and three fixed-policy shapes, whose rows draw no phase: aml's tightest, aml
+# at a small N with many kept bins, where the objective's terms are charged
+# by the mean kept width, and a sample mean whose 64 words come from the
+# closed form though N_s + 2 = 65 would not.
 _BUDGET_SHAPES = [("df", 128, 30, "uniform"), ("mean-cosine", 1024, 1000, "uniform"),
                   ("mean-bartlett", 1024, 1000, "uniform")] + [
     (estimator, n, n_shots, "uniform") for estimator in ("df", "aml", "mean-rect", "mean-cosine")
     for n in (2, 8, 64, 1024, 4096) for n_shots in (2, 30, 1000)] + [
     (estimator, n, n_shots, "uniform") for estimator in ("df", "aml", "mean-rect", "mean-cosine")
     for n in (2, 8) for n_shots in (62, 63, 64)] + [
-    ("aml", 16, 30, "fixed"), ("mean-rect", 2, 63, "fixed")]
+    ("aml", 16, 30, "fixed"), ("aml", 16, 100, "fixed"), ("mean-rect", 2, 63, "fixed")]
 
 
 def _block_peak(estimator, n, n_shots, policy="uniform"):
@@ -388,10 +389,12 @@ def test_block_peak_stays_within_the_budget(estimator, n, n_shots, policy):
 
 
 @pytest.mark.parametrize("estimator, n, n_shots", [
-    ("df", 128, 30), ("mean-cosine", 1024, 1000), ("df", 1024, 30)])
+    ("df", 128, 30), ("mean-cosine", 1024, 1000), ("df", 1024, 30), ("aml", 128, 30),
+    ("df", 512, 30)])
 def test_benchmark_blocks_fill_half_the_budget(estimator, n, n_shots):
-    """The benchmark's cell shapes (df-cell, a taper cell, df at N=1024) fill
-    a block to at least half of BLOCK_BYTES; they reach 0.64 to 0.87 of it.
+    """The benchmark's cell shapes (df-cell, a taper cell, and df and aml
+    cells of cli-figures) fill a block to at least half of BLOCK_BYTES; they
+    reach 0.89 to 0.94 of it.
     Each block pays a fixed cost, so a stage charge that drifts 2x too high
     halves the blocks, slows the cell and fails here."""
     rows, peak = _block_peak(estimator, n, n_shots)
@@ -615,7 +618,7 @@ def test_each_runner_rejects_another_kind(runner, kind):
 
 
 def test_a_cell_derives_and_replays_its_seeds_once(monkeypatch):
-    """A 4000-trial df cell runs in 11 blocks of one chunk: one seed
+    """An 8000-trial df cell runs in 19 blocks of one chunk: one seed
     derivation and one SeedSequence replay, not one of each per block."""
     rng._streams_match_numpy()  # the first-use check replays seeds of its own
     calls = []
@@ -625,8 +628,8 @@ def test_a_cell_derives_and_replays_its_seeds_once(monkeypatch):
             return _call(*args)
         monkeypatch.setattr(module, name, counted)
     spec = ExperimentSpec(kind="rmse-vs-shots", n_points=(128,), n_shots=(30,),
-                          estimators=("df",), trials=4000, master_seed=3)
-    assert 4000 // _block_rows(128, 30, "df") >= 10 and 4000 <= BLOCK_BYTES // 256
+                          estimators=("df",), trials=8000, master_seed=3)
+    assert 8000 // _block_rows(128, 30, "df") >= 10 and 8000 <= BLOCK_BYTES // 256
     run_experiment(spec)
     assert sorted(calls) == ["_seeded", "derive_seed"]
 
@@ -664,7 +667,7 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="counts minor page faults as Linux reports them")
 def test_warm_taper_cell_keeps_its_heap():
-    """A warm mean-cosine cell (N=1024, 1000 shots, 200 trials in 41-row
+    """A warm mean-cosine cell (N=1024, 1000 shots, 200 trials in 57-row
     blocks) in a fresh process takes 0 or 1 minor page faults.  Before the
     heap note in experiments it took 1250: glibc handed the heap top
     back after each block, and the next block faulted the same pages in

@@ -4,7 +4,8 @@ stream_keys replays numpy's SeedSequence -> PCG64 seeding on uint64
 arrays, and uniform_rows draws numpy's stream from any columns of it;
 the Fisher grid runs blocks of phases, of any size, through batched
 in-place FFTs; the circular mean looks shot vectors up in a table; the
-AML objective wraps without np.mod and takes its sinc in place; the rect
+AML objective wraps without np.mod, takes its sinc in place and runs each
+step once over one buffer that holds every group's terms; the rect
 closed form runs in place, and the FFT distribution in one complex buffer.
 Each must give exactly the bytes of the plain computation it replaces.
 """
@@ -24,15 +25,20 @@ import phasekit
 from phasekit import experiments, fisher, rng
 from phasekit.angles import TWO_PI, wrap_two_pi
 from phasekit.estimators import (
+    DualFrequencyRows,
     _mod_in_place,
+    _objective,
     _sinc_in_place,
     _top_bins,
     aml_objective,
+    aml_rows,
     circular_mean_rows,
+    dual_frequency_match,
+    dual_frequency_rows,
 )
 from phasekit.experiments import ExperimentSpec, run_experiment
 from phasekit.io import table_to_csv
-from phasekit.model import Histogram, _rect_probs, _window_probs
+from phasekit.model import Histogram, _rect_probs, _window_probs, histogram_rows
 from phasekit.fisher import NEGLIGIBLE_PROB, fisher_information, fisher_information_grid
 from phasekit.rng import CLOSED_FORM_MAX_WORDS, stream_keys, uniform_rows
 from phasekit.windows import (BUILTIN_WINDOWS, make_bartlett, make_cosine, make_custom,
@@ -401,6 +407,67 @@ def test_aml_objective_at_any_phase_equals_np_mod(phase):
     counts[[0, 1, 5, 30, 31]] = [7, 3, 2, 4, 1]
     hist = Histogram(32, counts, 17)
     assert aml_objective(hist, phase) == _objective_oracle(hist, phase)
+
+
+def _objective_per_group_oracle(positions, bins, counts, width, n_points, sinc_floor):
+    # The objective as written before its terms shared one buffer: every
+    # step ran once per group of rows with k kept bins, on its own array.
+    half = n_points / 2.0
+    in_range = bool(positions.min(initial=0.0) >= -half
+                    and positions.max(initial=0.0) <= n_points)
+    scores = np.empty(positions.shape)
+    for k in np.unique(width).tolist():
+        rows = np.flatnonzero(width == k)
+        x = np.subtract(positions[rows, :, None], bins[rows, None, :k])
+        x += half
+        _mod_in_place(x, n_points, in_range)
+        x -= half
+        mag = _sinc_in_place(x)
+        np.abs(mag, out=mag)
+        np.maximum(mag, sinc_floor, out=mag)
+        np.log(mag, out=mag)
+        scores[rows] = np.matmul(mag, counts[rows, :k, None])[:, :, 0]
+    return scores
+
+
+def _every_width_block(n: int, n_grid: int):
+    """(positions, bins, counts, width) of a block, in shuffled row order,
+    whose rows keep every width from 1 to min(8, N), on aml_rows' grid."""
+    gen = np.random.default_rng(n * n_grid)
+    widths = np.repeat(np.arange(1, min(8, n) + 1), 6)
+    counts = gen.integers(1, 40, (widths.size + 6, n))  # the last 6 rows: every bin nonzero
+    for row, w in enumerate(widths):
+        counts[row, gen.permutation(n)[w:]] = 0
+    counts = counts[gen.permutation(len(counts))]
+    bins, kept, width = _top_bins(counts, 8)
+    assert sorted(set(width.tolist())) == list(range(1, min(8, n) + 1))
+    half = (n_grid - 1) // 2
+    offsets = (2.0 * TWO_PI / (n * n_grid)) * np.arange(-half, half + 1)
+    rough = TWO_PI * np.argmax(counts, axis=1) / n
+    return n * (rough[:, None] + offsets) / TWO_PI, bins, kept, width
+
+
+# Shifts of 0 keep the exact wrap; the others leave [-N/2, N] for np.mod.
+@pytest.mark.parametrize("shift", [0.0, -1.0, 0.5, 1e6])
+@pytest.mark.parametrize("n_grid", [9, 31, 179, 311])
+@pytest.mark.parametrize("n", [2, 3, 100, 128, 1024])
+def test_flat_objective_equals_the_per_group_objective(n, n_grid, shift):
+    positions, bins, kept, width = _every_width_block(n, n_grid)
+    positions = positions + shift * n
+    expected = _objective_per_group_oracle(positions, bins, kept, width, n, 1e-12)
+    assert _objective(positions, bins, kept, width, n, 1e-12).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("n, totals", [(2, (3, 2)), (100, (15, 15)), (128, (15, 15)),
+                                       (128, (500, 500)), (1024, (50, 49))])
+def test_dual_frequency_rows_are_two_aml_rows_and_their_match(n, totals):
+    gen = np.random.default_rng(n + totals[0])
+    counts = [histogram_rows(gen.integers(0, n, (40, total)), n) for total in totals]
+    rows = dual_frequency_rows(counts[0], totals[0], counts[1], totals[1])
+    match = dual_frequency_match(*aml_rows(counts[0], totals[0]),
+                                 *aml_rows(counts[1], totals[1]), n)
+    for name in DualFrequencyRows._fields:
+        assert getattr(rows, name).tobytes() == getattr(match, name).tobytes(), name
 
 
 _CELL_CODE = """
