@@ -17,11 +17,11 @@ checks.MAX_SHOTS, a --seed outside [0, checks.MAX_SEED], --threads outside
 record length, --weights-csv without --window custom, an --input count
 that the estimator does not take, two histogram CSV inputs for df,
 --plot-data with a kind or with a record length other than 128, and an
-experiment flag its run never reads: --cell-units except with scatter or
---plot-data, --windows except with crb-curve, --estimators with crb-curve or
---plot-data, --output and --format with --plot-data).  crb and experiment
-build their ExperimentSpec through one function, and every file goes through
-io.save_text.
+experiment flag its run never reads: --windows except with crb-curve,
+--estimators with crb-curve or --plot-data, --cell-units except with scatter
+or --plot-data, --out-dir except with --plot-data, and --output and --format
+with --plot-data).  crb and experiment build their ExperimentSpec through
+one function, and every file goes through io.save_text.
 """
 
 from __future__ import annotations
@@ -168,7 +168,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phase-policy", choices=("uniform", "cell"), default="uniform")
     p.add_argument("--cell", type=int, default=0,
                    help="cell index for the cell policy, in [0, N) for every N under any policy")
-    p.add_argument("--cell-units", action="store_true",
+    p.add_argument("--cell-units", action="store_true", default=None,
                    help="report scatter errors in units of 2*pi/N (scatter and --plot-data only)")
     # A string default goes through type=int, so a bad environment value is
     # a usage error like a bad --threads.
@@ -178,7 +178,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         f"it (default: ${THREADS_ENV}, else 1)")
     p.add_argument("--plot-data", action="store_true",
                    help="emit the standard figure bundle instead of one run")
-    p.add_argument("--out-dir", default=".")
+    p.add_argument("--out-dir")
     # Every kind reads no --format as csv; --plot-data refuses a given one.
     _add_output_args(p, default_format=None)
     p.set_defaults(func=_cmd_experiment)
@@ -394,13 +394,13 @@ def _cmd_experiment(args) -> int:
         raise CliError("--plot-data takes no experiment kind")
     if not args.plot_data and args.kind is None:
         raise CliError("provide an experiment kind or --plot-data")
-    if args.cell_units and args.kind not in (None, "scatter"):
-        raise CliError("--cell-units applies only to scatter and --plot-data")
     # The flags each run never reads, by kind; the kind None is --plot-data.
-    unread = {None: ("estimators", "windows", "output", "format"), "crb-curve": ("estimators",)}
-    for flag in unread.get(args.kind, ("windows",)):
+    unread = {None: ("estimators", "windows", "output", "format"),
+              "scatter": ("windows", "out_dir"),
+              "crb-curve": ("estimators", "cell_units", "out_dir")}
+    for flag in unread.get(args.kind, ("windows", "cell_units", "out_dir")):
         if getattr(args, flag) is not None:
-            raise CliError(f"{args.kind or '--plot-data'} never reads --{flag}")
+            raise CliError(f"{args.kind or '--plot-data'} never reads --{flag.replace('_', '-')}")
     # The bundle starts from its RMSE sweep's kind and overrides each figure's fields.
     spec = _spec(args, args.kind or "rmse-vs-shots", trials=args.trials,
                  master_seed=_count(args.seed, "--seed", 0, MAX_SEED),
@@ -435,7 +435,7 @@ def _emit_plot_bundle(args, spec: ExperimentSpec) -> int:
     # trial seeds depend on the kind, estimator, N and N_s, not on the
     # other estimators of the run.
     rmse_spec = replace(base, estimators=("df", "mean-rect", "mean-cosine", "mean-bartlett"))
-    out_dir = Path(args.out_dir)
+    out_dir = Path(args.out_dir or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     rmse_table = run_experiment(rmse_spec)
 

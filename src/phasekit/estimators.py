@@ -270,9 +270,9 @@ def dual_frequency_details(
     if plain.n_points != shifted.n_points:
         raise ValueError("sample sets must share the record length")
     n = plain.n_points
-    match = dual_frequency_rows(histogram_rows(plain.outcomes[None, :], n), len(plain),
-                                histogram_rows(shifted.outcomes[None, :], n), len(shifted),
-                                config)
+    match = dual_frequency_match(
+        *aml_rows(histogram_rows(plain.outcomes[None, :], n), len(plain), config),
+        *aml_rows(histogram_rows(shifted.outcomes[None, :], n), len(shifted), config), n)
     return DualFrequencyResult(
         estimate=float(match.estimate[0]),
         candidates=CandidateSet(match.candidates[0]),
@@ -292,18 +292,6 @@ class DualFrequencyRows(NamedTuple):
     candidates: np.ndarray
     pair: np.ndarray
     estimate: np.ndarray
-
-
-def dual_frequency_rows(
-    counts1: np.ndarray,
-    total1: int,
-    counts2: np.ndarray,
-    total2: int,
-    config: EstimatorConfig = DEFAULT_CONFIG,
-) -> DualFrequencyRows:
-    """Dual-frequency match of T plain (counts1) and T offset (counts2) histograms."""
-    return dual_frequency_match(*aml_rows(counts1, total1, config),
-                                *aml_rows(counts2, total2, config), counts1.shape[1])
 
 
 def dual_frequency_match(rough1, correction1, rough2, correction2, n: int) -> DualFrequencyRows:

@@ -54,8 +54,8 @@ same bytes as running its trials one at a time, because:
   range the harness reaches, and the sinc is np.sinc's own arithmetic;
 * df reduces each of its two sets to its AML rows as soon as the set's
   histogram exists and then matches them (estimators.dual_frequency_match,
-  the end of dual_frequency_rows too), so the plain set's histogram is
-  gone before the offset set's distribution is built;
+  as dual_frequency_details does), so the plain set's histogram is gone
+  before the offset set's distribution is built;
 * ties resolve as before: stable argsort for the kept bins, first-index
   argmax and argmin for the grid point and the DF pair.
 

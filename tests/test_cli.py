@@ -495,9 +495,10 @@ def test_randomized_commands_echo_seed(tmp_path, capsys):
 ])
 def test_experiment_usage_error_is_one_stderr_line(argv, message, tmp_path, capsys):
     # The seed is echoed, and the bundle's directory made, only once the
-    # run's arguments are known to be valid.
+    # run's arguments are known to be valid.  Only the bundle reads --out-dir.
     out_dir = tmp_path / "bundle"
-    assert dispatch(["experiment", *argv, "--seed", "4", "--out-dir", str(out_dir)]) == 2
+    bundle = ["--out-dir", str(out_dir)] if "--plot-data" in argv else []
+    assert dispatch(["experiment", *argv, "--seed", "4", *bundle]) == 2
     assert capsys.readouterr().err == f"usage error: {message}\n"
     assert not out_dir.exists()
 
@@ -678,7 +679,7 @@ def test_cell_units_outside_scatter_is_a_usage_error(kind):
     run = ["experiment", kind, "--qubits", "3", "--shots-list", "4", "--trials", "3",
            "--seed", "5"]
     assert _run_cli(run + ["--cell-units"]) == (
-        2, "", "usage error: --cell-units applies only to scatter and --plot-data\n")
+        2, "", f"usage error: {kind} never reads --cell-units\n")
     code, out, err = _run_cli(run)
     assert (code, err) == (0, "seed: 5\n") and out
 
@@ -688,9 +689,10 @@ def test_cell_units_outside_scatter_is_a_usage_error(kind):
 def test_a_list_flag_the_kind_never_reads_is_a_usage_error(kind, value, tmp_path, monkeypatch):
     """crb-curve reads --windows and no --estimators; every other kind the
     reverse.  The --plot-data bundle sets its own lists and writes to
-    --out-dir, so it reads neither list and no --output.  A flag the run
-    never reads is rejected, valid value or not, before the seed line and
-    the bundle's directory; a kind's run without it keeps its bytes."""
+    --out-dir, so it reads neither list and no --output; a kind writes one
+    table and reads no --out-dir.  A flag the run never reads is rejected,
+    valid value or not, before the seed line and any directory; a kind's
+    run without it keeps its bytes."""
     monkeypatch.chdir(tmp_path)
     if kind == "--plot-data":
         run = ["experiment", kind, "--qubits", "7", "--trials", "1", "--out-dir", "D"]
@@ -698,7 +700,8 @@ def test_a_list_flag_the_kind_never_reads_is_a_usage_error(kind, value, tmp_path
     else:
         run = ["experiment", kind, "--qubits", "3", "--shots-list", "4", "--trials", "3",
                "--seed", "5"]
-        unread = [["--estimators" if kind == "crb-curve" else "--windows", value]]
+        unread = [["--estimators" if kind == "crb-curve" else "--windows", value],
+                  ["--out-dir", "D"]]
     for flag, arg in unread:
         assert _run_cli(run + [flag, arg]) == (2, "", f"usage error: {kind} never reads {flag}\n")
     assert not any(tmp_path.iterdir())

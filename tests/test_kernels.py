@@ -25,7 +25,7 @@ import phasekit
 from phasekit import experiments, fisher, rng
 from phasekit.angles import TWO_PI, wrap_two_pi
 from phasekit.estimators import (
-    DualFrequencyRows,
+    _CROSS_PAIRS,
     _mod_in_place,
     _objective,
     _sinc_in_place,
@@ -33,12 +33,12 @@ from phasekit.estimators import (
     aml_objective,
     aml_rows,
     circular_mean_rows,
+    dual_frequency_details,
     dual_frequency_match,
-    dual_frequency_rows,
 )
 from phasekit.experiments import ExperimentSpec, run_experiment
 from phasekit.io import table_to_csv
-from phasekit.model import Histogram, _rect_probs, _window_probs, histogram_rows
+from phasekit.model import Histogram, SampleSet, _rect_probs, _window_probs, histogram_rows
 from phasekit.fisher import NEGLIGIBLE_PROB, fisher_information, fisher_information_grid
 from phasekit.rng import CLOSED_FORM_MAX_WORDS, stream_keys, uniform_rows
 from phasekit.windows import (BUILTIN_WINDOWS, make_bartlett, make_cosine, make_custom,
@@ -460,14 +460,20 @@ def test_flat_objective_equals_the_per_group_objective(n, n_grid, shift):
 
 @pytest.mark.parametrize("n, totals", [(2, (3, 2)), (100, (15, 15)), (128, (15, 15)),
                                        (128, (500, 500)), (1024, (50, 49))])
-def test_dual_frequency_rows_are_two_aml_rows_and_their_match(n, totals):
+def test_dual_frequency_details_are_two_aml_rows_and_their_match(n, totals):
     gen = np.random.default_rng(n + totals[0])
-    counts = [histogram_rows(gen.integers(0, n, (40, total)), n) for total in totals]
-    rows = dual_frequency_rows(counts[0], totals[0], counts[1], totals[1])
-    match = dual_frequency_match(*aml_rows(counts[0], totals[0]),
-                                 *aml_rows(counts[1], totals[1]), n)
-    for name in DualFrequencyRows._fields:
-        assert getattr(rows, name).tobytes() == getattr(match, name).tobytes(), name
+    outcomes = [gen.integers(0, n, (40, total)) for total in totals]
+    match = dual_frequency_match(*aml_rows(histogram_rows(outcomes[0], n), totals[0]),
+                                 *aml_rows(histogram_rows(outcomes[1], n), totals[1]), n)
+    for row in range(40):
+        details = dual_frequency_details(SampleSet(n, outcomes[0][row]),
+                                         SampleSet(n, outcomes[1][row], np.pi / n))
+        assert details.estimate == match.estimate[row]
+        assert details.candidates.u.tobytes() == match.candidates[row].tobytes()
+        assert details.matched_pair == tuple(_CROSS_PAIRS[match.pair[row]])
+        for aml, rough, correction in ((details.aml_set1, match.rough1, match.correction1),
+                                       (details.aml_set2, match.rough2, match.correction2)):
+            assert (aml.rough, aml.correction) == (rough[row], correction[row])
 
 
 _CELL_CODE = """
